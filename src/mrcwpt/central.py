@@ -1,12 +1,17 @@
 """Centralized charging control.
 
 Minimizes the transmitter drawn power subject to a minimum delivered power
-per load. The problem is non-convex in the load resistances but becomes
-convex after substituting each receiver's branch conductance
-g = 1/(r + x): the objective turns affine in g and each load constraint
-becomes a convex quadratic. A self-contained log-barrier interior-point
-method solves the reformulated program; a brute-force grid oracle is
-provided for bounding the optimality gap in tests.
+per load. With branch conductances g = 1/(r + x) and B = w^2 h^2 the drawn
+power is |v|^2 / (2 D) with D = r_tx + sum B g, so the optimum maximizes the
+scalar D. At a fixed D each requirement holds on one conductance interval
+[a_n(D), b_n(D)], which closes at a closed-form cap. The optimal D is the
+least cap, or the root of the decreasing psi(D) = r_tx + sum B b(D) - D, or
+else the largest root of the convex phi(D) = r_tx + sum B a(D) - D: each a
+1-D bracketed root (quasi-convex bisection, Boyd & Vandenberghe, sec. 4.2.5).
+Where the optimum is a face, every receiver takes the same fraction t of its
+interval, g = a + t (b - a), a choice independent of the receiver order. A
+KKT residual fitted at the returned point certifies it; a brute-force grid
+oracle bounds the optimality gap in tests.
 """
 
 from __future__ import annotations
@@ -18,18 +23,6 @@ import numpy as np
 
 from .circuit import SwitchState, SystemConfig, solve_closed_form
 from .errors import NumericalError, ValidationError
-
-# barrier path: multiplicative increase of the accuracy parameter and the
-# duality-gap surrogate at which the path stops (normalized units)
-_BARRIER_FACTOR = 10.0
-_GAP_TOL = 1e-9
-# phase-I worst-violation value above which the problem is declared infeasible
-_FEAS_TOL = 1e-9
-_NEWTON_TOL = 1e-13
-# the last barrier stage is polished much harder so the reported optimality
-# residual stays well under its contract even with active constraints
-_POLISH_TOL = 1e-22
-_MAX_NEWTON = 120
 
 
 class SolveStatus(Enum):
@@ -107,39 +100,13 @@ def load_from_conductance(g, r):
     return 1.0 / g - r
 
 
-def _newton_minimize(value_grad_hess, z0, in_domain, tol=_NEWTON_TOL):
-    """Damped Newton descent with backtracking; z0 must be strictly feasible."""
-    z = z0.copy()
-    for _ in range(_MAX_NEWTON):
-        val, grad, hess = value_grad_hess(z)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            ridge = 1e-12 * (1.0 + np.trace(hess) / len(z))
-            step = np.linalg.solve(hess + ridge * np.eye(len(z)), -grad)
-        decrement2 = float(-grad @ step)
-        if decrement2 / 2.0 <= tol:
-            break
-        alpha = 1.0
-        while not in_domain(z + alpha * step):
-            alpha *= 0.5
-            if alpha < 1e-18:
-                return z
-        while value_grad_hess(z + alpha * step)[0] > val - 0.25 * alpha * decrement2:
-            alpha *= 0.5
-            if alpha < 1e-18:
-                return z
-        z = z + alpha * step
-    return z
-
-
 class _Qcqp:
     """Normalized data for: min c.g over a box, s.t. convex quadratics <= 0.
 
     Raw constraint for an active receiver n (index into the connected set):
         half_v2 * B_n * (r_n g_n^2 - g_n) + preq_n * (r_tx + B.g)^2 <= 0
     with B_k = w^2 h_k^2. Each constraint is divided by its own magnitude
-    scale so feasibility and duality-gap tolerances are dimensionless.
+    scale so the certificate's tolerances are dimensionless.
     """
 
     def __init__(self, b_coef, r, g_lo, g_hi, preq, half_v2, r_tx):
@@ -179,136 +146,13 @@ class _Qcqp:
         grad[n] += self.half_v2 * self.b[n] * (2.0 * self.r[n] * g[n] - 1.0)
         return grad / self.scale[i]
 
-    def quad_hess(self, i):
-        n = self.active[i]
-        hess = 2.0 * self.preq[n] * np.outer(self.b, self.b)
-        hess[n, n] += 2.0 * self.half_v2 * self.b[n] * self.r[n]
-        return hess / self.scale[i]
-
-
-def _phase_one(q: _Qcqp):
-    """Find a strictly feasible point, or report the minimal worst violation.
-
-    Minimizes s subject to quad_n(g) <= s and the box, starting from the
-    box midpoint. Returns (g, None) on success or (None, s_star) when no
-    point with violation below the feasibility tolerance exists.
-    """
-    m = len(q.b)
-    g0 = 0.5 * (q.g_lo + q.g_hi)
-    s0 = float(np.max(q.quad_values(g0)))
-    z = np.concatenate([g0, [s0 + max(1.0, 0.1 * abs(s0))]])
-    n_cons = len(q.active) + 2 * m
-    t = 1.0
-
-    def in_domain(zz):
-        g, s = zz[:m], zz[m]
-        if not np.all(np.isfinite(zz)):
-            return False
-        if np.any(g <= q.g_lo) or np.any(g >= q.g_hi):
-            return False
-        vals = q.quad_values(g)
-        return bool(np.all(np.isfinite(vals)) and np.all(s - vals > 0.0))
-
-    while True:
-        def vgh(zz, t=t):
-            g, s = zz[:m], zz[m]
-            slacks = s - q.quad_values(g)
-            lo = g - q.g_lo
-            hi = q.g_hi - g
-            # rounding can park a line-search iterate exactly on the
-            # boundary; treat it as outside via an infinite barrier value
-            if (
-                not np.all(np.isfinite(slacks))
-                or np.any(slacks <= 0.0)
-                or np.any(lo <= 0.0)
-                or np.any(hi <= 0.0)
-            ):
-                return np.inf, np.zeros(m + 1), np.eye(m + 1)
-            val = t * s - np.sum(np.log(slacks)) - np.sum(np.log(lo)) - np.sum(np.log(hi))
-            grad = np.zeros(m + 1)
-            hess = np.zeros((m + 1, m + 1))
-            grad[m] = t
-            for i in range(len(q.active)):
-                gi = q.quad_grad(g, i)
-                inv = 1.0 / slacks[i]
-                grad[:m] += gi * inv
-                grad[m] -= inv
-                row = np.concatenate([gi, [-1.0]])
-                hess += inv * inv * np.outer(row, row)
-                hess[:m, :m] += inv * q.quad_hess(i)
-            grad[:m] += 1.0 / hi - 1.0 / lo
-            diag = 1.0 / hi**2 + 1.0 / lo**2
-            hess[:m, :m] += np.diag(diag)
-            return val, grad, hess
-
-        z = _newton_minimize(vgh, z, in_domain)
-        g = z[:m]
-        if float(np.max(q.quad_values(g))) < -1e-8:
-            return g, None
-        if n_cons / t < 1e-10:
-            s_star = float(z[m])
-            return (g, None) if s_star <= _FEAS_TOL else (None, s_star)
-        t *= _BARRIER_FACTOR
-
-
-def _phase_two(q: _Qcqp, g_start):
-    """Follow the central path from a strictly feasible point; returns (g, kkt)."""
-    m = len(q.b)
-    n_cons = len(q.active) + 2 * m
-    g = g_start.copy()
-    t = 1.0
-
-    def in_domain(gg):
-        if not np.all(np.isfinite(gg)):
-            return False
-        if np.any(gg <= q.g_lo) or np.any(gg >= q.g_hi):
-            return False
-        if len(q.active):
-            vals = q.quad_values(gg)
-            if not np.all(np.isfinite(vals)) or np.any(vals >= 0.0):
-                return False
-        return True
-
-    while True:
-        def vgh(gg, t=t):
-            lo = gg - q.g_lo
-            hi = q.g_hi - gg
-            vals = q.quad_values(gg) if len(q.active) else np.empty(0)
-            # see _phase_one: boundary-rounded line-search iterates get an
-            # infinite barrier value instead of a log-domain error
-            if (
-                np.any(lo <= 0.0)
-                or np.any(hi <= 0.0)
-                or not np.all(np.isfinite(vals))
-                or np.any(vals >= 0.0)
-            ):
-                return np.inf, np.zeros(m), np.eye(m)
-            val = t * float(q.c @ gg) - np.sum(np.log(lo)) - np.sum(np.log(hi))
-            grad = t * q.c + 1.0 / hi - 1.0 / lo
-            hess = np.diag(1.0 / hi**2 + 1.0 / lo**2)
-            for i in range(len(q.active)):
-                val -= np.log(-vals[i])
-                gi = q.quad_grad(gg, i)
-                inv = 1.0 / (-vals[i])
-                grad += gi * inv
-                hess += inv * inv * np.outer(gi, gi) + inv * q.quad_hess(i)
-            return val, grad, hess
-
-        if n_cons / t <= _GAP_TOL:
-            g = _newton_minimize(vgh, g, in_domain, tol=_POLISH_TOL)
-            break
-        g = _newton_minimize(vgh, g, in_domain)
-        t *= _BARRIER_FACTOR
-
-    return g, _kkt_residual(q, g)
-
 
 def _kkt_residual(q: _Qcqp, g) -> float:
     """Stationarity plus complementarity residual of a primal point.
 
     Multipliers are fitted by nonnegative least squares over the
-    near-active constraints, which measures the point itself rather than
-    the (conditioning-limited) final barrier iterate. The dual can be
+    near-active constraints, which measures the point itself, independent
+    of how the solver found it. The dual can be
     non-unique near degeneracy, so columns whose complementarity product
     dominates are dropped greedily as long as stationarity survives,
     selecting a minimal-support certificate.
@@ -371,12 +215,69 @@ def _infeasible() -> CentralSolution:
     )
 
 
+def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
+    """Conductances at the largest attainable D, or None if there is none.
+
+    ``c`` is each requirement over |v|^2 B / 2 (zero where there is none),
+    so receiver n needs g_n - r_n g_n^2 >= c_n D^2: the roots of that
+    quadratic, clipped to the box, bound its interval [a_n(D), b_n(D)].
+    """
+    from scipy.optimize import brentq
+
+    def intervals(d):  # [a, b] per receiver, and the discriminant's root s
+        k = c * d * d  # the lower root is written cancellation-free
+        s = np.sqrt(np.maximum(1.0 - 4.0 * r * k, 0.0))
+        a = np.maximum(g_lo, 2.0 * k / (1.0 + s))
+        return a, np.minimum(g_hi, (1.0 + s) / (2.0 * r)), s
+
+    def psi(d):
+        return r_tx + float(b_coef @ intervals(d)[1]) - d
+
+    def phi(d):
+        return r_tx + float(b_coef @ intervals(d)[0]) - d
+
+    def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
+        a, _, s = intervals(d)
+        slope = np.divide(2.0 * c * d, s, out=np.full_like(s, np.inf), where=s > 0.0)
+        return float(b_coef[a > g_lo] @ slope[a > g_lo]) - 1.0
+
+    def root(f, lo, hi):
+        return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+
+    # each interval closes where g - r g^2 peaks over the box
+    g_peak = np.clip(1.0 / (2.0 * r), g_lo, g_hi)
+    caps = np.divide(g_peak * (1.0 - r * g_peak), c, out=np.full_like(c, np.inf),
+                     where=c > 0.0)
+    d_lo = r_tx + float(b_coef @ g_lo)
+    d_top = min(r_tx + float(b_coef @ g_hi), float(np.sqrt(caps.min())))
+    # even the smallest D is past a cap: some interval is already empty
+    if d_top < d_lo or psi(d_lo) < 0.0:
+        return None
+    if psi(d_top) < 0.0:
+        d_top = root(psi, d_lo, d_top)
+    if phi(d_top) > 0.0:
+        # phi is convex: its largest root lies between its minimizer and d_top
+        if phi_slope(d_lo) >= 0.0:
+            d_min = d_lo
+        elif phi_slope(d_top) <= 0.0:
+            return None
+        else:
+            d_min = root(phi_slope, d_lo, d_top)
+        if phi(d_min) > 0.0:
+            return None
+        d_top = root(phi, d_min, d_top)
+    a, b, _ = intervals(d_top)
+    spread = float(b_coef @ (b - a))
+    t = (d_top - r_tx - float(b_coef @ a)) / spread if spread > 0.0 else 0.0
+    return np.clip(a + min(max(t, 0.0), 1.0) * (b - a), g_lo, g_hi)
+
+
 def solve_convex(prob: ChargingProblem) -> CentralSolution:
-    """Solve the conductance-space convex program for one switch configuration.
+    """Solve the conductance-space program for one switch configuration.
 
     Requirements that are zero or negative are dropped. Returns an
     INFEASIBLE solution (not an exception) when no load vector can meet
-    the remaining requirements.
+    the remaining requirements. See the module docstring for the method.
     """
     sys = prob.sys
     sw = prob.switch
@@ -395,18 +296,11 @@ def solve_convex(prob: ChargingProblem) -> CentralSolution:
     if np.any((preq > 0.0) & (b_coef == 0.0)):
         return _infeasible()
 
-    q = _Qcqp(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx)
-    if len(q.active):
-        g_start, s_star = _phase_one(q)
-        if g_start is None:
-            return _infeasible()
-        if np.max(q.quad_values(g_start)) >= 0.0:
-            # feasible only on the boundary: return the phase-one point
-            g_opt, kkt = g_start, float("nan")
-        else:
-            g_opt, kkt = _phase_two(q, g_start)
-    else:
-        g_opt, kkt = _phase_two(q, 0.5 * (g_lo + g_hi))
+    c = np.divide(preq, half_v2 * b_coef, out=np.zeros_like(preq), where=preq > 0.0)
+    g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
+    if g_opt is None:
+        return _infeasible()
+    kkt = _kkt_residual(_Qcqp(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx), g_opt)
 
     x_opt = [float(v) for v in sys.x_hi]
     for j, k in enumerate(conn):

@@ -143,10 +143,12 @@ def solve_lp(c, a_le=None, b_le=None, a_ge=None, b_ge=None) -> LpSolution:
             tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
     _simplex(tableau, basis, n + m)
 
+    # every right-hand side stays >= 0 in exact arithmetic; roundoff on
+    # degenerate vertices can leave one a few ulps below zero
     x = np.zeros(n + m)
     for i in range(m):
         if basis[i] < n + m:
-            x[basis[i]] = tableau[i, -1]
+            x[basis[i]] = max(tableau[i, -1], 0.0)
     solution = x[:n]
     return LpSolution(
         status="optimal",

@@ -1,5 +1,9 @@
 """Centralized charging control: transforms, solver optimality, feasibility."""
 
+import math
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,9 +18,10 @@ from mrcwpt import (
     optimize_loads,
     solve_closed_form,
     solve_convex,
+    solve_linear_oracle,
 )
 
-from conftest import bench_system, random_system
+from conftest import bench_system, random_loads, random_system
 
 
 def feasible_n2_problem(rng):
@@ -209,6 +214,120 @@ class TestDegenerateProblems:
                 else:
                     n_infeasible += 1
         assert n_optimal > 10 and n_infeasible > 5  # both regimes exercised
+
+
+def permuted(config, perm):
+    """The same system with its receivers listed in the order ``perm``."""
+    def pick(values):
+        return tuple(values[k] for k in perm)
+
+    return replace(
+        config, receivers=pick(config.receivers), h=pick(config.h),
+        x_lo=pick(config.x_lo), x_hi=pick(config.x_hi), p_req=pick(config.p_req),
+    )
+
+
+def feasible_random_system(rng, n):
+    """Random system whose requirements are 0.8 p(x0) at a random box point x0."""
+    config = random_system(rng, n=n, spread=2.0)
+    x0 = random_loads(rng, config)
+    state = solve_closed_form(config, None, x0)
+    return replace(config, p_req=tuple(0.8 * p for p in state.p)), state.p_tx
+
+
+def largest_feasible_scale(config):
+    """Largest factor on every requirement that stays feasible (bisection)."""
+    def feasible(f):
+        prob = ChargingProblem(sys=config, p_req_eff=tuple(f * p for p in config.p_req))
+        return optimize_loads(prob).status is SolveStatus.OPTIMAL
+
+    lo, hi = 0.0, 1e3
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+class TestScalarReduction:
+    def test_benchmark_optimum_matches_closed_form(self, bench3):
+        # receiver 3 sits at x_lo with p_3 = 30 W, which fixes
+        # D* = sqrt(|v|^2/2 B_3 x_lo / ((r_3 + x_lo)^2 p_3)) and p_tx = |v|^2 / (2 D*)
+        half_v2 = 0.5 * abs(bench3.v_tx) ** 2
+        b_3 = (bench3.w * bench3.h[2]) ** 2
+        r_3 = bench3.receivers[2].resistance
+        x_lo = bench3.x_lo[2]
+        d_star = math.sqrt(half_v2 * b_3 * x_lo / ((r_3 + x_lo) ** 2 * 30.0))
+        sol = optimize_loads(ChargingProblem(sys=bench3))
+        assert sol.p_tx == pytest.approx(half_v2 / d_star, rel=1e-12)
+
+    def test_permuting_receivers_permutes_loads(self, bench3):
+        rng = np.random.default_rng(5)
+        cases = [bench_system(p_req=(17.5, 17.5, p3)) for p3 in (5.0, 30.0, 37.0)]
+        cases += [feasible_random_system(rng, int(rng.integers(2, 7)))[0]
+                  for _ in range(12)]
+        for config in cases:
+            n = config.n_receivers
+            base = optimize_loads(ChargingProblem(sys=config))
+            assert base.status is SolveStatus.OPTIMAL
+            for _ in range(3):
+                perm = [int(k) for k in rng.permutation(n)]
+                sol = optimize_loads(ChargingProblem(sys=permuted(config, perm)))
+                assert sol.status is SolveStatus.OPTIMAL
+                expected = [base.x[k] for k in perm]
+                assert sol.x == pytest.approx(expected, rel=1e-12)
+                assert sol.p_tx == pytest.approx(base.p_tx, rel=1e-12)
+
+    def test_source_scaling_leaves_loads_unchanged(self, bench3):
+        rng = np.random.default_rng(6)
+        cases = [bench3] + [feasible_random_system(rng, int(rng.integers(1, 7)))[0]
+                            for _ in range(10)]
+        for config in cases:
+            base = optimize_loads(ChargingProblem(sys=config))
+            for alpha in (0.25, 3.7):
+                scaled = replace(config, v_tx=alpha * config.v_tx,
+                                 p_req=tuple(alpha**2 * p for p in config.p_req))
+                sol = optimize_loads(ChargingProblem(sys=scaled))
+                assert sol.status is SolveStatus.OPTIMAL
+                assert sol.x == pytest.approx(base.x, rel=1e-12)
+                assert sol.p_tx == pytest.approx(alpha**2 * base.p_tx, rel=1e-12)
+
+    def test_certificate_finite_at_the_feasibility_boundary(self, bench3):
+        # at the last feasible scale the feasible set shrinks to a point
+        # where the active gradients are linearly dependent, so no finite
+        # multipliers exist and only finiteness is required there; from
+        # 1e-12 inside the boundary on, the optimum must be certified
+        rng = np.random.default_rng(7)
+        cases = [bench3] + [feasible_random_system(rng, int(rng.integers(1, 5)))[0]
+                            for _ in range(6)]
+        for config in cases:
+            scale = largest_feasible_scale(config)
+            for f in (scale, scale * (1.0 - 1e-12), scale * (1.0 - 1e-9), 0.5 * scale):
+                reqs = tuple(f * p for p in config.p_req)
+                sol = optimize_loads(ChargingProblem(sys=config, p_req_eff=reqs))
+                assert sol.status is SolveStatus.OPTIMAL
+                assert math.isfinite(sol.kkt_residual)
+                if f < scale:
+                    assert sol.kkt_residual <= 1e-6
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_large_systems_verified_by_mesh_solve(self, n):
+        import scipy.optimize  # noqa: F401  (keep the lazy import out of the timing)
+
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            config, p_tx_x0 = feasible_random_system(rng, n)
+            start = time.perf_counter()
+            sol = optimize_loads(ChargingProblem(sys=config))
+            elapsed = time.perf_counter() - start
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.kkt_residual <= 1e-6
+            assert sol.p_tx <= p_tx_x0 * (1.0 + 1e-12)
+            mesh = solve_linear_oracle(config, None, sol.x)
+            assert mesh.p_tx == pytest.approx(sol.p_tx, rel=1e-9)
+            for k in range(n):
+                assert mesh.p[k] >= config.p_req[k] * (1.0 - 1e-9)
+            # loose on purpose: the reduction takes milliseconds here
+            assert elapsed < 0.5
 
 
 class TestBruteForceOracle:

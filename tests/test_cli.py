@@ -87,7 +87,7 @@ class TestOptimize:
         assert run_cli("optimize", "three_receivers") == EXIT_OK
         out = capsys.readouterr().out
         assert "status = optimal" in out
-        assert "p_tx = 1.12011021150e+02" in out
+        assert "p_tx = 1.12011021054e+02" in out
 
     def test_requirement_sweep_is_monotone(self, tmp_path):
         out = tmp_path / "opt.csv"

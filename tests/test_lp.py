@@ -65,6 +65,34 @@ def test_random_instances_match_vertex_enumeration():
     assert infeasible_seen > 0
 
 
+def test_degenerate_time_allocation_shapes_stay_nonnegative():
+    # the slot LP of time sharing: a unit budget row plus one ">=" row per
+    # load, with requirements met exactly by a full-budget mix of two
+    # columns, and sometimes a duplicated or scaled column; such degenerate
+    # vertices leave roundoff in the tableau's right-hand sides
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(2, 16))
+        m_ge = int(rng.integers(1, 5))
+        cost = rng.uniform(0.1, 2.0, n)
+        powers = rng.uniform(0.0, 2.0, (m_ge, n)) * (rng.uniform(size=(m_ge, n)) < 0.7)
+        if rng.uniform() < 0.5:
+            src, dst = rng.choice(n, 2, replace=False)
+            scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.5, 2.0)
+            cost[dst] = scale * cost[src]
+            powers[:, dst] = scale * powers[:, src]
+        mix = np.zeros(n)
+        mix[rng.choice(n, 2, replace=False)] = rng.dirichlet([1.0, 1.0])
+        req = powers @ mix
+        sol = solve_lp(cost, a_le=np.ones((1, n)), b_le=[1.0], a_ge=powers, b_ge=req)
+        assert sol.status == "optimal"
+        x = np.asarray(sol.x)
+        assert min(x) >= 0.0
+        assert x.sum() <= 1.0 + 1e-9
+        assert np.all(powers @ x >= req - 1e-9)
+        assert sol.objective <= cost @ mix + 1e-9
+
+
 def test_single_variable_budget():
     # one slot must cover the requirement; no reason to use more time
     sol = solve_lp([2.0], a_le=[[1.0]], b_le=[10.0], a_ge=[[4.0]], b_ge=[6.0])

@@ -270,6 +270,18 @@ class TestOptimizeSchedule:
                 result = optimize_schedule(config, tau_total=1.0, dp_stop=1e-4)
                 assert result.p_tx <= base.p_tx * (1 + 1e-9) + 1e-12
 
+    def test_near_boundary_slot_lp_stays_nonnegative(self):
+        # at 37 W the concurrent optimum meets every requirement exactly, so
+        # the first duration LP starts on a degenerate vertex
+        config = bench_system(p_req=(17.5, 17.5, 37.0))
+        result = optimize_schedule(config, tau_total=1.0, dp_stop=1e-3)
+        assert min(result.schedule.tau) >= 0.0
+        concurrent = optimize_loads(ChargingProblem(sys=config))
+        assert result.p_tx <= concurrent.p_tx + 1e-9
+        avg = average_powers(config, result.schedule)
+        for k in range(3):
+            assert avg.p[k] >= config.p_req[k] * (1 - 1e-6)
+
     def test_every_iterate_is_feasible(self, bench3):
         # truncating the outer loop at any depth leaves a valid schedule
         for outer in (1, 2, 3):
