@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig, solve_closed_form
+from .circuit import SwitchState, SystemConfig, resonant_powers, solve_closed_form
 from .errors import NumericalError, ValidationError
 
 
@@ -363,22 +363,16 @@ def brute_force_oracle(prob: ChargingProblem, grid_resolution: int) -> OracleRes
     axes = [
         np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_resolution) for k in conn
     ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    w2 = sys.w**2
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    x = list(sys.x_hi)
+    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        x[k] = axis
+    p_tx, p, _ = resonant_powers(sys, x, sw.s)
 
-    denom = np.full(mesh[0].shape, sys.transmitter.resistance)
-    for j, k in enumerate(conn):
-        denom = denom + w2 * sys.h[k] ** 2 / (sys.receivers[k].resistance + mesh[j])
-    p_tx = half_v2 / denom
-
-    feasible = np.ones(mesh[0].shape, dtype=bool)
-    for j, k in enumerate(conn):
+    feasible = np.ones(p_tx.shape, dtype=bool)
+    for k in conn:
         if reqs[k] <= 0.0:
             continue
-        series = sys.receivers[k].resistance + mesh[j]
-        p_k = half_v2 * w2 * sys.h[k] ** 2 * mesh[j] / (series**2 * denom**2)
-        feasible &= p_k >= reqs[k] * (1.0 - 1e-12)
+        feasible &= p[k] >= reqs[k] * (1.0 - 1e-12)
 
     if not feasible.any():
         return OracleResult(x=None, p_tx=None, feasible=False)

@@ -9,10 +9,18 @@ delivered power, sum power, and efficiency peak.
 Conventions: phasor amplitudes (not RMS), so average power carries a 1/2
 factor. Receivers are indexed 0..N-1. Sums run over connected receivers
 only; an open switch removes its receiver from the circuit entirely.
+
+The resonant power formula is evaluated in one function,
+:func:`resonant_powers`, which serves the closed-form steady state, the
+derivatives, the time-sharing slots, the region grids and the grid oracle.
+Two copies are kept on purpose: :func:`solve_linear_oracle` solves the full
+mesh equations as the independent cross-check, and ``distributed._Params``
+keeps a plain-float copy in the per-probe hot loop of the simulation.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -49,6 +57,12 @@ class SystemConfig:
                             ("x_hi", self.x_hi), ("p_req", self.p_req)):
             if len(field) != n:
                 raise ValidationError(f"{name} must have one entry per receiver")
+            if not all(math.isfinite(v) for v in field):
+                raise ValidationError(f"{name} must be finite")
+        if not cmath.isfinite(self.v_tx):
+            raise ValidationError("v_tx must be finite")
+        if not math.isfinite(self.w):
+            raise ValidationError("w must be finite")
         if not self.w > 0.0:
             raise ValidationError("w must be > 0")
         l_tx = self.transmitter.self_inductance
@@ -141,14 +155,57 @@ class SteadyState:
     rho: float
 
 
-def _check_loads(sys: SystemConfig, sw: SwitchState, x) -> None:
+def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> SwitchState:
+    """The switch state (all closed for None), checked against the loads and n."""
+    if sw is None:
+        sw = SwitchState.all_closed(sys.n_receivers)
     if len(sw.s) != sys.n_receivers:
         raise ValidationError("switch state length does not match receiver count")
     if len(x) != sys.n_receivers:
         raise ValidationError("load vector must have one entry per receiver")
-    for k in sw.connected:
-        if not x[k] > 0.0:
+    for k in range(sys.n_receivers):
+        # an open receiver's load still enters the closed form as 0 * B / (r + x)
+        if not math.isfinite(x[k]):
+            raise ValidationError(f"receiver {k + 1}: load resistance must be finite")
+        if sw.s[k] and not x[k] > 0.0:
             raise ValidationError(f"receiver {k + 1}: load resistance must be > 0")
+    if n is not None and not sw.s[n]:
+        raise ValidationError(f"receiver {n + 1} is not connected")
+    return sw
+
+
+def resonant_powers(sys: SystemConfig, x, s):
+    """Returns (p_tx, [p_1, ..., p_N], D) at resonance; inputs are not validated.
+
+    With B_k = (w h_k)^2 and D = r_tx + sum_k s_k B_k / (r_k + x_k):
+    p_tx = |v|^2 / (2 D) and p_n = s_n |v|^2 B_n x_n / (2 (r_n + x_n)^2 D^2).
+    ``x`` and ``s`` hold one load and one 0/1 switch factor per receiver,
+    as floats or as numpy arrays that broadcast (a batch of slots, the
+    sparse axes of a load grid). An open receiver adds 0 * B / (r + x) to
+    D, so its load must still be finite with r + x nonzero.
+    """
+    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    b = [(sys.w * h) ** 2 for h in sys.h]
+    series = [coil.resistance + xk for coil, xk in zip(sys.receivers, x)]
+    denom = sys.transmitter.resistance
+    for k in range(sys.n_receivers):
+        denom = denom + s[k] * (b[k] / series[k])
+    d2 = denom * denom
+    p = [
+        s[k] * half_v2 * b[k] * x[k] / (series[k] * series[k] * d2)
+        for k in range(sys.n_receivers)
+    ]
+    return half_v2 / denom, p, denom
+
+
+def solo_peak_loads(sys: SystemConfig) -> list[float]:
+    """Each load at its solo power peak (r_n r_tx + B_n) / r_tx, clamped to its
+    bounds: the maximizer of p_n with every other receiver disconnected."""
+    r_tx = sys.transmitter.resistance
+    return [
+        min(max((coil.resistance * r_tx + (sys.w * h) ** 2) / r_tx, lo), hi)
+        for coil, h, lo, hi in zip(sys.receivers, sys.h, sys.x_lo, sys.x_hi)
+    ]
 
 
 def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadyState:
@@ -160,36 +217,18 @@ def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadySta
     connected receivers, and each receiver current is a purely reactive
     multiple of it.
     """
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    _check_loads(sys, sw, x)
-    w = sys.w
-    r_tx = sys.transmitter.resistance
-    v = sys.v_tx
-
-    denom = r_tx
-    for k in sw.connected:
-        hk = sys.h[k]
-        denom += (w * hk) ** 2 / (sys.receivers[k].resistance + x[k])
-
-    i_tx = v / denom
-    currents = []
-    powers = []
-    for k in range(sys.n_receivers):
-        if sw.s[k]:
-            series = sys.receivers[k].resistance + x[k]
-            i_k = 1j * w * sys.h[k] * i_tx / series
-            currents.append(i_k)
-            powers.append(0.5 * x[k] * abs(i_k) ** 2)
-        else:
-            currents.append(0j)
-            powers.append(0.0)
-
-    p_tx = 0.5 * (v * i_tx.conjugate()).real
+    sw = _checked_switch(sys, sw, x)
+    p_tx, powers, denom = resonant_powers(sys, x, sw.s)
+    i_tx = sys.v_tx / denom
+    currents = tuple(
+        1j * sys.w * sys.h[k] * i_tx / (sys.receivers[k].resistance + x[k])
+        if sw.s[k] else 0j
+        for k in range(sys.n_receivers)
+    )
     p_sum = sum(powers)
     return SteadyState(
         i_tx=i_tx,
-        i=tuple(currents),
+        i=currents,
         p_tx=p_tx,
         p=tuple(powers),
         p_sum=p_sum,
@@ -248,9 +287,7 @@ def solve_linear_oracle(
     system is assembled and solved, including the reactance terms, so this
     path also covers operation away from the resonant frequency.
     """
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    _check_loads(sys, sw, x)
+    sw = _checked_switch(sys, sw, x)
     if w_eval is None:
         w_eval = sys.w
     i_tx, by_index = _mesh_solve(sys, sw.connected, x, w_eval)
@@ -284,9 +321,7 @@ def optimal_frequency(sys: SystemConfig, sw: SwitchState | None, x) -> float:
     frequency where the total reflected resistance equals the transmitter
     resistance.
     """
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    _check_loads(sys, sw, x)
+    sw = _checked_switch(sys, sw, x)
     coupling = 0.0
     for k in sw.connected:
         coupling += sys.h[k] ** 2 / (sys.receivers[k].resistance + x[k])
@@ -327,11 +362,7 @@ def analytic_derivatives(
     sys: SystemConfig, sw: SwitchState | None, x, n: int
 ) -> PowerDerivatives:
     """Closed-form derivatives of p_tx, every p_m, and rho w.r.t. x[n]."""
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    _check_loads(sys, sw, x)
-    if not sw.s[n]:
-        raise ValidationError(f"receiver {n + 1} is not connected")
+    sw = _checked_switch(sys, sw, x, n)
 
     w2 = sys.w**2
     half_v2 = 0.5 * abs(sys.v_tx) ** 2
@@ -340,10 +371,7 @@ def analytic_derivatives(
     wh2_n = w2 * sys.h[n] ** 2
     series_n = r_n + x[n]
 
-    denom = r_tx
-    for k in sw.connected:
-        denom += w2 * sys.h[k] ** 2 / (sys.receivers[k].resistance + x[k])
-
+    _, _, denom = resonant_powers(sys, x, sw.s)
     d_ptx = half_v2 * wh2_n / (series_n**2 * denom**2)
 
     reflected, delivered = _coupling_sums(sys, sw, x, n)
@@ -399,11 +427,7 @@ class Thresholds:
 
 def thresholds(sys: SystemConfig, sw: SwitchState | None, x, n: int) -> Thresholds:
     """Turnover points of p_n, p_sum, and rho as x[n] sweeps upward."""
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    _check_loads(sys, sw, x)
-    if not sw.s[n]:
-        raise ValidationError(f"receiver {n + 1} is not connected")
+    sw = _checked_switch(sys, sw, x, n)
 
     r_tx = sys.transmitter.resistance
     r_n = sys.receivers[n].resistance

@@ -13,9 +13,7 @@ Exit codes: 0 success, 1 bad input (usage, parse, validation),
 from __future__ import annotations
 
 import argparse
-import os
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .region import region_to_csv, sample_region_with_ts, sample_region_without_ts
+from .region import write_region_csv
 from .scenario import parse_scenario
 from .timeshare import optimize_schedule, schedule_to_csv
 
@@ -74,6 +73,8 @@ def _parse_sweep(expr: str):
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError("sweep bounds must be numbers") from None
+    if not np.isfinite([a, b, step]).all():
+        raise ValidationError("sweep bounds must be finite")
     if step <= 0 or b < a:
         raise ValidationError("sweep needs a <= b and step > 0")
     count = int(np.floor((b - a) / step + 0.5)) + 1
@@ -98,14 +99,7 @@ def _emit(lines, out_path):
         _sys.stdout.write(text)
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _cmd_analyze(args, threads) -> int:
+def _cmd_analyze(args) -> int:
     config, options = parse_scenario(args.scenario)
     x = list(options.x_nominal)
     n = config.n_receivers
@@ -115,24 +109,24 @@ def _cmd_analyze(args, threads) -> int:
         header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
 
         if name == "w":
-            def row(w_val):
-                state = solve_closed_form(config.with_frequency(float(w_val)), None, x)
-                return [fmt(w_val), fmt(state.p_tx)] + [fmt(p) for p in state.p] + [
-                    fmt(state.p_sum), fmt(state.rho)]
+            def state_at(w_val):
+                return solve_closed_form(config.with_frequency(float(w_val)), None, x)
         elif name.startswith("x_"):
             k = _receiver_index(name, "x_", n)
 
-            def row(x_val):
+            def state_at(x_val):
                 loads = list(x)
                 loads[k] = float(x_val)
-                state = solve_closed_form(config, None, loads)
-                return [fmt(x_val), fmt(state.p_tx)] + [fmt(p) for p in state.p] + [
-                    fmt(state.p_sum), fmt(state.rho)]
+                return solve_closed_form(config, None, loads)
         else:
             raise ValidationError(f"unknown sweep variable '{name}'")
 
-        rows = _map_ordered(row, values, threads)
-        _emit([",".join(header)] + [",".join(r) for r in rows], args.out)
+        lines = [",".join(header)]
+        for value in values:
+            state = state_at(value)
+            lines.append(",".join([fmt(value), fmt(state.p_tx)] + [fmt(p) for p in state.p]
+                                  + [fmt(state.p_sum), fmt(state.rho)]))
+        _emit(lines, args.out)
         return EXIT_OK
 
     state = solve_closed_form(config, None, x)
@@ -164,7 +158,7 @@ def _cmd_analyze(args, threads) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, threads) -> int:
+def _cmd_optimize(args) -> int:
     config, _ = parse_scenario(args.scenario)
     n = config.n_receivers
 
@@ -183,7 +177,7 @@ def _cmd_optimize(args, threads) -> int:
                 return [fmt(req_val), "infeasible", "nan"] + ["nan"] * n
             return [fmt(req_val), "optimal", fmt(sol.p_tx)] + [fmt(v) for v in sol.x]
 
-        rows = _map_ordered(row, values, threads)
+        rows = [row(v) for v in values]
         _emit([",".join(header)] + [",".join(r) for r in rows], args.out)
         return EXIT_OK
 
@@ -199,8 +193,7 @@ def _cmd_optimize(args, threads) -> int:
     return EXIT_OK
 
 
-def _cmd_distributed(args, threads) -> int:
-    del threads  # the protocol is inherently sequential
+def _cmd_distributed(args) -> int:
     config, options = parse_scenario(args.scenario)
     run = run_distributed(config, dx=options.dx, itr_max=options.itr_max)
     if args.out:
@@ -213,8 +206,7 @@ def _cmd_distributed(args, threads) -> int:
     return EXIT_OK if run.feasible else EXIT_INFEASIBLE
 
 
-def _cmd_timeshare(args, threads) -> int:
-    del threads
+def _cmd_timeshare(args) -> int:
     config, options = parse_scenario(args.scenario)
     result = optimize_schedule(
         config, tau_total=options.tau_total, dp_stop=options.dp_stop
@@ -247,8 +239,7 @@ def _restrict_receivers(config, mask: str):
     )
 
 
-def _cmd_region(args, threads) -> int:
-    del threads  # grid evaluation is vectorized
+def _cmd_region(args) -> int:
     config, options = parse_scenario(args.scenario)
     if args.w is not None:
         config = config.with_frequency(args.w)
@@ -263,28 +254,11 @@ def _cmd_region(args, threads) -> int:
         print(f"points = {len(sample.points)}")
         print(f"boundary = {len(sample.boundary)}")
     else:
-        import io
-
-        buffer = io.StringIO()
-        region_to_csv_stream(sample, buffer)
-        _sys.stdout.write(buffer.getvalue())
+        write_region_csv(sample, _sys.stdout)
     return EXIT_OK
 
 
-def region_to_csv_stream(sample, stream) -> None:
-    import csv as _csv
-
-    n = sample.points.shape[1]
-    writer = _csv.writer(stream)
-    writer.writerow([f"p_{k + 1}" for k in range(n)] + ["section"])
-    for row in sample.points:
-        writer.writerow([fmt(v) for v in row] + ["points"])
-    for row in sample.boundary:
-        writer.writerow([fmt(v) for v in row] + ["boundary"])
-
-
-def _cmd_estimate_h(args, threads) -> int:
-    del threads
+def _cmd_estimate_h(args) -> int:
     config, options = parse_scenario(args.scenario)
     k = args.receiver - 1
     if not 0 <= k < config.n_receivers:
@@ -304,8 +278,6 @@ def _cmd_estimate_h(args, threads) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mrcwpt", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (env MRCWPT_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="steady state, thresholds, sweeps")
@@ -358,13 +330,8 @@ def main(argv=None) -> int:
         parser.print_usage(_sys.stderr)
         return EXIT_INVALID
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("MRCWPT_THREADS", "1"))
-    threads = max(1, threads)
-
     try:
-        return args.func(args, threads)
+        return args.func(args)
     except (ScenarioError, ValidationError, InconsistentMeasurementError,
             NoFiniteMaximizerError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -92,6 +92,10 @@ class CoilElectrical:
     tuning_capacitance: float | None = None
 
     def __post_init__(self):
+        for name in ("resistance", "self_inductance", "tuning_capacitance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if not self.resistance > 0.0:
             raise ValidationError("resistance must be > 0")
         if not self.self_inductance > 0.0:

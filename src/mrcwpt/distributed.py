@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig
+from .circuit import SwitchState, SystemConfig, solo_peak_loads
 from .errors import ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
@@ -87,6 +87,8 @@ class DistributedRun:
 
 class _Params:
     """Plain-float views of the system for the hot simulation loop."""
+
+    # copies circuit.resonant_powers: calling it per probe doubles the iteration time
 
     def __init__(self, sys: SystemConfig):
         self.n = sys.n_receivers
@@ -149,11 +151,7 @@ def init_distributed(sys: SystemConfig) -> DistributedState:
     feedback bits come from the actual all-connected steady state.
     """
     params = _Params(sys)
-    x = [
-        min(max((params.r[k] * params.r_tx + params.wh2[k]) / params.r_tx,
-                params.x_lo[k]), params.x_hi[k])
-        for k in range(params.n)
-    ]
+    x = solo_peak_loads(sys)
     _, p = params.powers(x)
     fb = [p[k] >= params.p_req[k] * (1.0 - _REQ_TOL) for k in range(params.n)]
     return DistributedState(x=x, fb=fb, itr=0)

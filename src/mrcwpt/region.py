@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig
+from .circuit import SwitchState, SystemConfig, resonant_powers
 from .errors import ValidationError
 from .timeshare import enumerate_configs
 
@@ -42,27 +42,15 @@ class PowerRegionSample:
     boundary: np.ndarray
 
 
-def _grid_axes(sys: SystemConfig, connected, grid_points: int):
-    return [
-        np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in connected
-    ]
-
-
 def _power_samples(sys: SystemConfig, sw: SwitchState, grid_points: int) -> np.ndarray:
     """Power tuples for every grid combination of the connected loads."""
-    conn = list(sw.connected)
-    axes = _grid_axes(sys, conn, grid_points)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    w2 = sys.w**2
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
-    denom = np.full(mesh[0].shape, sys.transmitter.resistance)
-    for j, k in enumerate(conn):
-        denom = denom + w2 * sys.h[k] ** 2 / (sys.receivers[k].resistance + mesh[j])
-    out = np.zeros(mesh[0].shape + (sys.n_receivers,))
-    for j, k in enumerate(conn):
-        series = sys.receivers[k].resistance + mesh[j]
-        out[..., k] = half_v2 * w2 * sys.h[k] ** 2 * mesh[j] / (series**2 * denom**2)
-    return out.reshape(-1, sys.n_receivers)
+    conn = sw.connected
+    axes = [np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in conn]
+    x = list(sys.x_hi)
+    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        x[k] = axis
+    _, p, _ = resonant_powers(sys, x, sw.s)
+    return np.stack(p, axis=-1).reshape(-1, sys.n_receivers)
 
 
 def pareto_boundary(points: np.ndarray) -> np.ndarray:
@@ -282,20 +270,18 @@ def sample_region_without_ts(
 
 
 def sample_region_with_ts(
-    sys: SystemConfig, grid_points: int | None = None, tau_grid=None
+    sys: SystemConfig, grid_points: int | None = None
 ) -> PowerRegionSample:
     """Time-shared region: hull of all per-configuration samples plus the origin.
 
-    ``tau_grid`` is accepted for interface symmetry but unused: mixtures
-    are linear in the sampled vertices, so the hull needs no explicit
-    time-fraction grid.
+    Mixtures are linear in the sampled vertices, so the hull needs no
+    explicit time-fraction grid.
     """
     n = sys.n_receivers
     if grid_points is None:
         grid_points = DEFAULT_GRID_2D if n <= 2 else DEFAULT_GRID_3D
     if grid_points < 2:
         raise ValidationError("grid_points must be at least 2")
-    del tau_grid
 
     pools = [np.zeros((1, n))]
     for sw in enumerate_configs(n):
@@ -321,19 +307,23 @@ def sample_region_with_ts(
 
 
 def region_to_csv(sample: PowerRegionSample, path) -> None:
-    """Write points then boundary as CSV sections, deterministically ordered."""
-    n = sample.points.shape[1]
-    header = [f"p_{k + 1}" for k in range(n)] + ["section"]
+    """Write the region CSV (see :func:`write_region_csv`) to a file."""
     try:
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for row in sample.points:
-                writer.writerow([f"{v:.11e}" for v in row] + ["points"])
-            for row in sample.boundary:
-                writer.writerow([f"{v:.11e}" for v in row] + ["boundary"])
+            write_region_csv(sample, handle)
     except OSError as exc:
         raise OSError(f"cannot write region CSV to {path}: {exc}") from exc
+
+
+def write_region_csv(sample: PowerRegionSample, stream) -> None:
+    """Write points then boundary as CSV sections, deterministically ordered."""
+    n = sample.points.shape[1]
+    writer = csv.writer(stream)
+    writer.writerow([f"p_{k + 1}" for k in range(n)] + ["section"])
+    for row in sample.points:
+        writer.writerow([f"{v:.11e}" for v in row] + ["points"])
+    for row in sample.boundary:
+        writer.writerow([f"{v:.11e}" for v in row] + ["boundary"])
 
 
 def read_region_csv(path):

@@ -25,6 +25,7 @@ serialize / parse round trip reproduces the same SystemConfig.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -108,12 +109,18 @@ def _as_float(section: _Section, key: str, path, required: bool = True,
             )
         return default
     value, line, col = section.entries.pop(key)
+    return _finite(key, value, "a finite number", path, line, col)
+
+
+def _finite(key: str, text: str, kind: str, path, line: int, col: int) -> float:
+    """Parse one finite float; nan and +-inf are rejected like any bad number."""
     try:
-        return float(value)
+        number = float(text)
     except ValueError:
-        raise ScenarioError(
-            f"'{key}' must be a number, got '{value}'", path, line, col
-        ) from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise ScenarioError(f"'{key}' must be {kind}, got '{text}'", path, line, col)
+    return number
 
 
 def _as_int(section: _Section, key: str, path, default: int) -> int:
@@ -135,10 +142,7 @@ def _as_vector(section: _Section, key: str, path, default):
     parts = value.split()
     if len(parts) != 3:
         raise ScenarioError(f"'{key}' must be three numbers", path, line, col)
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ScenarioError(f"'{key}' must be three numbers", path, line, col) from None
+    return tuple(_finite(key, p, "three finite numbers", path, line, col) for p in parts)
 
 
 def _reject_leftovers(section: _Section, path) -> None:
@@ -274,13 +278,7 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
                 )
             h = mutual_inductance(tx_geom, geom)
         else:
-            try:
-                h = float(h_raw)
-            except ValueError:
-                raise ScenarioError(
-                    f"'h' must be a number or 'derive', got '{h_raw}'",
-                    path, h_line, h_col,
-                ) from None
+            h = _finite("h", h_raw, "a finite number or 'derive'", path, h_line, h_col)
         lo = _as_float(section, "x_lo", path)
         hi = _as_float(section, "x_hi", path)
         req = _as_float(section, "p_req", path)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import CentralSolution, ChargingProblem, SolveStatus, optimize_loads
-from .circuit import SwitchState, SystemConfig, solve_closed_form
+from .central import CentralSolution, ChargingProblem, SolveStatus, _infeasible, optimize_loads
+from .circuit import SwitchState, SystemConfig, resonant_powers, solo_peak_loads
 from .errors import InfeasibleProblemError, ValidationError
 from .lp import solve_lp
 
@@ -97,30 +97,23 @@ def average_powers(sys: SystemConfig, sched: TimeSharingSchedule) -> AveragePowe
     Idle time (horizon minus allocated slots) contributes nothing: the
     source is switched off, drawing no power.
     """
-    n = sys.n_receivers
-    p_tx = 0.0
-    p = np.zeros(n)
-    for q, sw in enumerate(sched.configs):
-        if sched.tau[q] == 0.0:
-            continue
-        weight = sched.tau[q] / sched.tau_total
-        state = solve_closed_form(sys, sw, sched.x[q])
-        p_tx += weight * state.p_tx
-        p += weight * np.asarray(state.p)
-    return AveragePowers(p_tx=p_tx, p=tuple(float(v) for v in p))
+    a, b = _config_coefficients(sys, sched.configs, sched.x)
+    weight = np.asarray(sched.tau) / sched.tau_total
+    # the builtin sum adds slot by slot in slot order; numpy's pairwise sum would not
+    p = sum((weight * b).T)
+    return AveragePowers(p_tx=float(sum(weight * a)), p=tuple(float(v) for v in p))
 
 
 def _config_coefficients(sys: SystemConfig, configs: ConfigSet, x_per_config):
-    """Instantaneous p_tx and p_n for each configuration at its current loads."""
-    q_count = len(configs)
-    n = sys.n_receivers
-    a = np.zeros(q_count)
-    b = np.zeros((n, q_count))
-    for q, sw in enumerate(configs):
-        state = solve_closed_form(sys, sw, x_per_config[q])
-        a[q] = state.p_tx
-        b[:, q] = state.p
-    return a, b
+    """Instantaneous p_tx (Q,) and p_n (N, Q) of every configuration at its loads."""
+    s = np.array([sw.s for sw in configs]).T
+    x = np.array(x_per_config, dtype=float).T
+    if x.shape != s.shape:
+        raise ValidationError("load vector must have one entry per receiver")
+    if not np.isfinite(x).all() or np.any((s == 1) & ~(x > 0.0)):
+        raise ValidationError("loads must be finite, and > 0 where connected")
+    a, p, _ = resonant_powers(sys, x, s)
+    return a, np.array(p)
 
 
 def solve_time_allocation(
@@ -149,19 +142,6 @@ def solve_time_allocation(
     return np.asarray(sol.x)
 
 
-def residual_power(
-    sys: SystemConfig, sched: TimeSharingSchedule, n: int, q: int
-) -> float:
-    """Average power load n collects from every slot other than q."""
-    total = 0.0
-    for m, sw in enumerate(sched.configs):
-        if m == q or not sw.s[n] or sched.tau[m] == 0.0:
-            continue
-        state = solve_closed_form(sys, sw, sched.x[m])
-        total += state.p[n] * sched.tau[m] / sched.tau_total
-    return total
-
-
 def solve_config_subproblem(
     sys: SystemConfig, sched: TimeSharingSchedule, q: int, p_req
 ) -> CentralSolution:
@@ -176,29 +156,21 @@ def solve_config_subproblem(
         raise ValidationError("configuration has no allocated time")
     sw = sched.configs[q]
     scale = sched.tau_total / sched.tau[q]
+    # average power each load collects from the other slots
+    _, p = _config_coefficients(sys, sched.configs, sched.x)
+    others = p * np.asarray(sched.tau) / sched.tau_total
+    others[:, q] = 0.0
     eff = []
     for n in range(sys.n_receivers):
-        residual = p_req[n] - residual_power(sys, sched, n, q)
+        residual = p_req[n] - float(sum(others[n]))
         if not sw.s[n]:
             if residual > 1e-9 * max(1.0, p_req[n]):
-                return CentralSolution(
-                    x=(), p_tx=float("nan"), p=(),
-                    status=SolveStatus.INFEASIBLE, kkt_residual=float("nan"),
-                )
+                return _infeasible()
             eff.append(0.0)
         else:
             eff.append(residual * scale)
     prob = ChargingProblem(sys=sys, sw=sw, p_req_eff=tuple(eff))
     return optimize_loads(prob)
-
-
-def _solo_peak_loads(sys: SystemConfig) -> list[float]:
-    r_tx = sys.transmitter.resistance
-    out = []
-    for k in range(sys.n_receivers):
-        peak = (sys.receivers[k].resistance * r_tx + (sys.w * sys.h[k]) ** 2) / r_tx
-        out.append(min(max(peak, sys.x_lo[k]), sys.x_hi[k]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -242,7 +214,7 @@ def optimize_schedule(
 
     configs = enumerate_configs(sys.n_receivers)
     q_count = len(configs)
-    solo = _solo_peak_loads(sys)
+    solo = solo_peak_loads(sys)
     x = [list(base.x)] + [list(solo) for _ in range(q_count - 1)]
     tau = np.zeros(q_count)
     tau[0] = tau_total
@@ -260,9 +232,9 @@ def optimize_schedule(
     failures = 0
     prev = float("inf")
     iterations = 0
+    a, _ = _config_coefficients(sys, configs, x)
     for _ in range(max_outer):
         iterations += 1
-        a, _ = _config_coefficients(sys, configs, x)
         lp_tau = solve_time_allocation(sys, configs, x, tau_total, p_req)
         if lp_tau is not None:
             current = float(a @ tau) / tau_total
@@ -277,8 +249,8 @@ def optimize_schedule(
             if sol.status is SolveStatus.INFEASIBLE:
                 failures += 1
                 continue
-            old_state = solve_closed_form(sys, configs[q], x[q])
-            if sol.p_tx <= old_state.p_tx * (1.0 + 1e-12) + 1e-15:
+            # a[q] is still current: only slot q's own update changes x[q]
+            if sol.p_tx <= a[q] * (1.0 + 1e-12) + 1e-15:
                 x[q] = list(sol.x)
 
         a, _ = _config_coefficients(sys, configs, x)
@@ -309,10 +281,10 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
+        a, b = _config_coefficients(sys, sched.configs, sched.x)
         for q, sw in enumerate(sched.configs):
-            state = solve_closed_form(sys, sw, sched.x[q])
             row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
             row += [f"{v:.11e}" for v in sched.x[q]]
-            row.append(f"{state.p_tx:.11e}")
-            row += [f"{v:.11e}" for v in state.p]
+            row.append(f"{a[q]:.11e}")
+            row += [f"{v:.11e}" for v in b[:, q]]
             writer.writerow(row)

@@ -191,7 +191,7 @@ class TestDegenerateProblems:
     def test_kkt_holds_near_the_feasibility_boundary(self):
         # requirements scaled up to and past the achievable limit; optimal
         # returns must certify optimality even with degenerate duals, and
-        # no floating-point warnings may escape the barrier
+        # no floating-point warnings may escape the root finding
         rng = np.random.default_rng(31337)
         n_optimal = n_infeasible = 0
         with np.errstate(all="raise"):

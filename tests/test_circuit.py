@@ -18,7 +18,7 @@ from mrcwpt import (
     solve_linear_oracle,
     thresholds,
 )
-from mrcwpt.circuit import _mesh_solve
+from mrcwpt.circuit import _mesh_solve, resonant_powers
 
 from conftest import bench_system, random_loads, random_switch, random_system
 
@@ -75,6 +75,10 @@ class TestClosedForm:
     def test_rejects_nonpositive_connected_load(self, bench3):
         with pytest.raises(ValidationError, match="receiver 2"):
             solve_closed_form(bench3, None, [2.5, 0.0, 2.5])
+
+    def test_rejects_non_finite_load_of_open_receiver(self, bench3):
+        with pytest.raises(ValidationError, match="receiver 2: load resistance must be finite"):
+            solve_closed_form(bench3, SwitchState(s=(1, 0, 1)), [2.5, float("nan"), 2.5])
 
 
 class TestOracleEquivalence:
@@ -138,6 +142,63 @@ class TestOracleEquivalence:
         )
         assert i_tx == pytest.approx(config.v_tx / z, rel=1e-12)
         assert currents == {}
+
+
+class TestResonantPowers:
+    def test_agrees_with_mesh_oracle(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(400):
+            config = random_system(rng, n=int(rng.integers(1, 9)))
+            sw = random_switch(rng, config.n_receivers)
+            x = random_loads(rng, config)
+            p_tx, p, denom = resonant_powers(config, x, sw.s)
+            ref = solve_linear_oracle(config, sw, x)
+            assert abs(p_tx - ref.p_tx) <= 1e-12 * ref.p_tx
+            assert p_tx == 0.5 * abs(config.v_tx) ** 2 / denom
+            for k in range(config.n_receivers):
+                if sw.s[k]:
+                    assert abs(p[k] - ref.p[k]) <= 1e-12 * ref.p[k]
+                else:
+                    assert p[k] == 0.0 == ref.p[k]
+
+    def test_float_batch_and_grid_calls_agree_exactly(self):
+        rng = np.random.default_rng(515)
+        for config in (bench_system(), random_system(rng, n=3)):
+            # a batch of slots: row k of each matrix is receiver k
+            loads = [random_loads(rng, config) for _ in range(7)]
+            switches = [random_switch(rng, 3).s for _ in range(7)]
+            p_tx, p, denom = resonant_powers(
+                config, np.array(loads).T, np.array(switches).T
+            )
+            for q, (x, s) in enumerate(zip(loads, switches)):
+                one = resonant_powers(config, x, s)
+                assert (p_tx[q], [pk[q] for pk in p], denom[q]) == (one[0], one[1], one[2])
+            # the sparse axes of a load grid
+            axes = [np.sort([random_loads(rng, config)[k] for _ in range(4)])
+                    for k in range(3)]
+            grid = resonant_powers(
+                config, np.meshgrid(*axes, indexing="ij", sparse=True), (1, 1, 1)
+            )
+            for idx in np.ndindex(4, 4, 4):
+                x = [float(axes[k][idx[k]]) for k in range(3)]
+                one = resonant_powers(config, x, (1, 1, 1))
+                assert grid[0][idx] == one[0] and grid[2][idx] == one[2]
+                assert [pk[idx] for pk in grid[1]] == one[1]
+
+    def test_timeshare_slot_matrix_matches_closed_form(self):
+        from mrcwpt.timeshare import _config_coefficients, enumerate_configs
+
+        rng = np.random.default_rng(626)
+        for _ in range(20):
+            config = random_system(rng, n=int(rng.integers(1, 6)))
+            configs = enumerate_configs(config.n_receivers)
+            loads = [random_loads(rng, config) for _ in configs]
+            a, b = _config_coefficients(config, configs, loads)
+            for q, sw in enumerate(configs):
+                state = solve_closed_form(config, sw, loads[q])
+                assert abs(a[q] - state.p_tx) <= 1e-14 * state.p_tx
+                for k in range(config.n_receivers):
+                    assert abs(b[k, q] - state.p[k]) <= 1e-14 * state.p[k]
 
 
 class TestOptimalFrequency:
@@ -384,3 +445,23 @@ def test_system_config_validation():
         config.transmitter.self_inductance * config.transmitter.tuning_capacitance
     )
     assert natural == pytest.approx(config.w, rel=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("v_tx", complex(math.inf, 0.0)), ("w", math.nan), ("h", (math.nan,)),
+    ("x_hi", (math.inf,)), ("p_req", (math.inf,)),
+])
+def test_system_config_rejects_non_finite(field, value):
+    fields = dict(
+        v_tx=10 + 0j, w=1e7, transmitter=CoilElectrical(1.0, 1e-2),
+        receivers=(CoilElectrical(0.1, 1e-5),), h=(1e-7,), x_lo=(1.0,),
+        x_hi=(2.0,), p_req=(1.0,),
+    )
+    fields[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        SystemConfig(**fields)
+
+
+def test_coil_rejects_non_finite():
+    with pytest.raises(ValidationError, match="self_inductance must be finite"):
+        CoilElectrical(0.1, math.inf)

@@ -59,15 +59,6 @@ class TestAnalyze:
                 "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "threaded.csv"
-        run_cli("analyze", "three_receivers", "--sweep", "x_1=1:10:0.1",
-                "--out", str(a))
-        run_cli("--threads", "4", "analyze", "three_receivers",
-                "--sweep", "x_1=1:10:0.1", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "fmt.csv"
         run_cli("analyze", "three_receivers", "--sweep", "x_1=2:3:1",
@@ -80,6 +71,11 @@ class TestAnalyze:
         assert run_cli("analyze", "three_receivers", "--sweep", "q_1=1:2:1") \
             == EXIT_INVALID
         assert "unknown sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["x_1=0.1:nan:1", "x_1=1:2:inf"])
+    def test_non_finite_sweep_bounds(self, capsys, spec):
+        assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID
+        assert "sweep bounds must be finite" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -236,3 +232,21 @@ class TestExitCodes:
 
     def test_missing_scenario(self):
         assert run_cli("analyze", "/no/such/file.scn") == EXIT_INVALID
+
+    @pytest.mark.parametrize("command, line, old, new", [
+        ("analyze", 9, "phase = 0.0", "phase = inf"),
+        ("analyze", 8, "v_tx = 28.284271247461902", "v_tx = inf"),
+        ("optimize", 19, "h = -9.21e-08", "h = nan"),
+    ], ids=["phase-inf", "v_tx-inf", "h-nan"])
+    def test_non_finite_number_reports_position(self, tmp_path, capsys,
+                                                command, line, old, new):
+        from mrcwpt.scenario import bundled_scenario_path
+
+        text = bundled_scenario_path("three_receivers").read_text()
+        assert old in text
+        path = tmp_path / "nonfinite.scn"
+        path.write_text(text.replace(old, new, 1))
+        assert run_cli(command, str(path)) == EXIT_INVALID
+        err = capsys.readouterr().err
+        key = new.split()[0]
+        assert f"{path}:{line}:1: '{key}' must be a finite number" in err

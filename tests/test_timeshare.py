@@ -242,8 +242,8 @@ class TestOptimizeSchedule:
         assert a.schedule.x == b.schedule.x
 
     def test_no_floating_point_escapes_on_random_problems(self):
-        # line-search iterates can round onto the barrier boundary; the
-        # solver must treat them as outside rather than evaluating log(0)
+        # random systems under np.errstate(all="raise"): no floating-point
+        # warning may escape the solver or the schedule loop
         from dataclasses import replace
 
         from conftest import random_system
