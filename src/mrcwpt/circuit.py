@@ -14,8 +14,9 @@ The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
 derivatives, the time-sharing slots, the region grids and the grid oracle.
 Two copies are kept on purpose: :func:`solve_linear_oracle` solves the full
-mesh equations as the independent cross-check, and ``distributed._Params``
-keeps a plain-float copy in the per-probe hot loop of the simulation.
+mesh equations as the independent cross-check, and ``distributed._Loads``
+keeps a plain-float copy with cached per-receiver terms in the per-probe
+hot loop of the simulation.
 """
 
 from __future__ import annotations

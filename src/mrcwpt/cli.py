@@ -195,7 +195,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_distributed(args) -> int:
     config, options = parse_scenario(args.scenario)
-    run = run_distributed(config, dx=options.dx, itr_max=options.itr_max)
+    run = run_distributed(
+        config, dx=options.dx, itr_max=options.itr_max, record_trace=bool(args.out)
+    )
     if args.out:
         trace_to_csv(run, config.n_receivers, args.out)
     print(f"iterations = {run.iterations}")

@@ -1,5 +1,9 @@
 """Distributed one-bit-feedback control: cases, traces, dynamics."""
 
+import csv
+import io
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -282,3 +286,134 @@ class TestRun:
 def test_state_dataclass_roundtrip(bench3):
     state = DistributedState(x=[1.0, 2.0, 3.0], fb=[True, False, True], itr=5)
     assert state.trace == []
+
+
+def _step_loop(config, itr_max, dx=1e-3):
+    """Trace rows of a plain loop of the public step(), one row past the
+    budget: that row's powers are the ones measured at the final loads."""
+    state = init_distributed(config)
+    n = config.n_receivers
+    rows = np.empty((itr_max + 1, 3 + 3 * n + 1))
+    for i in range(itr_max + 1):
+        step(config, state, i % n, dx)
+        itr, rx, case, x, p, p_tx, fb = state.trace.pop()
+        rows[i] = (itr, rx, case, *x, *p, p_tx, *fb)
+    return rows
+
+
+def _assert_matches_step_loop(run, rows, itr_max, n):
+    assert np.array_equal(run.trace, rows[:itr_max])
+    assert run.x == tuple(rows[itr_max - 1, 3 : 3 + n])
+    assert run.p == tuple(rows[itr_max, 3 + n : 3 + 2 * n])
+    assert run.p_tx == rows[itr_max, 3 + 2 * n]
+
+
+def _cycle_fields(run):
+    return run.cycle_period, run.cycle_start, run.cycle_p_tx
+
+
+def _late_cycle_single_receiver():
+    # starts clamped at x_hi below its peak, walks down by dx with its
+    # requirement met, then alternates across a requirement that sits
+    # between two grid points: period 2 from iteration 500
+    config = replace(bench_system(n=1), x_hi=(8.0,))
+    p_req = solve_closed_form(config, None, [7.5005]).p[0]
+    return replace(config, p_req=(p_req,))
+
+
+def _csv_writer_reference(run, n):
+    """The trace CSV as written row by row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["itr", "receiver", "case"]
+        + [f"x_{k + 1}" for k in range(n)]
+        + [f"p_{k + 1}" for k in range(n)]
+        + ["p_tx"]
+        + [f"fb_{k + 1}" for k in range(n)]
+    )
+    for row in run.trace:
+        out = [int(row[0]), int(row[1]), int(row[2])]
+        out += [f"{v:.11e}" for v in row[3 : 4 + 2 * n]]
+        out += [int(v) for v in row[4 + 2 * n :]]
+        writer.writerow(out)
+    return buf.getvalue().encode()
+
+
+class TestCycleDetection:
+    # Brent's detection completes at the end of round 2^k - 1 + lam
+    # (lam = period in rounds); each case straddles that iteration
+    @pytest.mark.parametrize(
+        "p3, detected_at, period, start",
+        [(10.0, 12_291, 6, 7_388), (30.0, 49_155, 6, 37_269), (36.0, 98_304, 3, 58_613)],
+    )
+    def test_bundled_runs_match_step_loop(self, bench3, p3, detected_at, period, start):
+        config = replace(bench3, p_req=(17.5, 17.5, p3))
+        budgets = (detected_at - 1, detected_at, detected_at + 2 * period + 1)
+        rows = _step_loop(config, budgets[-1])
+        for itr_max in budgets:
+            run = run_distributed(config, dx=1e-3, itr_max=itr_max)
+            _assert_matches_step_loop(run, rows, itr_max, 3)
+            if itr_max < detected_at:
+                assert _cycle_fields(run) == (None, None, None)
+            else:
+                assert (run.cycle_period, run.cycle_start) == (period, start)
+
+    def test_random_systems_match_step_loop(self):
+        rng = np.random.default_rng(2024)
+        cycled = 0
+        for _ in range(12):
+            config = random_system(rng, n=int(rng.integers(1, 5)))
+            rows = _step_loop(config, 1_500)
+            for itr_max in (1, 2, 1_499, 1_500):
+                run = run_distributed(config, dx=1e-3, itr_max=itr_max)
+                _assert_matches_step_loop(run, rows, itr_max, config.n_receivers)
+            cycled += run.cycle_period is not None
+        # the draw covers both runs that repeat and runs that do not
+        assert 0 < cycled < 12
+
+    def test_cycle_rows_repeat_one_period_on(self, bench3):
+        configs = [replace(bench3, p_req=(17.5, 17.5, p3)) for p3 in (10.0, 36.0)]
+        configs.append(_late_cycle_single_receiver())
+        for config in configs:
+            run = run_distributed(config, dx=1e-3, itr_max=120_000)
+            first, period = run.cycle_start - 1, run.cycle_period
+            assert first > 0 and period % config.n_receivers == 0
+            later = run.trace[first + period :]
+            assert np.array_equal(later[:, 1:], run.trace[first : len(run.trace) - period, 1:])
+            assert np.array_equal(later[:, 0], np.arange(first + period + 1, 120_001))
+            # the row before the cycle does not recur one period later
+            assert not np.array_equal(run.trace[first - 1, 1:], run.trace[first - 1 + period, 1:])
+            on_cycle = run.trace[first : first + period, 3 + 2 * config.n_receivers]
+            assert run.cycle_p_tx == (on_cycle.min(), on_cycle.max())
+
+    def test_no_trace_gives_the_same_outcome(self, bench3):
+        # the budget ends before the 36 W detection completes, after the others
+        cases = [(replace(bench3, p_req=(17.5, 17.5, p3)), 60_000) for p3 in (10.0, 30.0, 36.0)]
+        cases.append((_late_cycle_single_receiver(), 3_001))
+        rng = np.random.default_rng(5)
+        cases += [(random_system(rng, n=3), 5_000) for _ in range(3)]
+        for config, itr_max in cases:
+            full = run_distributed(config, dx=1e-3, itr_max=itr_max)
+            bare = run_distributed(config, dx=1e-3, itr_max=itr_max, record_trace=False)
+            assert bare.trace.shape == (0, 3 * config.n_receivers + 4)
+            for name in ("x", "p", "p_tx", "feasible", "iterations"):
+                assert getattr(bare, name) == getattr(full, name)
+            assert _cycle_fields(bare) == _cycle_fields(full)
+
+    def test_csv_matches_csv_writer(self, bench3, tmp_path):
+        rng = np.random.default_rng(2024)
+        non_cycling = random_system(rng, n=4)
+        cases = [
+            (replace(bench3, p_req=(17.5, 17.5, 10.0)), 20_000),
+            (non_cycling, 2_000),
+            (_late_cycle_single_receiver(), 3_001),
+        ]
+        cycled = []
+        for config, itr_max in cases:
+            run = run_distributed(config, dx=1e-3, itr_max=itr_max)
+            cycled.append(run.cycle_period is not None)
+            out = tmp_path / "trace.csv"
+            trace_to_csv(run, config.n_receivers, out)
+            assert out.read_bytes() == _csv_writer_reference(run, config.n_receivers)
+        assert cycled == [True, False, True]
