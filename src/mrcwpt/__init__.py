@@ -12,9 +12,7 @@ from .central import (
     ChargingProblem,
     OracleResult,
     SolveStatus,
-    branch_conductance,
     brute_force_oracle,
-    load_from_conductance,
     optimize_loads,
     solve_convex,
 )

@@ -82,24 +82,6 @@ class CentralSolution:
     kkt_residual: float
 
 
-def branch_conductance(x, r):
-    """Map load resistance to branch conductance g = 1/(r + x)."""
-    x = np.asarray(x, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValidationError("load resistance must be > 0")
-    return 1.0 / (r + x)
-
-
-def load_from_conductance(g, r):
-    """Inverse of :func:`branch_conductance`; requires 0 < g < 1/r."""
-    g = np.asarray(g, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(g <= 0.0) or np.any(g * r >= 1.0):
-        raise ValidationError("conductance must satisfy 0 < g < 1/r")
-    return 1.0 / g - r
-
-
 class _Qcqp:
     """Normalized data for: min c.g over a box, s.t. convex quadratics <= 0.
 

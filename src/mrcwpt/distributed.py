@@ -37,6 +37,7 @@ are reported on the result.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -127,6 +128,13 @@ class _Params:
         self.p_req = list(sys.p_req)
         self.req_lo = [req * (1.0 - _REQ_TOL) for req in self.p_req]
         self.req_hi = [req * (1.0 + _REQ_TOL) for req in self.p_req]
+
+
+@functools.lru_cache(maxsize=8)
+def _step_params(sys: SystemConfig) -> _Params:
+    """The params of a frozen config, shared by the turns of a ``step`` loop
+    (nothing writes to a ``_Params`` once it is built)."""
+    return _Params(sys)
 
 
 class _Loads:
@@ -314,7 +322,7 @@ def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
     """Advance one receiver's turn in place; returns the case applied (1-5)."""
     if not dx > 0.0:
         raise ValidationError("dx must be > 0")
-    case, p_tx, p, fb = _Loads(_Params(sys), state.x).step(n, dx)
+    case, p_tx, p, fb = _Loads(_step_params(sys), state.x).step(n, dx)
     state.fb = fb
     state.itr += 1
     state.trace.append((state.itr, n + 1, case, tuple(state.x), tuple(p), p_tx, tuple(fb)))

@@ -10,7 +10,9 @@ realizes that set exactly on the sample vertices.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,11 @@ DEFAULT_GRID_3D = 60
 
 WITHOUT_TS = "without-ts"
 WITH_TS = "with-ts"
+
+# rows converted to Python floats at a time by the frontier sweeps
+_ROW_CHUNK = 1024
+# rows formatted per write when exporting CSV
+_CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,8 @@ def _power_samples(sys: SystemConfig, sw: SwitchState, grid_points: int) -> np.n
 def pareto_boundary(points: np.ndarray) -> np.ndarray:
     """Componentwise-maximal (Pareto) points in lexicographic order.
 
-    Two- and three-dimensional inputs use O(n log n) sweeps; higher
+    Two- and three-dimensional inputs use O(n log n) sweeps that stream
+    the sorted rows as Python floats, converted a chunk at a time; higher
     dimensions fall back to an iterative dominance filter, so keep those
     sample sets moderate.
     """
@@ -69,14 +77,14 @@ def pareto_boundary(points: np.ndarray) -> np.ndarray:
         # scan by first coordinate descending; a point survives when its
         # second coordinate beats everything seen so far
         order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-        best = -np.inf
+        best = -math.inf
         keep = []
-        for i in order:
-            if pts[i, 1] > best:
-                keep.append(i)
-                best = pts[i, 1]
-        frontier = pts[sorted(keep, key=lambda i: pts[i, 0])]
-        return frontier
+        for pos, (_, y) in enumerate(_row_lists(pts, order)):
+            if y > best:
+                keep.append(pos)
+                best = y
+        # keep holds at most one row per first coordinate, in descending order
+        return pts[order[keep[::-1]]]
     if pts.shape[1] == 3:
         frontier = pts[_maxima_3d(pts)]
         return frontier[np.lexsort(frontier.T[::-1])]
@@ -94,51 +102,54 @@ def pareto_boundary(points: np.ndarray) -> np.ndarray:
     return frontier[np.lexsort(frontier.T[::-1])]
 
 
+def _row_lists(pts: np.ndarray, order):
+    """The rows ``pts[order]`` as Python lists, converted a chunk at a time.
+
+    Python floats make the sweeps' scalar arithmetic several times cheaper
+    than numpy scalars; converting every row at once would hold the whole
+    array as Python objects.
+    """
+    for a in range(0, len(order), _ROW_CHUNK):
+        yield from pts[order[a : a + _ROW_CHUNK]].tolist()
+
+
 def _maxima_3d(pts: np.ndarray) -> np.ndarray:
     """Indices of componentwise-maximal rows among deduplicated 3-D points.
 
     Plane sweep in decreasing first coordinate with a staircase of the
     (second, third)-coordinate frontier seen so far: ascending second
-    coordinate, strictly descending third. O(n log n).
+    coordinate, strictly descending third. O(n log n). Within a run of
+    equal first coordinates (second, then third coordinate descending)
+    only a row whose third coordinate beats the run's earlier rows can be
+    maximal; it is then tested against the staircase.
     """
-    import bisect
-
     order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
     stair_y: list[float] = []
     stair_z: list[float] = []
-    keep = np.zeros(len(pts), dtype=bool)
-    i = 0
-    n = len(order)
-    while i < n:
-        j = i
-        x0 = pts[order[i], 0]
-        while j < n and pts[order[j], 0] == x0:
-            j += 1
-        group = order[i:j]  # second coordinate descending, third descending
-        survivors = []
-        best_z = -np.inf
-        for idx in group:
-            if pts[idx, 2] > best_z:
-                survivors.append(idx)
-                best_z = pts[idx, 2]
-        for idx in survivors:
-            y = float(pts[idx, 1])
-            z = float(pts[idx, 2])
-            pos = bisect.bisect_left(stair_y, y)
-            if pos < len(stair_y) and stair_z[pos] >= z:
-                continue  # dominated by an earlier (strictly larger x) point
-            keep[idx] = True
-            # splice the new step in, dropping the steps it dominates
-            lo = pos
-            while lo > 0 and stair_z[lo - 1] <= z:
-                lo -= 1
-            hi = pos
-            while hi < len(stair_y) and stair_y[hi] == y and stair_z[hi] <= z:
-                hi += 1
-            stair_y[lo:hi] = [y]
-            stair_z[lo:hi] = [z]
-        i = j
-    return np.nonzero(keep)[0]
+    keep = []
+    x_run = None
+    best_z = -math.inf
+    for pos, (x, y, z) in enumerate(_row_lists(pts, order)):
+        if x != x_run:
+            x_run = x
+            best_z = -math.inf
+        if not z > best_z:
+            continue
+        best_z = z
+        at = bisect.bisect_left(stair_y, y)
+        if at < len(stair_y) and stair_z[at] >= z:
+            continue  # dominated by an earlier (strictly larger x) point
+        keep.append(pos)
+        # splice the new step in, dropping the steps it dominates
+        lo = at
+        while lo > 0 and stair_z[lo - 1] <= z:
+            lo -= 1
+        hi = at
+        while hi < len(stair_y) and stair_y[hi] == y and stair_z[hi] <= z:
+            hi += 1
+        stair_y[lo:hi] = [y]
+        stair_z[lo:hi] = [z]
+    return order[keep]
 
 
 def hull_2d(points: np.ndarray) -> np.ndarray:
@@ -146,27 +157,30 @@ def hull_2d(points: np.ndarray) -> np.ndarray:
 
     Only exactly collinear vertices are dropped; keeping near-collinear
     ones costs a few extra vertices but guarantees every input point stays
-    inside the hull to float accuracy.
+    inside the hull to float accuracy. Both chains stream the sorted rows
+    as Python floats, converted a chunk at a time.
     """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) <= 2:
         return pts
 
-    def build(sequence):
+    def build(rows):
         chain = []
-        for p in sequence:
+        for p in rows:
+            px, py = p
             while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-                if cross <= 0.0:
+                ax, ay = chain[-2]
+                bx, by = chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
                     chain.pop()
                 else:
                     break
             chain.append(p)
         return chain
 
-    lower = build(pts)
-    upper = build(pts[::-1])
+    n = len(pts)
+    lower = build(_row_lists(pts, range(n)))
+    upper = build(_row_lists(pts, range(n - 1, -1, -1)))
     hull = np.array(lower[:-1] + upper[:-1])
     if len(hull) < 3:
         return np.array([pts[0], pts[-1]])
@@ -318,12 +332,13 @@ def region_to_csv(sample: PowerRegionSample, path) -> None:
 def write_region_csv(sample: PowerRegionSample, stream) -> None:
     """Write points then boundary as CSV sections, deterministically ordered."""
     n = sample.points.shape[1]
-    writer = csv.writer(stream)
-    writer.writerow([f"p_{k + 1}" for k in range(n)] + ["section"])
-    for row in sample.points:
-        writer.writerow([f"{v:.11e}" for v in row] + ["points"])
-    for row in sample.boundary:
-        writer.writerow([f"{v:.11e}" for v in row] + ["boundary"])
+    stream.write(",".join([f"p_{k + 1}" for k in range(n)] + ["section"]) + "\r\n")
+    for section, rows in (("points", sample.points), ("boundary", sample.boundary)):
+        # the text csv.writer makes of these rows: nothing needs quoting
+        row_fmt = ",".join(["%.11e"] * n) + f",{section}\r\n"
+        for a in range(0, len(rows), _CSV_CHUNK):
+            block = rows[a : a + _CSV_CHUNK]
+            stream.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_region_csv(path):

@@ -12,9 +12,7 @@ from mrcwpt import (
     SolveStatus,
     SwitchState,
     ValidationError,
-    branch_conductance,
     brute_force_oracle,
-    load_from_conductance,
     optimize_loads,
     solve_closed_form,
     solve_convex,
@@ -33,31 +31,6 @@ def feasible_n2_problem(rng):
         reqs = tuple(0.5 * p for p in state.p)
         if all(r > 0 for r in reqs):
             return ChargingProblem(sys=config, p_req_eff=reqs)
-
-
-class TestConductanceTransform:
-    def test_round_trip(self):
-        rng = np.random.default_rng(2)
-        x = 10 ** rng.uniform(-1, 2, 50)
-        r = 10 ** rng.uniform(-2, 0, 50)
-        back = load_from_conductance(branch_conductance(x, r), r)
-        assert np.allclose(back, x, rtol=1e-12)
-
-    def test_bounds_swap(self):
-        g_at_lo = branch_conductance(1.0, 0.0672)
-        g_at_hi = branch_conductance(100.0, 0.0672)
-        assert g_at_lo > g_at_hi  # the map is monotone decreasing
-
-    def test_simple_value(self):
-        assert branch_conductance(1.0, 1.0) == pytest.approx(0.5)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValidationError):
-            branch_conductance(-1.0, 0.1)
-        with pytest.raises(ValidationError):
-            load_from_conductance(0.0, 0.1)
-        with pytest.raises(ValidationError):
-            load_from_conductance(11.0, 0.1)  # g >= 1/r
 
 
 class TestSolveConvex:

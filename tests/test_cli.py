@@ -190,6 +190,13 @@ class TestRegion:
         _, hull = read_region_csv(shared)
         assert points_in_hull_2d(points, hull, 1e-6).all()
 
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        out = tmp_path / "region.csv"
+        assert run_cli("region", "two_receivers", "--out", str(out)) == EXIT_OK
+        capsys.readouterr()
+        assert run_cli("region", "two_receivers") == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     def test_bad_mask_length(self, capsys):
         assert run_cli("region", "two_receivers", "--mask", "101") == EXIT_INVALID
 

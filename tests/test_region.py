@@ -1,5 +1,8 @@
 """Power regions: sampling, Pareto and hull boundaries, containment, CSV."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,18 @@ from mrcwpt import (
     solve_closed_form,
     thresholds,
 )
+from mrcwpt import region
 from mrcwpt.region import PowerRegionSample
 
 from conftest import bench_system
+
+
+@pytest.fixture(params=[None, 3], ids=["default-chunk", "chunk-3"])
+def row_chunk(request, monkeypatch):
+    """The frontier sweeps at their own row chunk, and at one so small
+    that nearly every row sits on a chunk edge."""
+    if request.param is not None:
+        monkeypatch.setattr(region, "_ROW_CHUNK", request.param)
 
 
 class TestHullPrimitives:
@@ -57,7 +69,8 @@ class TestHullPrimitives:
         assert len(frontier) == 4
         assert [0.5, 0.5, 0.5] not in frontier.tolist()
 
-    def test_pareto_3d_sweep_matches_quadratic_reference(self):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pareto_sweep_matches_quadratic_reference(self, dim, row_chunk):
         def reference(pts):
             keep = [
                 i
@@ -71,16 +84,78 @@ class TestHullPrimitives:
         for trial in range(150):
             n = int(rng.integers(1, 120))
             if trial % 3 == 0:
-                pts = rng.integers(0, 4, (n, 3)).astype(float)  # tie-heavy
+                pts = rng.integers(0, 4, (n, dim)).astype(float)  # tie-heavy
             elif trial % 3 == 1:
-                pts = rng.uniform(0, 1, (n, 3))
-                pts[:, 2] = np.round(pts[:, 2], 1)
+                pts = rng.uniform(0, 1, (n, dim))
+                pts[:, dim - 1] = np.round(pts[:, dim - 1], 1)
             else:
-                pts = rng.uniform(0, 1, (n, 3))
+                pts = rng.uniform(0, 1, (n, dim))
             fast = pareto_boundary(pts)
             slow = reference(np.unique(pts, axis=0))
             assert fast.shape == slow.shape
             assert np.allclose(fast, slow)
+
+
+def _hull_2d_reference(points):
+    """Reference for hull_2d: the monotone chain over numpy rows."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) <= 2:
+        return pts
+
+    def build(sequence):
+        chain = []
+        for p in sequence:
+            while len(chain) >= 2:
+                a, b = chain[-2], chain[-1]
+                cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+                if cross <= 0.0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
+
+    lower = build(pts)
+    upper = build(pts[::-1])
+    hull = np.array(lower[:-1] + upper[:-1])
+    if len(hull) < 3:
+        return np.array([pts[0], pts[-1]])
+    return hull
+
+
+def _hull_inputs(rng, trial):
+    """Planar clouds with duplicate rows, exactly collinear runs or integer ties."""
+    n = int(rng.integers(1, 150))
+    kind = trial % 4
+    if kind == 0:
+        pts = rng.integers(0, 5, (n, 2)).astype(float)  # integer ties, duplicates
+    elif kind == 1:
+        # points on a few exact lines through integer anchors
+        t = rng.integers(-6, 7, n).astype(float)
+        anchor = rng.integers(-3, 4, (3, 2))[rng.integers(0, 3, n)]
+        slope = rng.integers(-2, 3, (3, 2))[rng.integers(0, 3, n)]
+        pts = anchor + t[:, None] * slope
+    elif kind == 2:
+        pts = rng.uniform(0, 1, (n, 2))
+        pts = pts[rng.integers(0, n, 2 * n)]  # every row repeated at random
+    else:
+        pts = rng.uniform(0, 1, (n, 2))
+        pts[:, 0] = np.round(pts[:, 0], 1)  # ties in the sort key
+    return pts
+
+
+class TestHullReference:
+    """hull_2d streams rows in chunks; it must match the numpy-row chain."""
+
+    def test_hull_matches_numpy_row_reference(self, row_chunk):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            pts = _hull_inputs(rng, trial)
+            assert np.array_equal(hull_2d(pts), _hull_2d_reference(pts))
+
+    def test_hull_matches_reference_on_a_sampled_region(self, bench2, row_chunk):
+        pts = sample_region_with_ts(bench2, 40).points
+        assert np.array_equal(hull_2d(pts), _hull_2d_reference(pts))
 
 
 class TestWithoutTs:
@@ -207,3 +282,65 @@ class TestCsv:
         missing = tmp_path / "no" / "such" / "dir" / "region.csv"
         with pytest.raises(OSError, match="region.csv"):
             region_to_csv(sample, missing)
+
+
+def _region_csv_reference(sample):
+    """The bytes of the region CSV as csv.writer wrote them, row by row."""
+    stream = io.StringIO(newline="")
+    n = sample.points.shape[1]
+    writer = csv.writer(stream)
+    writer.writerow([f"p_{k + 1}" for k in range(n)] + ["section"])
+    for row in sample.points:
+        writer.writerow([f"{v:.11e}" for v in row] + ["points"])
+    for row in sample.boundary:
+        writer.writerow([f"{v:.11e}" for v in row] + ["boundary"])
+    return stream.getvalue().encode()
+
+
+def _written_bytes(sample, tmp_path):
+    path = tmp_path / "region.csv"
+    region_to_csv(sample, path)
+    return path.read_bytes()
+
+
+class TestCsvBytes:
+    """The block writer reproduces csv.writer's bytes exactly."""
+
+    @pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
+    def csv_chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(region, "_CSV_CHUNK", request.param)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("with_ts", [False, True])
+    def test_sampled_regions(self, n, with_ts, csv_chunk, tmp_path):
+        config = bench_system(p_req=(5.0, 5.0, 5.0)[:n], n=n)
+        if with_ts:
+            sample = sample_region_with_ts(config, 9)
+        else:
+            sample = sample_region_without_ts(config, None, 9)
+        assert len(sample.boundary) > 0
+        assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
+
+    def test_awkward_values(self, csv_chunk, tmp_path):
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        points[:5] = [[0.0, -0.0, 1.0], [5e-324, -1e308, 9.999999999995e-1],
+                      [1e22, 123456789012345.0, -2.5], [0.1, 0.2, 0.3], [7, 8, 9]]
+        sample = PowerRegionSample(points=points, mode="without-ts", grid_points=0,
+                                   bounds=((1.0, 2.0),) * 3, boundary=points[::7])
+        assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
+
+    def test_empty_boundary(self, bench3, tmp_path):
+        sample = sample_region_without_ts(bench3, None, 5)
+        sample = PowerRegionSample(points=sample.points, mode=sample.mode,
+                                   grid_points=5, bounds=sample.bounds,
+                                   boundary=np.zeros((0, 3)))
+        assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
+
+    def test_zero_row_sample(self, tmp_path):
+        sample = PowerRegionSample(points=np.zeros((0, 2)), mode="without-ts",
+                                   grid_points=0, bounds=((1.0, 100.0),) * 2,
+                                   boundary=np.zeros((0, 2)))
+        assert _written_bytes(sample, tmp_path) == b"p_1,p_2,section\r\n"
+        assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
