@@ -26,20 +26,21 @@ requirement and probe, so the feedback stays one bit per receiver.
 
 A round (receivers 1..N taking one turn each) is a pure function of the
 loads, so a run that revisits the loads it held at the end of an earlier
-round repeats itself from there on, bit for bit. ``run_distributed``
-watches the end-of-round loads with Brent's cycle finding (Brent 1980, BIT
-20:176-184; exact float equality, constant memory) and stops simulating
-once it sees a repeat: the rest of the trace is the detected period
-tiled, and the final loads are those at the matching phase of the cycle.
-The period, the first iteration of the cycle and the range of p_tx on it
-are reported on the result.
+round repeats itself from there on, bit for bit. ``run_distributed`` keeps
+every end-of-round load vector it has seen, keyed by its bytes (exact
+float equality, since loads are finite and positive), and stops simulating
+at the first round whose loads it has seen before: the rest of the run is
+the period between the two tiled, and the final loads are those at the
+matching phase of the cycle. The period, the first iteration of the cycle
+and the range of p_tx on it are reported on the result. Only the simulated
+trace rows are stored; the full trace is built from them when first read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,6 +82,11 @@ class DistributedRun:
     ``trace`` has one row per iteration:
     (itr, receiver 1-based, case, x_1..x_N after the update,
     p_1..p_N measured before the update, p_tx, fb_1..fb_N).
+    ``rows`` holds the rows that were simulated: all of them when no
+    cycle is found, else those up to the end of the round that closed
+    the first repeat. ``trace`` is built from them on first read (the
+    cycle tiled over the rest of the budget) and then kept. Both have no
+    rows when the run was made with ``record_trace=False``.
 
     ``feasible`` reports whether every requirement holds at the final
     state within one control step of power resolution: at a binding
@@ -95,8 +101,7 @@ class DistributedRun:
     of N), ``cycle_start`` the first iteration from which every trace row
     equals the row one period later (up to ``itr``), and ``cycle_p_tx`` the
     least and greatest p_tx measured on the cycle. All three are None when
-    no repeat is found: the run does not cycle, or the budget ends before
-    the detection completes.
+    no end-of-round loads repeat within the budget.
     """
 
     x: tuple[float, ...]
@@ -104,10 +109,21 @@ class DistributedRun:
     iterations: int
     p_tx: float
     p: tuple[float, ...]
-    trace: np.ndarray
+    rows: np.ndarray
     cycle_period: int | None = None
     cycle_start: int | None = None
     cycle_p_tx: tuple[float, float] | None = None
+
+    @functools.cached_property
+    def trace(self) -> np.ndarray:
+        """Every iteration's row; ``rows`` itself when nothing was skipped."""
+        rows = self.rows
+        if len(rows) in (0, self.iterations):
+            return rows
+        trace = np.empty((self.iterations, rows.shape[1]))
+        trace[: len(rows)] = rows
+        _tile(trace, self.cycle_start - 1, self.cycle_period, len(rows))
+        return trace
 
 
 class _Params:
@@ -165,13 +181,16 @@ class _Loads:
         self.sq[k] = (prm.r[k] + xk) ** 2
 
     def powers(self):
-        """(p_tx, p) at the current loads."""
+        """(p_tx, p) at the current loads. ``sums(n)`` adds the same terms
+        in the same order for every n, so these are the floats a turn sees."""
         _, denom = self.sums(0)
-        return self.params.half_v2 / denom, self._load_powers(denom)
-
-    def _load_powers(self, denom):
         d2 = denom * denom
-        return [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
+        return self.params.half_v2 / denom, [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
+
+    def measure(self):
+        """(p_tx, p, fb) at the current loads, fb being the feedback bits."""
+        p_tx, p = self.powers()
+        return p_tx, p, [pk >= lo for pk, lo in zip(p, self.params.req_lo)]
 
     def sums(self, n: int) -> tuple[float, float]:
         """The prefix r_tx + term[0] + ... + term[n - 1] and the full
@@ -217,19 +236,21 @@ class _Loads:
             return Direction.BELOW, step_change
         return Direction.AT_PEAK, step_change
 
-    def step(self, n: int, dx: float):
-        """Apply one update for receiver n. Returns (case, p_tx, p, fb),
-        the last three measured before the update."""
+    def turn(self, n: int, dx: float) -> int:
+        """Apply one update for receiver n; returns the case (1-5).
+
+        Only load n's power is evaluated, and the peers' feedback bits only
+        when the case depends on them, each from the expression ``measure``
+        uses, so the case is the one a fully measured turn takes."""
         prm, x = self.params, self.x
         prefix, denom = self.sums(n)
-        p_tx = prm.half_v2 / denom
-        p = self._load_powers(denom)
-        req_lo = prm.req_lo
-        fb = [pk >= lo for pk, lo in zip(p, req_lo)]
+        d2 = denom * denom
+        num, sq, req_lo = self.num, self.sq, prm.req_lo
+        pn = num[n] / (sq[n] * d2)
 
         case = 5
         xn = x[n]
-        if p[n] < req_lo[n]:
+        if pn < req_lo[n]:
             direction, _ = self.classify(n, dx, prefix, denom)
             if direction is Direction.BELOW:
                 case = 1
@@ -237,11 +258,14 @@ class _Loads:
             elif direction is Direction.ABOVE:
                 case = 2
                 xn = max(prm.x_lo[n], xn - dx)
-        elif p[n] > prm.req_hi[n]:
+        elif pn > prm.req_hi[n]:
             direction, step_change = self.classify(n, dx, prefix, denom)
             if direction is not Direction.AT_PEAK:
-                if not all(fb[:n]) or not all(fb[n + 1 :]):
-                    if p[n] - prm.p_req[n] > step_change:
+                peers_met = all(
+                    num[k] / (sq[k] * d2) >= req_lo[k] for k in range(prm.n) if k != n
+                )
+                if not peers_met:
+                    if pn - prm.p_req[n] > step_change:
                         case = 3
                         xn = min(prm.x_hi[n], xn + dx)
                 else:
@@ -249,16 +273,17 @@ class _Loads:
                     xn = max(prm.x_lo[n], xn - dx)
         if case != 5:
             self._set(n, xn)
-        return case, p_tx, p, fb
+        return case
 
     def advance(self, turns: int, dx: float) -> tuple[float, float]:
         """Run ``turns`` turns from the start of a round; returns the least
         and greatest p_tx measured."""
-        n_rx = self.params.n
+        n_rx, half_v2 = self.params.n, self.params.half_v2
         lo, hi = math.inf, -math.inf
         for i in range(turns):
-            p_tx = self.step(i % n_rx, dx)[1]
+            p_tx = half_v2 / self.sums(0)[1]
             lo, hi = min(lo, p_tx), max(hi, p_tx)
+            self.turn(i % n_rx, dx)
         return lo, hi
 
 
@@ -292,10 +317,8 @@ def init_distributed(sys: SystemConfig) -> DistributedState:
     power if every other receiver were disconnected, clamped to the bounds;
     feedback bits come from the actual all-connected steady state.
     """
-    params = _Params(sys)
     x = solo_peak_loads(sys)
-    _, p = _Loads(params, x).powers()
-    fb = [p[k] >= params.req_lo[k] for k in range(params.n)]
+    _, _, fb = _Loads(_Params(sys), x).measure()
     return DistributedState(x=x, fb=fb, itr=0)
 
 
@@ -322,43 +345,32 @@ def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
     """Advance one receiver's turn in place; returns the case applied (1-5)."""
     if not dx > 0.0:
         raise ValidationError("dx must be > 0")
-    case, p_tx, p, fb = _Loads(_step_params(sys), state.x).step(n, dx)
+    loads = _Loads(_step_params(sys), state.x)
+    p_tx, p, fb = loads.measure()
+    case = loads.turn(n, dx)
     state.fb = fb
     state.itr += 1
     state.trace.append((state.itr, n + 1, case, tuple(state.x), tuple(p), p_tx, tuple(fb)))
     return case
 
 
-def _cycle_start(params: _Params, checkpoints, lam: int, dx: float) -> int:
-    """First iteration (1-based) of a run that repeats every ``lam`` rounds.
+def _cycle_start(seen: dict, mu: int, n_rx: int) -> int:
+    """First iteration (1-based) of a run whose end-of-round loads first
+    recur after round ``mu`` (round 0 being the start).
 
-    ``checkpoints`` holds Brent's tortoise states as (round, loads). The
-    hare left the tortoise of round c for c + 1 rounds without meeting it,
-    so when c + 1 >= lam that round precedes the cycle. A walk from the
-    latest such checkpoint that keeps the last lam + 1 round-end loads
-    finds the first round mu whose loads recur lam rounds later. Turn k of
-    round mu - 1 starts from loads that agree with those one period later
-    exactly when the loads of receivers k..N agree, since turns 1..k-1
-    have only moved receivers 1..k-1 to their round-mu values.
+    ``seen`` maps the packed loads after rounds 0, 1, ... to their round,
+    in round order, up to the round before the repeat closed, lam rounds
+    after mu. Turn k of round mu - 1 starts from loads that agree with
+    those one period later exactly when the loads of receivers k..N after
+    rounds mu - 1 and mu - 1 + lam agree, since turns 1..k-1 have only
+    moved receivers 1..k-1 to their round-mu values.
     """
-    n_rx = params.n
-    first, start = next(
-        (cp for cp in reversed(checkpoints[:-1]) if cp[0] + 1 >= lam), checkpoints[0]
-    )
-    loads = _Loads(params, list(start))
-    recent = deque([start], maxlen=lam + 1)
-    rnd = first
-    while True:
-        loads.advance(n_rx, dx)
-        rnd += 1
-        if rnd - first >= lam and loads.x == recent[-lam]:
-            break
-        recent.append(loads.x[:])
-    mu = rnd - lam
     if mu == 0:
         return 1
-    before, later = recent[0], recent[-1]  # loads after rounds mu - 1 and mu - 1 + lam
-    k = next(k for k in range(1, n_rx + 1) if before[k:] == later[k:])
+    ends = list(seen)
+    before, later = ends[mu - 1], ends[-1]
+    # 8 bytes per load
+    k = next(k for k in range(1, n_rx + 1) if before[8 * k :] == later[8 * k :])
     return (mu - 1) * n_rx + k + 1
 
 
@@ -399,39 +411,37 @@ def run_distributed(
     n_rx = params.n
 
     width = 3 + 2 * n_rx + 1 + n_rx
-    trace = np.empty((itr_max if record_trace else 0, width))
-
-    # Brent: the tortoise holds the loads after round power - 1 for
-    # power = 1, 2, 4, ...; lam counts the hare's rounds since it moved
-    tortoise, power, lam = x[:], 1, 1
-    checkpoints = [(0, tortoise)]
+    rows = np.empty((itr_max if record_trace else 0, width))
+    # the loads after each round, mapped to the first round that ended
+    # there; packed, they take ~15% less memory than tuples at equal speed,
+    # and equal bytes are equal loads because loads are finite and > 0
+    pack = struct.Struct(f"{n_rx}d").pack
+    seen = {pack(*x): 0}
     cycle_fields = {}
     for itr in range(itr_max):
         n = itr % n_rx
-        case, p_tx, p, fb = loads.step(n, dx)
         if record_trace:
-            trace[itr] = (itr + 1, n + 1, case, *x, *p, p_tx, *fb)
+            p_tx, p, fb = loads.measure()
+            case = loads.turn(n, dx)
+            rows[itr] = (itr + 1, n + 1, case, *x, *p, p_tx, *fb)
+        else:
+            loads.turn(n, dx)
         if n < n_rx - 1:
             continue
-        if x == tortoise:
-            period = lam * n_rx
-            start = _cycle_start(params, checkpoints, lam, dx)
+        rnd = (itr + 1) // n_rx
+        mu = seen.setdefault(pack(*x), rnd)
+        if mu < rnd:
+            period = (rnd - mu) * n_rx
             cycle_fields = {
                 "cycle_period": period,
-                "cycle_start": start,
+                "cycle_start": _cycle_start(seen, mu, n_rx),
                 # one period on from here, which returns to the same loads
                 "cycle_p_tx": loads.advance(period, dx),
             }
             loads.advance((itr_max - itr - 1) % period, dx)
             if record_trace:
-                _tile(trace, start - 1, period, itr + 1)
+                rows = rows[: itr + 1].copy()
             break
-        if power == lam:
-            tortoise = x[:]
-            checkpoints.append(((itr + 1) // n_rx, tortoise))
-            power *= 2
-            lam = 0
-        lam += 1
 
     p_tx, p = loads.powers()
     feasible = all(
@@ -443,7 +453,7 @@ def run_distributed(
         iterations=itr_max,
         p_tx=p_tx,
         p=tuple(p),
-        trace=trace,
+        rows=rows,
         **cycle_fields,
     )
 
@@ -451,8 +461,8 @@ def run_distributed(
 def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
     """Write the iteration trace as CSV (one row per iteration).
 
-    Rows on a detected cycle differ only in ``itr``, so each of them is
-    formatted once and reused.
+    Reads the simulated ``rows`` only: rows on a detected cycle differ
+    only in ``itr``, so each of them is formatted once and reused.
     """
     header = (
         ["itr", "receiver", "case"]
@@ -466,19 +476,20 @@ def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
         ["%d", "%d"] + ["%.11e"] * (2 * n_receivers + 1) + ["%d"] * n_receivers
     )
     row_fmt = "%d," + tail + "\r\n"
-    trace = run.trace
-    first = len(trace) if run.cycle_start is None else min(run.cycle_start - 1, len(trace))
+    rows = run.rows
+    total = run.iterations if len(rows) else 0
+    first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for a in range(0, first, _CSV_CHUNK):
-            rows = trace[a : min(a + _CSV_CHUNK, first)].tolist()
-            handle.write("".join([row_fmt % tuple(r) for r in rows]))
-        if first == len(trace):
+            chunk = rows[a : min(a + _CSV_CHUNK, first)].tolist()
+            handle.write("".join([row_fmt % tuple(r) for r in chunk]))
+        if first == total:
             return
         period = run.cycle_period
-        phases = [tail % tuple(r) for r in trace[first : first + period, 1:].tolist()]
-        for a in range(first, len(trace), _CSV_CHUNK):
-            b = min(a + _CSV_CHUNK, len(trace))
+        phases = [tail % tuple(r) for r in rows[first : first + period, 1:].tolist()]
+        for a in range(first, total, _CSV_CHUNK):
+            b = min(a + _CSV_CHUNK, total)
             handle.write(
                 "".join([f"{i + 1},{phases[(i - first) % period]}\r\n" for i in range(a, b)])
             )

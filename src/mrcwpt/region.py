@@ -60,6 +60,18 @@ def _power_samples(sys: SystemConfig, sw: SwitchState, grid_points: int) -> np.n
     return np.stack(p, axis=-1).reshape(-1, sys.n_receivers)
 
 
+def _unique_rows(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order, as
+    ``np.unique(points, axis=0)`` gives them: one sort, then a neighbour
+    comparison, about twice as fast on large samples."""
+    if len(points) == 0:
+        return points
+    pts = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(len(pts), dtype=bool)
+    np.any(pts[1:] != pts[:-1], axis=1, out=keep[1:])
+    return pts[keep]
+
+
 def pareto_boundary(points: np.ndarray) -> np.ndarray:
     """Componentwise-maximal (Pareto) points in lexicographic order.
 
@@ -68,15 +80,17 @@ def pareto_boundary(points: np.ndarray) -> np.ndarray:
     dimensions fall back to an iterative dominance filter, so keep those
     sample sets moderate.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
+    pts = _unique_rows(pts)
     if pts.shape[1] == 1:
         return pts[[-1]]
     if pts.shape[1] == 2:
-        # scan by first coordinate descending; a point survives when its
-        # second coordinate beats everything seen so far
-        order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+        # scan by first coordinate descending (distinct sorted rows
+        # reversed); a point survives when its second coordinate beats
+        # everything seen so far
+        order = np.arange(len(pts))[::-1]
         best = -math.inf
         keep = []
         for pos, (_, y) in enumerate(_row_lists(pts, order)):
@@ -114,7 +128,8 @@ def _row_lists(pts: np.ndarray, order):
 
 
 def _maxima_3d(pts: np.ndarray) -> np.ndarray:
-    """Indices of componentwise-maximal rows among deduplicated 3-D points.
+    """Indices of componentwise-maximal rows among distinct 3-D points in
+    lexicographic order.
 
     Plane sweep in decreasing first coordinate with a staircase of the
     (second, third)-coordinate frontier seen so far: ascending second
@@ -123,7 +138,7 @@ def _maxima_3d(pts: np.ndarray) -> np.ndarray:
     only a row whose third coordinate beats the run's earlier rows can be
     maximal; it is then tested against the staircase.
     """
-    order = np.lexsort((-pts[:, 2], -pts[:, 1], -pts[:, 0]))
+    order = np.arange(len(pts))[::-1]
     stair_y: list[float] = []
     stair_z: list[float] = []
     keep = []
@@ -160,7 +175,7 @@ def hull_2d(points: np.ndarray) -> np.ndarray:
     inside the hull to float accuracy. Both chains stream the sorted rows
     as Python floats, converted a chunk at a time.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = _unique_rows(np.asarray(points, dtype=float))
     if len(pts) <= 2:
         return pts
 

@@ -21,7 +21,7 @@ from mrcwpt import (
     thresholds,
     trace_to_csv,
 )
-from mrcwpt.distributed import DistributedState
+from mrcwpt.distributed import DistributedState, _Loads, _Params
 
 from conftest import bench_system, random_system
 
@@ -341,11 +341,11 @@ def _csv_writer_reference(run, n):
 
 
 class TestCycleDetection:
-    # Brent's detection completes at the end of round 2^k - 1 + lam
-    # (lam = period in rounds); each case straddles that iteration
+    # detection completes at the end of the first round whose loads were
+    # seen before; each case straddles that iteration
     @pytest.mark.parametrize(
         "p3, detected_at, period, start",
-        [(10.0, 12_291, 6, 7_388), (30.0, 49_155, 6, 37_269), (36.0, 98_304, 3, 58_613)],
+        [(10.0, 7_395, 6, 7_388), (30.0, 37_275, 6, 37_269), (36.0, 58_617, 3, 58_613)],
     )
     def test_bundled_runs_match_step_loop(self, bench3, p3, detected_at, period, start):
         config = replace(bench3, p_req=(17.5, 17.5, p3))
@@ -389,7 +389,7 @@ class TestCycleDetection:
 
     def test_no_trace_gives_the_same_outcome(self, bench3):
         # the budget ends before the 36 W detection completes, after the others
-        cases = [(replace(bench3, p_req=(17.5, 17.5, p3)), 60_000) for p3 in (10.0, 30.0, 36.0)]
+        cases = [(replace(bench3, p_req=(17.5, 17.5, p3)), 50_000) for p3 in (10.0, 30.0, 36.0)]
         cases.append((_late_cycle_single_receiver(), 3_001))
         rng = np.random.default_rng(5)
         cases += [(random_system(rng, n=3), 5_000) for _ in range(3)]
@@ -400,6 +400,40 @@ class TestCycleDetection:
             for name in ("x", "p", "p_tx", "feasible", "iterations"):
                 assert getattr(bare, name) == getattr(full, name)
             assert _cycle_fields(bare) == _cycle_fields(full)
+
+    def test_rows_end_at_the_first_repeat(self, bench3):
+        run = run_distributed(replace(bench3, p_req=(17.5, 17.5, 30.0)), dx=1e-3)
+        assert (run.cycle_period, run.cycle_start) == (6, 37_269)
+        assert run.rows.shape == (37_275, 13)
+
+    def test_trace_is_built_on_first_read(self, tmp_path):
+        config = _late_cycle_single_receiver()
+        run = run_distributed(config, dx=1e-3, itr_max=3_001)
+        rows = _step_loop(config, 3_001)
+        assert len(run.rows) < 3_001
+        assert np.array_equal(run.rows, rows[: len(run.rows)])
+        trace_to_csv(run, 1, tmp_path / "trace.csv")
+        assert "trace" not in vars(run)
+        assert np.array_equal(run.trace, rows[:3_001])
+        assert run.trace is vars(run)["trace"]
+
+    def test_lean_turns_take_the_measured_cases(self):
+        rng = np.random.default_rng(7)
+        seen_cases = set()
+        for _ in range(8):
+            config = random_system(rng, n=int(rng.integers(1, 5)))
+            n = config.n_receivers
+            full = run_distributed(config, dx=1e-3, itr_max=2_000)
+            bare = run_distributed(config, dx=1e-3, itr_max=2_000, record_trace=False)
+            loads = _Loads(_Params(config), init_distributed(config).x)
+            cases = [loads.turn(i % n, 1e-3) for i in range(2_000)]
+            assert cases == full.trace[:, 2].astype(int).tolist()
+            assert tuple(loads.x) == full.x == bare.x
+            for name in ("p", "p_tx", "feasible"):
+                assert getattr(bare, name) == getattr(full, name)
+            assert _cycle_fields(bare) == _cycle_fields(full)
+            seen_cases.update(cases)
+        assert seen_cases == {1, 2, 3, 4, 5}
 
     def test_csv_matches_csv_writer(self, bench3, tmp_path):
         rng = np.random.default_rng(2024)
