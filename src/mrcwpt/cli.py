@@ -45,6 +45,9 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
+# most points one sweep may ask for; the largest sweep in the README has 1,991
+_SWEEP_MAX_POINTS = 10**7
+
 
 def fmt(value: float) -> str:
     """Fixed scientific notation, 12 significant digits."""
@@ -77,8 +80,12 @@ def _parse_sweep(expr: str):
         raise ValidationError("sweep bounds must be finite")
     if step <= 0 or b < a:
         raise ValidationError("sweep needs a <= b and step > 0")
-    count = int(np.floor((b - a) / step + 0.5)) + 1
-    values = a + step * np.arange(count)
+    # a step far below the range gives a huge or infinite count: reject it
+    # before numpy is asked for that many points
+    count = np.floor((b - a) / step + 0.5) + 1
+    if not count <= _SWEEP_MAX_POINTS:
+        raise ValidationError(f"sweep would have more than {_SWEEP_MAX_POINTS} points")
+    values = a + step * np.arange(int(count))
     values = values[values <= b + 0.5 * step]
     return name.strip(), values
 

@@ -34,6 +34,12 @@ the period between the two tiled, and the final loads are those at the
 matching phase of the cycle. The period, the first iteration of the cycle
 and the range of p_tx on it are reported on the result. Only the simulated
 trace rows are stored; the full trace is built from them when first read.
+
+One turn sums the circuit's shared denominator once, in a fixed order, and
+decides its case on plain floats; a traced row's powers, p_tx and feedback
+bits are read from that same sum, taken before the update. Traced and
+untraced runs, the cycle's replay and the public ``step`` all take this
+one turn, and ``probe_direction`` reads its direction from it.
 """
 
 from __future__ import annotations
@@ -131,7 +137,8 @@ class _Params:
 
     # _Loads copies circuit.resonant_powers on these with each receiver's
     # terms cached: a shared call per probe doubled the iteration time, and
-    # the cache spares a probe every term before the probed receiver
+    # the cache spares a probe every term before the probed receiver. A turn
+    # reads them as plain floats, one sum of the denominator per turn.
 
     def __init__(self, sys: SystemConfig):
         self.n = sys.n_receivers
@@ -139,6 +146,8 @@ class _Params:
         self.half_v2 = 0.5 * abs(sys.v_tx) ** 2
         self.r = [c.resistance for c in sys.receivers]
         self.wh2 = [(sys.w * h) ** 2 for h in sys.h]
+        # the numerator factor of each load's power, half_v2 * wh2_k
+        self.coef = [self.half_v2 * wh2 for wh2 in self.wh2]
         self.x_lo = list(sys.x_lo)
         self.x_hi = list(sys.x_hi)
         self.p_req = list(sys.p_req)
@@ -161,6 +170,10 @@ class _Loads:
     probe of receiver n reusing the prefix r_tx + term[0] + ... +
     term[n - 1] and re-adding only the suffix, so each float equals that
     of a fresh evaluation at the same loads: the state is ``x`` alone.
+
+    Each turn leaves the denominator it summed in ``denom`` and the power
+    of its receiver before the update in ``pn``; :meth:`measured` reads the
+    turn's measurement from them.
     """
 
     def __init__(self, params: _Params, x: list[float]):
@@ -171,26 +184,32 @@ class _Loads:
         self.sq = [0.0] * params.n
         for k in range(params.n):
             self._set(k, x[k])
+        self.denom = self.pn = math.nan
 
     def _set(self, k: int, xk: float) -> None:
         prm = self.params
         self.x[k] = xk
         self.term[k] = prm.wh2[k] / (prm.r[k] + xk)
         # numerator and squared factor of load k's power
-        self.num[k] = prm.half_v2 * prm.wh2[k] * xk
+        self.num[k] = prm.coef[k] * xk
         self.sq[k] = (prm.r[k] + xk) ** 2
 
-    def powers(self):
-        """(p_tx, p) at the current loads. ``sums(n)`` adds the same terms
-        in the same order for every n, so these are the floats a turn sees."""
-        _, denom = self.sums(0)
+    def powers(self, denom: float) -> list[float]:
+        """Every load's power at the current loads, ``denom`` being their
+        denominator (a turn's ``denom``, or the second value of ``sums``)."""
         d2 = denom * denom
-        return self.params.half_v2 / denom, [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
+        return [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
 
-    def measure(self):
-        """(p_tx, p, fb) at the current loads, fb being the feedback bits."""
-        p_tx, p = self.powers()
-        return p_tx, p, [pk >= lo for pk, lo in zip(p, self.params.req_lo)]
+    def feedback(self, p: list[float]) -> list[bool]:
+        """The feedback bits of powers ``p``."""
+        return [pk >= lo for pk, lo in zip(p, self.params.req_lo)]
+
+    def measured(self, n: int):
+        """(p_tx, p, fb) as the last turn, receiver n's, measured them
+        before its update: only load n has moved since."""
+        p = self.powers(self.denom)
+        p[n] = self.pn
+        return self.params.half_v2 / self.denom, p, self.feedback(p)
 
     def sums(self, n: int) -> tuple[float, float]:
         """The prefix r_tx + term[0] + ... + term[n - 1] and the full
@@ -205,75 +224,81 @@ class _Loads:
 
     def own_power(self, n: int, xn: float, prefix: float) -> float:
         """Load n's power with x_n replaced by ``xn``, the others unchanged;
-        ``prefix`` is the first value of :meth:`sums`."""
+        ``prefix`` is the first value of :meth:`sums`. ``turn`` evaluates
+        its probes with this expression, inlined."""
         prm = self.params
         denom = prefix + prm.wh2[n] / (prm.r[n] + xn)
         for t in self.term[n + 1 :]:
             denom += t
-        return prm.half_v2 * prm.wh2[n] * xn / ((prm.r[n] + xn) ** 2 * denom * denom)
-
-    def classify(self, n: int, dx: float, prefix: float, denom: float) -> tuple[Direction, float]:
-        """Direction of x[n] against its own-power peak, and the own-power
-        change of one +dx step (the helping gate in ``step`` reads it).
-
-        ``denom`` is the full denominator at the current loads."""
-        prm, xn = self.params, self.x[n]
-        p0 = prm.half_v2 * prm.wh2[n] * xn / ((prm.r[n] + xn) ** 2 * denom * denom)
-        up = self.own_power(n, xn + dx, prefix)
-        xm = xn - dx
-        if xm <= 0.0:
-            xm = 0.5 * xn
-        down = self.own_power(n, xm, prefix)
-        step_change = abs(up - p0)
-        inc_up = up > p0 + _PROBE_TOL
-        inc_down = down > p0 + _PROBE_TOL
-        if inc_up and not inc_down:
-            return Direction.BELOW, step_change
-        if inc_down and not inc_up:
-            return Direction.ABOVE, step_change
-        if inc_up and inc_down:
-            # cannot happen for a unimodal power curve; treat as left of peak
-            return Direction.BELOW, step_change
-        return Direction.AT_PEAK, step_change
+        return prm.coef[n] * xn / ((prm.r[n] + xn) ** 2 * denom * denom)
 
     def turn(self, n: int, dx: float) -> int:
         """Apply one update for receiver n; returns the case (1-5).
 
-        Only load n's power is evaluated, and the peers' feedback bits only
-        when the case depends on them, each from the expression ``measure``
+        The denominator is summed once. Load n's power decides whether its
+        requirement is unmet, met or at the equality band; the probes at
+        x_n + dx and x_n - dx (half x_n when that is not positive) place
+        x_n against its own-power peak, the lower probe only when the upper
+        one does not rise, and the peers' feedback bits are read only when
+        the case depends on them, each with the expression ``feedback``
         uses, so the case is the one a fully measured turn takes."""
-        prm, x = self.params, self.x
-        prefix, denom = self.sums(n)
-        d2 = denom * denom
-        num, sq, req_lo = self.num, self.sq, prm.req_lo
-        pn = num[n] / (sq[n] * d2)
-
-        case = 5
-        xn = x[n]
-        if pn < req_lo[n]:
-            direction, _ = self.classify(n, dx, prefix, denom)
-            if direction is Direction.BELOW:
-                case = 1
-                xn = min(prm.x_hi[n], xn + dx)
-            elif direction is Direction.ABOVE:
-                case = 2
-                xn = max(prm.x_lo[n], xn - dx)
+        prm, term = self.params, self.term
+        prefix = prm.r_tx
+        for t in term[:n]:
+            prefix += t
+        denom = prefix
+        for t in term[n:]:
+            denom += t
+        num, sq = self.num, self.sq
+        pn = num[n] / (sq[n] * (denom * denom))
+        self.denom, self.pn = denom, pn
+        if pn < prm.req_lo[n]:
+            unmet = True
         elif pn > prm.req_hi[n]:
-            direction, step_change = self.classify(n, dx, prefix, denom)
-            if direction is not Direction.AT_PEAK:
-                peers_met = all(
-                    num[k] / (sq[k] * d2) >= req_lo[k] for k in range(prm.n) if k != n
-                )
-                if not peers_met:
-                    if pn - prm.p_req[n] > step_change:
-                        case = 3
-                        xn = min(prm.x_hi[n], xn + dx)
-                else:
-                    case = 4
-                    xn = max(prm.x_lo[n], xn - dx)
-        if case != 5:
-            self._set(n, xn)
-        return case
+            unmet = False
+        else:
+            return 5
+
+        # three-point probe of load n's own power, the other loads fixed
+        xn, r_n, wh2_n, coef_n = self.x[n], prm.r[n], prm.wh2[n], prm.coef[n]
+        suffix = term[n + 1 :]
+        p0 = num[n] / (sq[n] * denom * denom)
+        rise = p0 + _PROBE_TOL
+        x_up = xn + dx
+        d = prefix + wh2_n / (r_n + x_up)
+        for t in suffix:
+            d += t
+        up = coef_n * x_up / ((r_n + x_up) ** 2 * d * d)
+        below = up > rise
+        if not below:
+            x_down = xn - dx
+            if x_down <= 0.0:
+                x_down = 0.5 * xn
+            d = prefix + wh2_n / (r_n + x_down)
+            for t in suffix:
+                d += t
+            if not coef_n * x_down / ((r_n + x_down) ** 2 * d * d) > rise:
+                return 5  # at the peak
+
+        if unmet:
+            # toward the peak
+            if below:
+                self._set(n, min(prm.x_hi[n], x_up))
+                return 1
+            self._set(n, max(prm.x_lo[n], xn - dx))
+            return 2
+        d2 = denom * denom
+        req_lo = prm.req_lo
+        for k in range(prm.n):
+            if k != n and not num[k] / (sq[k] * d2) >= req_lo[k]:
+                # a peer is unmet: help it only with more than one own
+                # step of margin
+                if pn - prm.p_req[n] > abs(up - p0):
+                    self._set(n, min(prm.x_hi[n], x_up))
+                    return 3
+                return 5
+        self._set(n, max(prm.x_lo[n], xn - dx))
+        return 4
 
     def advance(self, turns: int, dx: float) -> tuple[float, float]:
         """Run ``turns`` turns from the start of a round; returns the least
@@ -281,9 +306,9 @@ class _Loads:
         n_rx, half_v2 = self.params.n, self.params.half_v2
         lo, hi = math.inf, -math.inf
         for i in range(turns):
-            p_tx = half_v2 / self.sums(0)[1]
-            lo, hi = min(lo, p_tx), max(hi, p_tx)
             self.turn(i % n_rx, dx)
+            p_tx = half_v2 / self.denom
+            lo, hi = min(lo, p_tx), max(hi, p_tx)
         return lo, hi
 
 
@@ -318,7 +343,8 @@ def init_distributed(sys: SystemConfig) -> DistributedState:
     feedback bits come from the actual all-connected steady state.
     """
     x = solo_peak_loads(sys)
-    _, _, fb = _Loads(_Params(sys), x).measure()
+    loads = _Loads(_Params(sys), x)
+    fb = loads.feedback(loads.powers(loads.sums(0)[1]))
     return DistributedState(x=x, fb=fb, itr=0)
 
 
@@ -337,8 +363,11 @@ def probe_direction(sys: SystemConfig, sw: SwitchState | None, x, n: int, dx: fl
         raise ValidationError("load vector must have one entry per receiver")
     if any(not v > 0.0 for v in x):
         raise ValidationError("load resistance must be > 0")
-    loads = _Loads(params, list(x))
-    return loads.classify(n, dx, *loads.sums(n))[0]
+    # an unmet receiver moves toward its own-power peak, so its turn against
+    # an unreachable requirement reads the direction from the protocol's probes
+    params.req_lo[n] = math.inf
+    case = _Loads(params, list(x)).turn(n, dx)
+    return {1: Direction.BELOW, 2: Direction.ABOVE, 5: Direction.AT_PEAK}[case]
 
 
 def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
@@ -346,8 +375,8 @@ def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
     if not dx > 0.0:
         raise ValidationError("dx must be > 0")
     loads = _Loads(_step_params(sys), state.x)
-    p_tx, p, fb = loads.measure()
     case = loads.turn(n, dx)
+    p_tx, p, fb = loads.measured(n)
     state.fb = fb
     state.itr += 1
     state.trace.append((state.itr, n + 1, case, tuple(state.x), tuple(p), p_tx, tuple(fb)))
@@ -407,11 +436,15 @@ def run_distributed(
         raise ValidationError("itr_max must be >= 1")
     params = _Params(sys)
     loads = _Loads(params, init_distributed(sys).x)
-    x = loads.x
+    x, turn = loads.x, loads.turn
     n_rx = params.n
 
     width = 3 + 2 * n_rx + 1 + n_rx
     rows = np.empty((itr_max if record_trace else 0, width))
+    # a row is packed straight into the array's bytes: half the cost of
+    # assigning a tuple to a numpy row
+    put_row = struct.Struct(f"{width}d").pack_into
+    row_bytes, row_buf = 8 * width, memoryview(rows.reshape(-1)).cast("B")
     # the loads after each round, mapped to the first round that ended
     # there; packed, they take ~15% less memory than tuples at equal speed,
     # and equal bytes are equal loads because loads are finite and > 0
@@ -420,12 +453,10 @@ def run_distributed(
     cycle_fields = {}
     for itr in range(itr_max):
         n = itr % n_rx
+        case = turn(n, dx)
         if record_trace:
-            p_tx, p, fb = loads.measure()
-            case = loads.turn(n, dx)
-            rows[itr] = (itr + 1, n + 1, case, *x, *p, p_tx, *fb)
-        else:
-            loads.turn(n, dx)
+            p_tx, p, fb = loads.measured(n)
+            put_row(row_buf, itr * row_bytes, itr + 1, n + 1, case, *x, *p, p_tx, *fb)
         if n < n_rx - 1:
             continue
         rnd = (itr + 1) // n_rx
@@ -443,7 +474,8 @@ def run_distributed(
                 rows = rows[: itr + 1].copy()
             break
 
-    p_tx, p = loads.powers()
+    denom = loads.sums(0)[1]
+    p_tx, p = params.half_v2 / denom, loads.powers(denom)
     feasible = all(
         p[k] >= params.p_req[k] - _power_resolution(loads, k, dx) for k in range(n_rx)
     )
@@ -482,14 +514,18 @@ def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         for a in range(0, first, _CSV_CHUNK):
-            chunk = rows[a : min(a + _CSV_CHUNK, first)].tolist()
-            handle.write("".join([row_fmt % tuple(r) for r in chunk]))
+            block = rows[a : min(a + _CSV_CHUNK, first)]
+            handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
         if first == total:
             return
+        # one template per block of whole periods, each phase formatted once
+        # (formatted numbers hold no '%'); only the itr column is filled in
         period = run.cycle_period
         phases = [tail % tuple(r) for r in rows[first : first + period, 1:].tolist()]
-        for a in range(first, total, _CSV_CHUNK):
-            b = min(a + _CSV_CHUNK, total)
-            handle.write(
-                "".join([f"{i + 1},{phases[(i - first) % period]}\r\n" for i in range(a, b)])
-            )
+        row_templates = ["%d," + text + "\r\n" for text in phases] * max(1, _CSV_CHUNK // period)
+        block_fmt = "".join(row_templates)
+        for a in range(first, total, len(row_templates)):
+            b = min(a + len(row_templates), total)
+            if b - a < len(row_templates):
+                block_fmt = "".join(row_templates[: b - a])
+            handle.write(block_fmt % tuple(range(a + 1, b + 1)))

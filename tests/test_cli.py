@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, sweeps, exit codes, formatting."""
 
+import runpy
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ class TestAnalyze:
     def test_non_finite_sweep_bounds(self, capsys, spec):
         assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID
         assert "sweep bounds must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["x_1=1:2:1e-300", "x_1=1:2:5e-324", "x_1=0:10:1e-6"])
+    def test_sweep_with_too_many_points(self, capsys, spec):
+        # 1e300 points, an infinite count and 10,000,001 points: each is
+        # refused before any array is allocated
+        assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID
+        assert "sweep would have more than 10000000 points" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -239,6 +248,13 @@ class TestExitCodes:
 
     def test_missing_scenario(self):
         assert run_cli("analyze", "/no/such/file.scn") == EXIT_INVALID
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["mrcwpt", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mrcwpt", run_name="__main__")
+        assert exc.value.code == 0
+        assert "usage: mrcwpt" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, line, old, new", [
         ("analyze", 9, "phase = 0.0", "phase = inf"),

@@ -1,7 +1,9 @@
 """Distributed one-bit-feedback control: cases, traces, dynamics."""
 
 import csv
+import hashlib
 import io
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -451,3 +453,61 @@ class TestCycleDetection:
             trace_to_csv(run, config.n_receivers, out)
             assert out.read_bytes() == _csv_writer_reference(run, config.n_receivers)
         assert cycled == [True, False, True]
+
+
+def _pinned_30w():
+    return replace(bench_system(), p_req=(17.5, 17.5, 30.0)), 300_000
+
+
+def _pinned_36w():
+    return replace(bench_system(), p_req=(17.5, 17.5, 36.0)), 300_000
+
+
+def _pinned_random_n5():
+    # non-repeating within the budget; takes cases 1, 2, 3 and 5
+    return random_system(np.random.default_rng(25), n=5), 20_000
+
+
+class TestPinnedRuns:
+    """Whole runs pinned by sha256 digests recorded from an earlier
+    implementation of the turn. The step-loop references above share
+    ``_Loads.turn`` with ``run_distributed``, so only these catch a change
+    in the shared arithmetic: every float must stay bit-identical."""
+
+    @pytest.mark.parametrize(
+        "system, record_trace, shape, rows_sha, state_sha, feasible, cycle",
+        [
+            (
+                _pinned_30w, True, (37_275, 13),
+                "7468425aa2a40f1ae5a1b7242ae8885fdfacbe62e27f2132a57bf0e5351d52ba",
+                "b8e9d14dc6fe0bb6a67bd98a8d6936770e4f4357a48e9a55c4f20e114b717d8f",
+                True, (6, 37_269, (112.00814021164204, 112.01239532352689)),
+            ),
+            (
+                _pinned_36w, False, (0, 13),
+                # the digest of no bytes: an untraced run keeps no rows
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "57aa3f361b423d4f4bed7c728efd697da23190f12a8b88e61429fa1c5d29a47b",
+                False, (3, 58_613, (119.10060896501801, 119.10060896501801)),
+            ),
+            (
+                _pinned_random_n5, True, (20_000, 19),
+                "199fc80405887bf19f3f5f83041afef7870b79906d3f7d2ccb7ce802a601365f",
+                "9b350eb745a085c7a1a010ce25a0f40c3fc5672ad343bdb612838c7e1130feed",
+                False, (None, None, None),
+            ),
+        ],
+        ids=["bundled-30W-traced", "bundled-36W-untraced", "random-n5-traced"],
+    )
+    def test_digests_unchanged(
+        self, system, record_trace, shape, rows_sha, state_sha, feasible, cycle
+    ):
+        config, itr_max = system()
+        run = run_distributed(config, dx=1e-3, itr_max=itr_max, record_trace=record_trace)
+        n = config.n_receivers
+        state = struct.pack(f"<{2 * n + 1}d", *run.x, *run.p, run.p_tx)
+        assert run.rows.shape == shape
+        assert hashlib.sha256(run.rows.astype("<f8").tobytes()).hexdigest() == rows_sha
+        assert hashlib.sha256(state).hexdigest() == state_sha
+        assert run.feasible is feasible
+        assert _cycle_fields(run) == cycle
