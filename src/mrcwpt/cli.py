@@ -6,8 +6,9 @@ scheduling, power-region export, and coupling estimation from a
 transmitter-side power reading. All numeric output uses scientific
 notation with 12 significant digits; CSV goes to --out or stdout.
 
-Exit codes: 0 success, 1 bad input (usage, parse, validation),
-2 infeasible problem, 3 numerical failure.
+Exit codes: 0 success, 1 bad input (usage, parse, validation) or an
+output file that cannot be written, 2 infeasible problem, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, ValidationError, InconsistentMeasurementError,
-            NoFiniteMaximizerError) as exc:
+            NoFiniteMaximizerError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
     except InfeasibleProblemError as exc:

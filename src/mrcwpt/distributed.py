@@ -52,6 +52,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._csvfmt import RowFormat
 from .circuit import SwitchState, SystemConfig, solo_peak_loads
 from .errors import ValidationError
 
@@ -59,8 +60,9 @@ from .errors import ValidationError
 _REQ_TOL = 1e-9
 # absolute band for probe power comparisons, suppresses float flicker (W)
 _PROBE_TOL = 1e-12
-# trace rows formatted per write when exporting CSV
-_CSV_CHUNK = 256
+# trace rows encoded per write when exporting CSV: at N = 3 (13 values a
+# row) about as many values, and as much scratch memory, as a region block
+_CSV_CHUNK = 1024
 
 
 class Direction(Enum):
@@ -496,6 +498,14 @@ def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
     Reads the simulated ``rows`` only: rows on a detected cycle differ
     only in ``itr``, so each of them is formatted once and reused.
     """
+    try:
+        with open(path, "w", newline="") as handle:
+            _write_trace_csv(run, n_receivers, handle)
+    except OSError as exc:
+        raise OSError(f"cannot write trace CSV to {path}: {exc}") from exc
+
+
+def _write_trace_csv(run: DistributedRun, n_receivers: int, handle) -> None:
     header = (
         ["itr", "receiver", "case"]
         + [f"x_{k + 1}" for k in range(n_receivers)]
@@ -506,26 +516,24 @@ def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
     # the text csv.writer makes of these rows: nothing needs quoting
     tail = ",".join(
         ["%d", "%d"] + ["%.11e"] * (2 * n_receivers + 1) + ["%d"] * n_receivers
-    )
-    row_fmt = "%d," + tail + "\r\n"
+    ) + "\r\n"
+    encode = RowFormat("%d," + tail)
     rows = run.rows
     total = run.iterations if len(rows) else 0
     first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
-        for a in range(0, first, _CSV_CHUNK):
-            block = rows[a : min(a + _CSV_CHUNK, first)]
-            handle.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
-        if first == total:
-            return
-        # one template per block of whole periods, each phase formatted once
-        # (formatted numbers hold no '%'); only the itr column is filled in
-        period = run.cycle_period
-        phases = [tail % tuple(r) for r in rows[first : first + period, 1:].tolist()]
-        row_templates = ["%d," + text + "\r\n" for text in phases] * max(1, _CSV_CHUNK // period)
-        block_fmt = "".join(row_templates)
-        for a in range(first, total, len(row_templates)):
-            b = min(a + len(row_templates), total)
-            if b - a < len(row_templates):
-                block_fmt = "".join(row_templates[: b - a])
-            handle.write(block_fmt % tuple(range(a + 1, b + 1)))
+    handle.write(",".join(header) + "\r\n")
+    for a in range(0, first, _CSV_CHUNK):
+        handle.write(encode(rows[a : min(a + _CSV_CHUNK, first)]))
+    if first == total:
+        return
+    # one template per block of whole periods, each phase formatted once
+    # (formatted numbers hold no '%'); only the itr column is filled in
+    period = run.cycle_period
+    phases = RowFormat(tail)(rows[first : first + period, 1:]).splitlines(keepends=True)
+    row_templates = ["%d," + text for text in phases] * max(1, _CSV_CHUNK // period)
+    block_fmt = "".join(row_templates)
+    for a in range(first, total, len(row_templates)):
+        b = min(a + len(row_templates), total)
+        if b - a < len(row_templates):
+            block_fmt = "".join(row_templates[: b - a])
+        handle.write(block_fmt % tuple(range(a + 1, b + 1)))

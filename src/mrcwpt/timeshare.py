@@ -278,13 +278,16 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
         + ["p_tx"]
         + [f"p_{k + 1}" for k in range(n)]
     )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        a, b = _config_coefficients(sys, sched.configs, sched.x)
-        for q, sw in enumerate(sched.configs):
-            row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
-            row += [f"{v:.11e}" for v in sched.x[q]]
-            row.append(f"{a[q]:.11e}")
-            row += [f"{v:.11e}" for v in b[:, q]]
-            writer.writerow(row)
+    a, b = _config_coefficients(sys, sched.configs, sched.x)
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            for q, sw in enumerate(sched.configs):
+                row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
+                row += [f"{v:.11e}" for v in sched.x[q]]
+                row.append(f"{a[q]:.11e}")
+                row += [f"{v:.11e}" for v in b[:, q]]
+                writer.writerow(row)
+    except OSError as exc:
+        raise OSError(f"cannot write schedule CSV to {path}: {exc}") from exc

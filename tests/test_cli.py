@@ -273,3 +273,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         key = new.split()[0]
         assert f"{path}:{line}:1: '{key}' must be a finite number" in err
+
+
+class TestUnwritableOutput:
+    """An --out path in a missing directory exits 1 with the path in the
+    message, and no traceback."""
+
+    @pytest.fixture
+    def short_run(self, tmp_path):
+        from mrcwpt import parse_scenario, serialize_scenario
+        from mrcwpt.scenario import ScenarioOptions
+
+        config, options = parse_scenario("three_receivers")
+        fast = ScenarioOptions(
+            x_nominal=options.x_nominal, dx=1e-2, itr_max=200,
+            dp_stop=options.dp_stop, tau_total=options.tau_total,
+        )
+        path = tmp_path / "fast.scn"
+        path.write_text(serialize_scenario(config, fast))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("region", "two_receivers"),
+        ("distributed", None),
+        ("timeshare", "two_receivers"),
+        ("analyze", "three_receivers", "--sweep", "x_1=1:3:1"),
+        ("optimize", "three_receivers", "--sweep", "p_req_3=5:6:1"),
+    ], ids=["region", "distributed", "timeshare", "analyze-sweep", "optimize-sweep"])
+    def test_exits_1_naming_the_path(self, argv, short_run, tmp_path, capsys):
+        argv = [short_run if a is None else a for a in argv]
+        out = tmp_path / "no" / "such" / "dir" / "out.csv"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(out) in err
+        assert "Traceback" not in err

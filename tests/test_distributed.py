@@ -511,3 +511,32 @@ class TestPinnedRuns:
         assert hashlib.sha256(state).hexdigest() == state_sha
         assert run.feasible is feasible
         assert _cycle_fields(run) == cycle
+
+
+class TestTraceCsv:
+    def test_bundled_30w_digest(self, tmp_path):
+        # the 43 MB trace of the benchmark's 30 W request, pinned by its
+        # digest from the row-template writer that preceded the block encoder
+        config, itr_max = _pinned_30w()
+        out = tmp_path / "trace.csv"
+        trace_to_csv(run_distributed(config, dx=1e-3, itr_max=itr_max), 3, out)
+        data = out.read_bytes()
+        assert len(data) == 43_088_958
+        assert hashlib.sha256(data).hexdigest() == (
+            "0ce36512103f7232204897d02782789d4a10e45aa45f9d7a5675a5f38f24b3da"
+        )
+
+    def test_eleven_receivers_match_csv_writer(self, tmp_path):
+        # two-digit receiver numbers, and iteration numbers that reach four
+        # digits inside one block
+        config = random_system(np.random.default_rng(31), n=11)
+        run = run_distributed(config, dx=1e-3, itr_max=1_500)
+        out = tmp_path / "trace.csv"
+        trace_to_csv(run, 11, out)
+        assert out.read_bytes() == _csv_writer_reference(run, 11)
+
+    def test_write_failure_carries_path(self, bench3, tmp_path):
+        run = run_distributed(bench3, dx=1e-3, itr_max=30)
+        missing = tmp_path / "no" / "such" / "dir" / "trace.csv"
+        with pytest.raises(OSError, match="cannot write trace CSV to .*trace.csv"):
+            trace_to_csv(run, 3, missing)

@@ -1,6 +1,7 @@
 """Power regions: sampling, Pareto and hull boundaries, containment, CSV."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -22,6 +23,7 @@ from mrcwpt import (
     thresholds,
 )
 from mrcwpt import region
+from mrcwpt.cli import main
 from mrcwpt.region import PowerRegionSample
 
 from conftest import bench_system
@@ -344,3 +346,36 @@ class TestCsvBytes:
                                    boundary=np.zeros((0, 2)))
         assert _written_bytes(sample, tmp_path) == b"p_1,p_2,section\r\n"
         assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
+
+
+class TestPinnedCsv:
+    """Default-grid CLI region CSVs, which fill many whole blocks, pinned by
+    sha256 digests recorded from the row-template writer that preceded the
+    block encoder."""
+
+    @pytest.mark.parametrize(
+        "argv, sha, size",
+        [
+            (("three_receivers",),
+             "2068b28d0a49773420ab865d9864e06a9d493d94e1669e8436493dbf74120fd5", 14_068_373),
+            (("three_receivers", "--with-ts"),
+             "c7595c83feaef0649f45b41b7bbc65c9b2f9db97bb6caed850d1e0a80a30c3ca", 14_146_507),
+            (("two_receivers", "--with-ts"),
+             "d5ba78f5c2e67a5304dfe2b6be9b45c41db5d805fabb77725949e567c4a55fdf", 1_781_433),
+        ],
+        ids=["three", "three-with-ts", "two-with-ts"],
+    )
+    def test_out_file(self, argv, sha, size, tmp_path):
+        out = tmp_path / "region.csv"
+        assert main(["region", *argv, "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha
+
+    def test_stdout(self, capsys):
+        assert main(["region", "two_receivers"]) == 0
+        data = capsys.readouterr().out.encode()
+        assert len(data) == 1_792_309
+        assert hashlib.sha256(data).hexdigest() == (
+            "2ccf4a06c1c49011c20e332b0499f0815fe9e96b9ff5538286ce298e82892274"
+        )

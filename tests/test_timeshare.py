@@ -301,3 +301,10 @@ class TestOptimizeSchedule:
         assert lines[0] == "q,mask,tau,x_1,x_2,x_3,p_tx,p_1,p_2,p_3"
         assert len(lines) == 8
         assert lines[1].split(",")[1] == "111"
+
+
+def test_schedule_csv_write_failure_carries_path(bench3, tmp_path):
+    result = optimize_schedule(bench3, tau_total=1.0, dp_stop=1e-3)
+    missing = tmp_path / "no" / "such" / "dir" / "schedule.csv"
+    with pytest.raises(OSError, match="cannot write schedule CSV to .*schedule.csv"):
+        schedule_to_csv(bench3, result.schedule, missing)
