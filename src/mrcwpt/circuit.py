@@ -12,11 +12,12 @@ only; an open switch removes its receiver from the circuit entirely.
 
 The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
-derivatives, the time-sharing slots, the region grids and the grid oracle.
-Two copies are kept on purpose: :func:`solve_linear_oracle` solves the full
-mesh equations as the independent cross-check, and ``distributed._Loads``
-keeps a plain-float copy with cached per-receiver terms in the per-probe
-hot loop of the simulation.
+derivatives, the time-sharing slots, the region grids, the grid oracle and
+the distributed run's once-per-run final-state slack. Two copies are kept
+on purpose: :func:`solve_linear_oracle` solves the full mesh equations as
+the independent cross-check, and ``distributed._Loads`` keeps a plain-float
+copy with cached per-receiver terms for the per-turn path alone, the
+probes and measurements of every simulated turn.
 """
 
 from __future__ import annotations

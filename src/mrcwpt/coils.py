@@ -147,7 +147,9 @@ def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:
     ``coil1`` must sit at the origin with its normal along +z; ``coil2`` may
     be placed and oriented freely. Valid when the separation is much larger
     than both mean radii; a warning is issued below
-    ``DIPOLE_RANGE_FACTOR`` times the larger radius.
+    ``DIPOLE_RANGE_FACTOR`` times the larger radius, and a ``ValidationError``
+    raised when the formula's value exceeds sqrt(l1*l2), which no pair of
+    coils can couple.
     """
     if any(abs(c) > 0.0 for c in coil1.center):
         raise ValidationError("coil1 must be centered at the origin")
@@ -181,7 +183,12 @@ def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:
 
     l1 = derive_coil_electrical(coil1).self_inductance
     l2 = derive_coil_electrical(coil2).self_inductance
-    assert abs(h) <= math.sqrt(l1 * l2), "coupling exceeds sqrt(l1*l2)"
+    if abs(h) > math.sqrt(l1 * l2):
+        # the dipole formula overshoots at close range
+        raise ValidationError(
+            f"derived coupling |h| = {abs(h):.6g} H exceeds sqrt(l1*l2) = "
+            f"{math.sqrt(l1 * l2):.6g} H: the coils are too close for the dipole formula"
+        )
     return h
 
 

@@ -53,7 +53,7 @@ from enum import Enum
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, solo_peak_loads
+from .circuit import SwitchState, SystemConfig, resonant_powers, solo_peak_loads
 from .errors import ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
@@ -128,9 +128,11 @@ class DistributedRun:
         rows = self.rows
         if len(rows) in (0, self.iterations):
             return rows
-        trace = np.empty((self.iterations, rows.shape[1]))
-        trace[: len(rows)] = rows
-        _tile(trace, self.cycle_start - 1, self.cycle_period, len(rows))
+        # a row past the simulated ones is the row at the same phase of the cycle
+        i = np.arange(self.iterations)
+        start = self.cycle_start - 1
+        trace = rows[np.where(i < len(rows), i, start + (i - start) % self.cycle_period)]
+        trace[:, 0] = i + 1
         return trace
 
 
@@ -198,7 +200,7 @@ class _Loads:
 
     def powers(self, denom: float) -> list[float]:
         """Every load's power at the current loads, ``denom`` being their
-        denominator (a turn's ``denom``, or the second value of ``sums``)."""
+        denominator (a turn's ``denom``, or :meth:`denominator`)."""
         d2 = denom * denom
         return [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
 
@@ -213,26 +215,13 @@ class _Loads:
         p[n] = self.pn
         return self.params.half_v2 / self.denom, p, self.feedback(p)
 
-    def sums(self, n: int) -> tuple[float, float]:
-        """The prefix r_tx + term[0] + ... + term[n - 1] and the full
-        denominator continued from it."""
-        prefix = self.params.r_tx
-        for t in self.term[:n]:
-            prefix += t
-        denom = prefix
-        for t in self.term[n:]:
+    def denominator(self) -> float:
+        """The denominator at the current loads, r_tx + term[0] + ... +
+        term[N - 1] summed in order, as a turn sums it."""
+        denom = self.params.r_tx
+        for t in self.term:
             denom += t
-        return prefix, denom
-
-    def own_power(self, n: int, xn: float, prefix: float) -> float:
-        """Load n's power with x_n replaced by ``xn``, the others unchanged;
-        ``prefix`` is the first value of :meth:`sums`. ``turn`` evaluates
-        its probes with this expression, inlined."""
-        prm = self.params
-        denom = prefix + prm.wh2[n] / (prm.r[n] + xn)
-        for t in self.term[n + 1 :]:
-            denom += t
-        return prm.coef[n] * xn / ((prm.r[n] + xn) ** 2 * denom * denom)
+        return denom
 
     def turn(self, n: int, dx: float) -> int:
         """Apply one update for receiver n; returns the case (1-5).
@@ -314,27 +303,27 @@ class _Loads:
         return lo, hi
 
 
-def _power_resolution(loads: _Loads, n: int, dx: float) -> float:
-    """Largest change one dx step anywhere can make to load n's power.
-
-    Estimated from the power's finite differences over single-coordinate
-    steps; used as the feasibility slack for the final-state report.
+def _power_resolution(
+    sys: SystemConfig, x: list[float], p: list[float], dx: float
+) -> np.ndarray:
+    """Per receiver, the largest change one dx step anywhere can make to
+    its power ``p`` at loads ``x``: the larger of its own +dx and -dx
+    steps (the lower one at least half the load) plus every other load's
+    +dx step, from one kernel call over the 2N single-load moves. Used as
+    the feasibility slack for the final-state report.
     """
-    params, x = loads.params, loads.x
-    prefix, _ = loads.sums(n)
-    base = loads.own_power(n, x[n], prefix)
-    span = abs(loads.own_power(n, x[n] + dx, prefix) - base)
-    span = max(span, abs(loads.own_power(n, max(x[n] - dx, 0.5 * x[n]), prefix) - base))
-    denom0 = params.r_tx + sum(loads.term)
-    for m in range(params.n):
-        if m == n:
-            continue
-        # shifting x_m by dx scales every power through the shared denominator
-        shift = params.wh2[m] / (params.r[m] + x[m] + dx) - params.wh2[m] / (
-            params.r[m] + x[m]
-        )
-        span += base * abs((denom0 / (denom0 + shift)) ** 2 - 1.0)
-    return span + _PROBE_TOL
+    n, xs = len(x), np.array(x)
+    k = np.arange(n)
+    # row k moves load k up by dx, row n + k moves it down
+    moved = np.tile(xs, (2 * n, 1))
+    moved[k, k] = xs + dx
+    moved[n + k, k] = np.maximum(xs - dx, 0.5 * xs)
+    _, powers, _ = resonant_powers(sys, moved.T, (1,) * n)
+    # change[m, j]: how far load j's power moves with move m
+    change = np.abs(np.stack(powers, axis=-1) - np.array(p))
+    own = np.maximum(change[k, k], change[n + k, k])
+    change[k, k] = 0.0
+    return own + change[:n].sum(axis=0) + _PROBE_TOL
 
 
 def init_distributed(sys: SystemConfig) -> DistributedState:
@@ -346,7 +335,7 @@ def init_distributed(sys: SystemConfig) -> DistributedState:
     """
     x = solo_peak_loads(sys)
     loads = _Loads(_Params(sys), x)
-    fb = loads.feedback(loads.powers(loads.sums(0)[1]))
+    fb = loads.feedback(loads.powers(loads.denominator()))
     return DistributedState(x=x, fb=fb, itr=0)
 
 
@@ -405,20 +394,6 @@ def _cycle_start(seen: dict, mu: int, n_rx: int) -> int:
     return (mu - 1) * n_rx + k + 1
 
 
-def _tile(trace: np.ndarray, first_row: int, period: int, filled: int) -> None:
-    """Fill ``trace`` from row ``filled`` on by repeating rows
-    ``first_row..filled - 1``, which repeat every ``period`` rows, with
-    the ``itr`` column renumbered. Copies in place, doubling each time."""
-    end = len(trace)
-    while filled < end:
-        span = (filled - first_row) // period * period
-        count = min(span, end - filled)
-        block = trace[filled : filled + count]
-        block[:] = trace[filled - span : filled - span + count]
-        block[:, 0] += span
-        filled += count
-
-
 def run_distributed(
     sys: SystemConfig,
     dx: float = 1e-3,
@@ -437,16 +412,15 @@ def run_distributed(
     if itr_max < 1:
         raise ValidationError("itr_max must be >= 1")
     params = _Params(sys)
-    loads = _Loads(params, init_distributed(sys).x)
+    loads = _Loads(params, solo_peak_loads(sys))
     x, turn = loads.x, loads.turn
     n_rx = params.n
 
     width = 3 + 2 * n_rx + 1 + n_rx
-    rows = np.empty((itr_max if record_trace else 0, width))
-    # a row is packed straight into the array's bytes: half the cost of
-    # assigning a tuple to a numpy row
-    put_row = struct.Struct(f"{width}d").pack_into
-    row_bytes, row_buf = 8 * width, memoryview(rows.reshape(-1)).cast("B")
+    # the simulated rows, packed: half the cost of assigning a tuple to a
+    # numpy row, and only as long as the run simulates
+    buf = bytearray()
+    pack_row = struct.Struct(f"{width}d").pack
     # the loads after each round, mapped to the first round that ended
     # there; packed, they take ~15% less memory than tuples at equal speed,
     # and equal bytes are equal loads because loads are finite and > 0
@@ -458,7 +432,7 @@ def run_distributed(
         case = turn(n, dx)
         if record_trace:
             p_tx, p, fb = loads.measured(n)
-            put_row(row_buf, itr * row_bytes, itr + 1, n + 1, case, *x, *p, p_tx, *fb)
+            buf += pack_row(itr + 1, n + 1, case, *x, *p, p_tx, *fb)
         if n < n_rx - 1:
             continue
         rnd = (itr + 1) // n_rx
@@ -472,22 +446,19 @@ def run_distributed(
                 "cycle_p_tx": loads.advance(period, dx),
             }
             loads.advance((itr_max - itr - 1) % period, dx)
-            if record_trace:
-                rows = rows[: itr + 1].copy()
             break
 
-    denom = loads.sums(0)[1]
+    denom = loads.denominator()
     p_tx, p = params.half_v2 / denom, loads.powers(denom)
-    feasible = all(
-        p[k] >= params.p_req[k] - _power_resolution(loads, k, dx) for k in range(n_rx)
-    )
+    slack = _power_resolution(sys, x, p, dx)
+    feasible = all(p[k] >= params.p_req[k] - slack[k] for k in range(n_rx))
     return DistributedRun(
         x=tuple(x),
         feasible=feasible,
         iterations=itr_max,
         p_tx=p_tx,
         p=tuple(p),
-        rows=rows,
+        rows=np.frombuffer(buf).reshape(-1, width),
         **cycle_fields,
     )
 

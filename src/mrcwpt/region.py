@@ -33,6 +33,9 @@ _ROW_CHUNK = 1024
 # rows encoded per write when exporting CSV; the encoder's scratch memory
 # grows with the block (about 0.9 MiB for 4,096 rows of three powers)
 _CSV_CHUNK = 4096
+# most power values (sampled tuples times receivers) a region may hold:
+# 0.8 GB as float64, above every default-grid region up to N = 4
+_MAX_REGION_VALUES = 10**8
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,24 @@ class PowerRegionSample:
     grid_points: int
     bounds: tuple[tuple[float, float], ...]
     boundary: np.ndarray
+
+
+def _grid_points(sys: SystemConfig, grid_points: int | None, loads: int, with_ts: bool) -> int:
+    """The grid size to sample ``loads`` loads on, the default for None,
+    checked before anything is sampled: a grid of g points per load gives
+    g**loads power tuples, (g + 1)**loads when every switch configuration
+    and the origin are pooled for time sharing."""
+    if grid_points is None:
+        grid_points = DEFAULT_GRID_2D if loads <= 2 else DEFAULT_GRID_3D
+    if grid_points < 2:
+        raise ValidationError("grid_points must be at least 2")
+    count = (grid_points + with_ts) ** loads
+    if count * sys.n_receivers > _MAX_REGION_VALUES:
+        raise ValidationError(
+            f"grid_points = {grid_points} gives {count} power tuples of "
+            f"{sys.n_receivers} receivers, more than {_MAX_REGION_VALUES} values"
+        )
+    return grid_points
 
 
 def _power_samples(sys: SystemConfig, sw: SwitchState, grid_points: int) -> np.ndarray:
@@ -286,10 +307,7 @@ def sample_region_without_ts(
     """Concurrent-transfer region: power tuples over a log grid of the load box."""
     if sw is None:
         sw = SwitchState.all_closed(sys.n_receivers)
-    if grid_points is None:
-        grid_points = DEFAULT_GRID_2D if len(sw.connected) <= 2 else DEFAULT_GRID_3D
-    if grid_points < 2:
-        raise ValidationError("grid_points must be at least 2")
+    grid_points = _grid_points(sys, grid_points, len(sw.connected), with_ts=False)
     points = _power_samples(sys, sw, grid_points)
     return PowerRegionSample(
         points=points,
@@ -309,10 +327,7 @@ def sample_region_with_ts(
     explicit time-fraction grid.
     """
     n = sys.n_receivers
-    if grid_points is None:
-        grid_points = DEFAULT_GRID_2D if n <= 2 else DEFAULT_GRID_3D
-    if grid_points < 2:
-        raise ValidationError("grid_points must be at least 2")
+    grid_points = _grid_points(sys, grid_points, n, with_ts=True)
 
     pools = [np.zeros((1, n))]
     for sw in enumerate_configs(n):

@@ -276,7 +276,10 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
                 raise ScenarioError(
                     f"{label}: h = derive needs transmitter geometry", path, h_line, h_col
                 )
-            h = mutual_inductance(tx_geom, geom)
+            try:
+                h = mutual_inductance(tx_geom, geom)
+            except ValidationError as exc:
+                raise ScenarioError(f"{label}: {exc}", path, h_line, h_col) from exc
         else:
             h = _finite("h", h_raw, "a finite number or 'derive'", path, h_line, h_col)
         lo = _as_float(section, "x_lo", path)

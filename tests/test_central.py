@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcwpt import (
     ChargingProblem,
@@ -301,6 +303,79 @@ class TestScalarReduction:
                 assert mesh.p[k] >= config.p_req[k] * (1.0 - 1e-9)
             # loose on purpose: the reduction takes milliseconds here
             assert elapsed < 0.5
+
+
+@st.composite
+def charging_problems(draw):
+    """A random system whose requirements are a drawn multiple (0.2 to 3)
+    of the powers at a random load point: feasible and infeasible alike."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config, _ = feasible_random_system(rng, draw(st.integers(1, 5)))
+    scale = draw(st.floats(0.25, 3.75))
+    return replace(config, p_req=tuple(scale * p for p in config.p_req))
+
+
+def _same_solution(a, b, rel):
+    assert a.status is b.status
+    if a.status is SolveStatus.OPTIMAL:
+        assert a.x == pytest.approx(b.x, rel=rel)
+        assert a.p == pytest.approx(b.p, rel=rel)
+        assert a.p_tx == pytest.approx(b.p_tx, rel=rel)
+
+
+class TestSolverProperties:
+    """Invariances and monotonicity of the centralized solver on drawn
+    problems (derandomized, so every run draws the same examples)."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(charging_problems(), st.data())
+    def test_flipping_a_coupling_sign_changes_nothing(self, config, data):
+        k = data.draw(st.integers(0, config.n_receivers - 1))
+        h = list(config.h)
+        h[k] = -h[k]
+        base = optimize_loads(ChargingProblem(sys=config))
+        flipped = optimize_loads(ChargingProblem(sys=replace(config, h=tuple(h))))
+        # repr spells every float exactly (and nan as nan)
+        assert repr(flipped) == repr(base)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(charging_problems(), st.data())
+    def test_uncoupled_receiver_without_requirement_changes_nothing(self, config, data):
+        at = data.draw(st.integers(0, config.n_receivers))
+        coil = config.receivers[data.draw(st.integers(0, config.n_receivers - 1))]
+
+        def insert(values, value):
+            return tuple(values[:at]) + (value,) + tuple(values[at:])
+
+        grown = replace(
+            config, receivers=insert(config.receivers, coil), h=insert(config.h, 0.0),
+            x_lo=insert(config.x_lo, 1.0), x_hi=insert(config.x_hi, 10.0),
+            p_req=insert(config.p_req, 1.0),
+        )
+        base = optimize_loads(ChargingProblem(sys=config))
+        sol = optimize_loads(ChargingProblem(sys=grown, p_req_eff=insert(config.p_req, 0.0)))
+        assert sol.status is base.status
+        if sol.status is SolveStatus.OPTIMAL:
+            assert sol.p[at] == 0.0
+            drop = [k for k in range(grown.n_receivers) if k != at]
+            reduced = replace(sol, x=tuple(sol.x[k] for k in drop),
+                              p=tuple(sol.p[k] for k in drop))
+            _same_solution(reduced, base, rel=1e-12)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(charging_problems(), st.data())
+    def test_raising_a_requirement_never_lowers_p_tx(self, config, data):
+        k = data.draw(st.integers(0, config.n_receivers - 1))
+        factor = data.draw(st.floats(1.0, 4.0))
+        reqs = list(config.p_req)
+        reqs[k] *= factor
+        base = optimize_loads(ChargingProblem(sys=config))
+        raised = optimize_loads(ChargingProblem(sys=replace(config, p_req=tuple(reqs))))
+        if base.status is SolveStatus.INFEASIBLE:
+            assert raised.status is SolveStatus.INFEASIBLE
+        elif raised.status is SolveStatus.OPTIMAL:
+            # the roots are found to a few ulps: allow that much below
+            assert raised.p_tx >= base.p_tx * (1.0 - 1e-12)
 
 
 class TestBruteForceOracle:

@@ -209,6 +209,25 @@ class TestRegion:
     def test_bad_mask_length(self, capsys):
         assert run_cli("region", "two_receivers", "--mask", "101") == EXIT_INVALID
 
+    @pytest.mark.parametrize("flags, count", [
+        ((), 100_000**3), (("--with-ts",), 100_001**3),
+    ], ids=["without-ts", "with-ts"])
+    def test_oversized_grid_exits_1_naming_the_count(self, flags, count, tmp_path, capsys):
+        from mrcwpt import parse_scenario, serialize_scenario
+        from mrcwpt.scenario import ScenarioOptions
+
+        config, options = parse_scenario("three_receivers")
+        huge = ScenarioOptions(x_nominal=options.x_nominal, grid_points=100_000)
+        path = tmp_path / "huge.scn"
+        path.write_text(serialize_scenario(config, huge))
+        out = tmp_path / "x.csv"
+        assert run_cli("region", str(path), *flags, "--out", str(out)) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{count} power tuples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestEstimateH:
     def test_round_trip_against_scenario(self, capsys):
@@ -273,6 +292,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         key = new.split()[0]
         assert f"{path}:{line}:1: '{key}' must be a finite number" in err
+
+
+def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):
+    from test_scenario import CLOSE_RANGE_DERIVE
+
+    path = tmp_path / "close.scn"
+    path.write_text(CLOSE_RANGE_DERIVE)
+    with pytest.warns(UserWarning, match="separation"):
+        assert run_cli("analyze", str(path)) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:16:1: receiver 1: derived coupling")
+    assert "Traceback" not in err
 
 
 class TestUnwritableOutput:

@@ -19,13 +19,14 @@ from mrcwpt import (
     probe_direction,
     run_distributed,
     solve_closed_form,
+    solve_linear_oracle,
     step,
     thresholds,
     trace_to_csv,
 )
-from mrcwpt.distributed import DistributedState, _Loads, _Params
+from mrcwpt.distributed import DistributedState, _Loads, _Params, _power_resolution
 
-from conftest import bench_system, random_system
+from conftest import bench_system, random_loads, random_system
 
 
 class TestInit:
@@ -408,6 +409,15 @@ class TestCycleDetection:
         assert (run.cycle_period, run.cycle_start) == (6, 37_269)
         assert run.rows.shape == (37_275, 13)
 
+    def test_rows_do_not_scale_with_the_budget(self, bench3):
+        # a budget no array could hold: only the simulated rows are kept
+        config = replace(bench3, p_req=(17.5, 17.5, 30.0))
+        huge = run_distributed(config, dx=1e-3, itr_max=10**12)
+        run = run_distributed(config, dx=1e-3, itr_max=300_000)
+        assert huge.iterations == 10**12
+        assert np.array_equal(huge.rows, run.rows)
+        assert _cycle_fields(huge) == _cycle_fields(run)
+
     def test_trace_is_built_on_first_read(self, tmp_path):
         config = _late_cycle_single_receiver()
         run = run_distributed(config, dx=1e-3, itr_max=3_001)
@@ -453,6 +463,42 @@ class TestCycleDetection:
             trace_to_csv(run, config.n_receivers, out)
             assert out.read_bytes() == _csv_writer_reference(run, config.n_receivers)
         assert cycled == [True, False, True]
+
+
+def _oracle_slack(config, x, dx):
+    """The final-state slack of every receiver from the mesh equations: its
+    larger own +-dx change (the lower load at least half the load) plus
+    each other load's +dx change."""
+    n = config.n_receivers
+
+    def powers(k, value):
+        moved = list(x)
+        moved[k] = value
+        return np.array(solve_linear_oracle(config, None, moved).p)
+
+    base = np.array(solve_linear_oracle(config, None, x).p)
+    up = [np.abs(powers(k, x[k] + dx) - base) for k in range(n)]
+    down = [np.abs(powers(k, max(x[k] - dx, 0.5 * x[k])) - base) for k in range(n)]
+    return [
+        max(up[k][k], down[k][k]) + sum(up[m][k] for m in range(n) if m != k) + 1e-12
+        for k in range(n)
+    ]
+
+
+def test_final_slack_matches_mesh_oracle(bench3):
+    rng = np.random.default_rng(41)
+    states = [(replace(bench3, p_req=(17.5, 17.5, 30.0)), None)]
+    for _ in range(10):
+        config = random_system(rng, n=int(rng.integers(1, 6)))
+        states.append((config, random_loads(rng, config)))
+    # a load below dx, whose lower move halves it
+    states.append((bench3, [5e-4, 2.5, 40.0]))
+    for config, x in states:
+        if x is None:
+            x = list(run_distributed(config, dx=1e-3, itr_max=50_000, record_trace=False).x)
+        p = list(solve_closed_form(config, None, x).p)
+        slack = _power_resolution(config, x, p, 1e-3)
+        assert slack == pytest.approx(_oracle_slack(config, x, 1e-3), rel=1e-8)
 
 
 def _pinned_30w():

@@ -26,7 +26,7 @@ from mrcwpt import region
 from mrcwpt.cli import main
 from mrcwpt.region import PowerRegionSample
 
-from conftest import bench_system
+from conftest import bench_system, random_system
 
 
 @pytest.fixture(params=[None, 3], ids=["default-chunk", "chunk-3"])
@@ -205,6 +205,43 @@ class TestWithoutTs:
     def test_grid_guard(self, bench2):
         with pytest.raises(ValidationError):
             sample_region_without_ts(bench2, None, 1)
+
+
+class TestGridCap:
+    """Grids are counted before anything is sampled: at most 10**8 power
+    values (tuples times receivers)."""
+
+    def test_default_grids_up_to_four_receivers_fit(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 5):
+            config = random_system(rng, n=n)
+            for with_ts in (False, True):
+                expected = region.DEFAULT_GRID_2D if n <= 2 else region.DEFAULT_GRID_3D
+                assert region._grid_points(config, None, n, with_ts) == expected
+
+    def test_cap_counts_tuples_times_receivers(self, bench3):
+        # 321**3 * 3 = 99,228,483 values fit; 322**3 * 3 = 100,158,744 do not
+        assert region._grid_points(bench3, 321, 3, False) == 321
+        with pytest.raises(ValidationError, match="33386248 power tuples"):
+            region._grid_points(bench3, 322, 3, False)
+        # with time sharing every configuration and the origin: (g + 1)**N
+        assert region._grid_points(bench3, 320, 3, True) == 320
+        with pytest.raises(ValidationError, match="33386248 power tuples"):
+            region._grid_points(bench3, 321, 3, True)
+        # two connected loads of three receivers
+        assert region._grid_points(bench3, 5_773, 2, False) == 5_773
+        with pytest.raises(ValidationError, match="33339076 power tuples"):
+            region._grid_points(bench3, 5_774, 2, False)
+
+    def test_samplers_refuse_before_sampling(self, bench3):
+        # grids no array could hold, so a missing check fails at once
+        with pytest.raises(ValidationError, match=f"{10**15} power tuples"):
+            sample_region_without_ts(bench3, None, 10**5)
+        with pytest.raises(ValidationError, match=f"{(10**5 + 1) ** 3} power tuples"):
+            sample_region_with_ts(bench3, 10**5)
+        # a masked region samples only its connected loads
+        with pytest.raises(ValidationError, match=f"{10**10} power tuples"):
+            sample_region_without_ts(bench3, SwitchState.from_mask("011"), 10**5)
 
 
 class TestWithTs:

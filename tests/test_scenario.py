@@ -29,6 +29,28 @@ x_hi = 10.0
 p_req = 0.5
 """
 
+# two 0.1 m coils 1 mm apart, coupled through the dipole formula
+CLOSE_RANGE_DERIVE = """
+[source]
+v_tx = 10.0
+w = 1e7
+[transmitter]
+inner_radius = 0.099
+outer_radius = 0.101
+turns = 10
+resistivity = 1.68e-8
+[receiver 1]
+inner_radius = 0.099
+outer_radius = 0.101
+turns = 10
+resistivity = 1.68e-8
+center = 0 0 0.001
+h = derive
+x_lo = 1.0
+x_hi = 10.0
+p_req = 0.5
+"""
+
 
 class TestParsing:
     def test_bundled_three_receiver_benchmark(self):
@@ -123,6 +145,15 @@ class TestErrors:
         bad = MINIMAL.replace("h = 1e-7", "h = derive")
         with pytest.raises(ScenarioError, match="derive"):
             parse_scenario_text(bad)
+
+    def test_derived_coupling_at_close_range_rejected(self):
+        # two 0.1 m coils 1 mm apart: the dipole formula gives |h| far
+        # above sqrt(l1*l2)
+        with pytest.warns(UserWarning, match="separation"):
+            with pytest.raises(ScenarioError, match=r"receiver 1: derived coupling") as exc:
+                parse_scenario_text(CLOSE_RANGE_DERIVE)
+        assert "sqrt(l1*l2)" in str(exc.value)
+        assert (exc.value.line, exc.value.column) == (16, 1)
 
     def test_excessive_coupling_rejected(self):
         bad = MINIMAL.replace("h = 1e-7", "h = 1e-2")
