@@ -9,9 +9,11 @@ least cap, or the root of the decreasing psi(D) = r_tx + sum B b(D) - D, or
 else the largest root of the convex phi(D) = r_tx + sum B a(D) - D: each a
 1-D bracketed root (quasi-convex bisection, Boyd & Vandenberghe, sec. 4.2.5).
 Where the optimum is a face, every receiver takes the same fraction t of its
-interval, g = a + t (b - a), a choice independent of the receiver order. A
-KKT residual fitted at the returned point certifies it; a brute-force grid
-oracle bounds the optimality gap in tests.
+interval, g = a + t (b - a), a choice independent of the receiver order.
+The KKT multipliers of the returned point follow in closed form from the
+same reduction (the Jacobian is diagonal plus rank one), which yields its
+certificate and shadow prices; a brute-force grid oracle bounds the
+optimality gap in tests.
 """
 
 from __future__ import annotations
@@ -72,7 +74,13 @@ class CentralSolution:
     For INFEASIBLE results the numeric fields are empty/NaN. For OPTIMAL
     results ``x`` holds one load value per receiver; entries for receivers
     whose switch is open are filled with the upper bound and carry no
-    meaning.
+    meaning. ``kkt_residual`` is the dimensionless residual of the KKT
+    conditions at ``x`` (stationarity and complementarity; about 1e-15 at an
+    exact optimum). ``shadow_prices`` holds, per receiver, the watts drawn
+    per extra watt required, d p_tx / d p_req: 0 for a receiver that is open
+    or has slack, and +inf for the active requirements where no constraint
+    qualification holds (the feasible set is about to vanish); there
+    ``kkt_residual`` is that of the Fritz John multipliers.
     """
 
     x: tuple[float, ...]
@@ -80,120 +88,70 @@ class CentralSolution:
     p: tuple[float, ...]
     status: SolveStatus
     kkt_residual: float
+    shadow_prices: tuple[float, ...]
 
 
-class _Qcqp:
-    """Normalized data for: min c.g over a box, s.t. convex quadratics <= 0.
+def _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g):
+    """KKT residual of a conductance point and its requirement multipliers.
 
-    Raw constraint for an active receiver n (index into the connected set):
-        half_v2 * B_n * (r_n g_n^2 - g_n) + preq_n * (r_tx + B.g)^2 <= 0
-    with B_k = w^2 h_k^2. Each constraint is divided by its own magnitude
-    scale so the certificate's tolerances are dimensionless.
+    The program maximizes D = r_tx + sum B g over the box subject to
+    half_v2 B_n (r_n g_n^2 - g_n) + preq_n D^2 <= 0, so stationarity in g_k is
+        B_k (2 D S - 1) + lam_k e_k B_k + mu_k = 0,   e_k = half_v2 (2 r_k g_k - 1),
+    with S = sum lam_n preq_n and a box multiplier mu_k, >= 0 at the top of the
+    box and <= 0 at its bottom (Boyd & Vandenberghe, sec. 5.5). Constraints
+    within relative slack 1e-9 are active, and each box takes what its sign
+    allows of its row. Of two candidates the multipliers with the smaller
+    residual are kept. Either 2 D S = 1 and one receiver on its requirement
+    carries all of S, the only choice when a receiver off its box has no lam
+    term; or lam_k = (1 - 2 D S) / e_k on every active requirement, which
+    gives S = T / w with w = 1 + 2 D T and T = sum preq_k / e_k
+    (Sherman-Morrison). Where w = 0 to rounding no constraint qualification
+    holds: the multipliers are the Fritz John ones (no objective term,
+    2 D S = 1) and lam is +inf. The residual is the worst stationarity row
+    over max B or complementarity product over D. Returns it and lam.
     """
-
-    def __init__(self, b_coef, r, g_lo, g_hi, preq, half_v2, r_tx):
-        self.b = b_coef
-        self.r = r
-        self.g_lo = g_lo
-        self.g_hi = g_hi
-        self.half_v2 = half_v2
-        self.r_tx = r_tx
-        self.active = np.nonzero(preq > 0.0)[0]
-        self.preq = preq
-        d_max = r_tx + float(self.b @ g_hi)
-        self.scale = np.array(
-            [
-                max(half_v2 * self.b[n] * g_hi[n] + preq[n] * d_max**2, 1e-30)
-                for n in self.active
-            ]
-        )
-        b_max = float(self.b.max()) if self.b.size else 0.0
-        self.c = -self.b / b_max if b_max > 0.0 else np.zeros_like(self.b)
-
-    def quad_values(self, g):
-        d = self.r_tx + float(self.b @ g)
-        vals = np.empty(len(self.active))
-        for i, n in enumerate(self.active):
-            raw = (
-                self.half_v2 * self.b[n] * (self.r[n] * g[n] ** 2 - g[n])
-                + self.preq[n] * d * d
-            )
-            vals[i] = raw / self.scale[i]
-        return vals
-
-    def quad_grad(self, g, i):
-        n = self.active[i]
-        d = self.r_tx + float(self.b @ g)
-        grad = 2.0 * self.preq[n] * d * self.b
-        grad[n] += self.half_v2 * self.b[n] * (2.0 * self.r[n] * g[n] - 1.0)
-        return grad / self.scale[i]
-
-
-def _kkt_residual(q: _Qcqp, g) -> float:
-    """Stationarity plus complementarity residual of a primal point.
-
-    Multipliers are fitted by nonnegative least squares over the
-    near-active constraints, which measures the point itself, independent
-    of how the solver found it. The dual can be
-    non-unique near degeneracy, so columns whose complementarity product
-    dominates are dropped greedily as long as stationarity survives,
-    selecting a minimal-support certificate.
-    """
-    from scipy.optimize import nnls
-
+    b, r, g_lo, g_hi, preq, g = (v.tolist() for v in (b_coef, r, g_lo, g_hi, preq, g))
     m = len(g)
-    width = q.g_hi - q.g_lo
-    columns = []
-    slacks = []
-    for k in range(m):  # box gradients: +e_k at the top, -e_k at the bottom
-        hi_slack = (q.g_hi[k] - g[k]) / width[k]
-        lo_slack = (g[k] - q.g_lo[k]) / width[k]
-        if hi_slack <= 1e-4:
-            col = np.zeros(m)
-            col[k] = 1.0
-            columns.append(col)
-            slacks.append(hi_slack)
-        if lo_slack <= 1e-4:
-            col = np.zeros(m)
-            col[k] = -1.0
-            columns.append(col)
-            slacks.append(lo_slack)
-    if len(q.active):
-        vals = q.quad_values(g)
-        for i in range(len(q.active)):
-            if -vals[i] <= 1e-4:
-                columns.append(q.quad_grad(g, i))
-                slacks.append(-vals[i])
-    scale = max(1.0, float(np.linalg.norm(q.c, ord=np.inf)))
-    if not columns:
-        return float(np.linalg.norm(q.c, ord=np.inf)) / scale
+    d = r_tx + sum(bk * gk for bk, gk in zip(b, g))
+    e = [half_v2 * (2.0 * r[k] * g[k] - 1.0) for k in range(m)]
+    slack = [half_v2 * b[k] * (g[k] - r[k] * g[k] ** 2) / d**2 - preq[k] for k in range(m)]
+    gap = [min(g_hi[k] - g[k], g[k] - g_lo[k]) for k in range(m)]
+    # +1 on the top of the box, -1 on its bottom, 0 off it
+    side = [0 if gap[k] > 1e-9 * (g_hi[k] - g_lo[k]) else 1 if 2.0 * g[k] > g_hi[k] + g_lo[k]
+            else -1 for k in range(m)]
+    held = [k for k in range(m) if preq[k] > 0.0 and slack[k] <= 1e-9 * preq[k]]
+    scale = max(b, default=0.0) or 1.0
 
-    def fit(indices):
-        jac = np.column_stack([columns[j] for j in indices])
-        lam, _ = nnls(jac, -q.c)
-        stationarity = float(np.linalg.norm(q.c + jac @ lam, ord=np.inf)) / scale
-        products = [lam[i] * slacks[j] for i, j in enumerate(indices)]
-        return lam, stationarity, max(products, default=0.0), products
+    def scored(lam, objective):
+        s = sum(lam[k] * preq[k] for k in range(m))
+        worst = 0.0
+        for k in range(m):
+            q = b[k] * (2.0 * d * s - objective + lam[k] * e[k])
+            mu = side[k] * max(-side[k] * q, 0.0)
+            worst = max(worst, abs(q + mu) / scale, lam[k] * d * abs(slack[k]),
+                        abs(mu) * gap[k] / d)
+        return worst, lam, objective
 
-    indices = list(range(len(columns)))
-    lam, stationarity, complementarity, products = fit(indices)
-    floor = max(10.0 * stationarity, 1e-13)
-    while len(indices) > 1 and complementarity > floor:
-        worst = max(range(len(indices)), key=lambda i: products[i])
-        trial = indices[:worst] + indices[worst + 1:]
-        lam2, stat2, comp2, prod2 = fit(trial)
-        if stat2 > floor or comp2 >= complementarity:
-            break
-        indices, lam, stationarity, complementarity, products = (
-            trial, lam2, stat2, comp2, prod2
-        )
-    return max(stationarity, complementarity)
+    rows = [k for k in held if e[k]]
+    w = 1.0 + 2.0 * d * sum(preq[k] / e[k] for k in rows)
+    objective = 0.0 if abs(w) <= 16 * m * np.finfo(float).eps else 1.0
+    lam = [0.0] * m
+    for k in rows:
+        lam[k] = max((1.0 / w if objective else -1.0) / e[k], 0.0)
+    found = [scored(lam, objective)]
+    if held:  # S = 1 / (2 D) on a receiver whose box takes the rest of its row, or least e
+        c = min(held, key=lambda k: 0.0 if side[k] * e[k] < 0.0 else abs(e[k]))
+        found.append(scored([0.5 / (d * preq[k]) if k == c else 0.0 for k in range(m)], 1.0))
+    worst, lam, objective = min(found, key=lambda cand: cand[0])
+    if not objective:
+        lam = [float("inf") if v > 0.0 else 0.0 for v in lam]
+    return worst, lam
 
 
 def _infeasible() -> CentralSolution:
     return CentralSolution(
         x=(), p_tx=float("nan"), p=(), status=SolveStatus.INFEASIBLE,
-        kkt_residual=float("nan"),
+        kkt_residual=float("nan"), shadow_prices=(),
     )
 
 
@@ -254,8 +212,8 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     return np.clip(a + min(max(t, 0.0), 1.0) * (b - a), g_lo, g_hi)
 
 
-def solve_convex(prob: ChargingProblem) -> CentralSolution:
-    """Solve the conductance-space program for one switch configuration.
+def optimize_loads(prob: ChargingProblem) -> CentralSolution:
+    """Minimum-transmitter-power load resistances for one configuration.
 
     Requirements that are zero or negative are dropped. Returns an
     INFEASIBLE solution (not an exception) when no load vector can meet
@@ -282,12 +240,14 @@ def solve_convex(prob: ChargingProblem) -> CentralSolution:
     g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
     if g_opt is None:
         return _infeasible()
-    kkt = _kkt_residual(_Qcqp(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx), g_opt)
+    kkt, lam = _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g_opt)
 
     x_opt = [float(v) for v in sys.x_hi]
+    prices = [0.0] * sys.n_receivers
     for j, k in enumerate(conn):
         x_opt[k] = float(1.0 / g_opt[j] - r[j])
         x_opt[k] = min(max(x_opt[k], sys.x_lo[k]), sys.x_hi[k])
+        prices[k] = half_v2 * lam[j]
 
     state = solve_closed_form(sys, sw, x_opt)
     for k in conn:
@@ -301,12 +261,11 @@ def solve_convex(prob: ChargingProblem) -> CentralSolution:
         p=state.p,
         status=SolveStatus.OPTIMAL,
         kkt_residual=kkt,
+        shadow_prices=tuple(prices),
     )
 
 
-def optimize_loads(prob: ChargingProblem) -> CentralSolution:
-    """Minimum-transmitter-power load resistances for one configuration."""
-    return solve_convex(prob)
+solve_convex = optimize_loads
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -57,6 +58,10 @@ def fmt(value: float) -> str:
 
 class _UsageError(Exception):
     pass
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,6 +345,8 @@ def main(argv=None) -> int:
         parser.print_usage(_sys.stderr)
         return EXIT_INVALID
 
+    # library warnings print as one line, without a source location
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except (ScenarioError, ValidationError, InconsistentMeasurementError,
@@ -352,6 +359,8 @@ def main(argv=None) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 def entry() -> None:

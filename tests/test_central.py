@@ -16,12 +16,14 @@ from mrcwpt import (
     ValidationError,
     brute_force_oracle,
     optimize_loads,
+    parse_scenario,
     solve_closed_form,
     solve_convex,
     solve_linear_oracle,
 )
 
-from conftest import bench_system, random_loads, random_system
+from conftest import bench_system, random_loads, random_switch, random_system
+from nnls_reference import reference_residual
 
 
 def feasible_n2_problem(rng):
@@ -376,6 +378,101 @@ class TestSolverProperties:
         elif raised.status is SolveStatus.OPTIMAL:
             # the roots are found to a few ulps: allow that much below
             assert raised.p_tx >= base.p_tx * (1.0 - 1e-12)
+
+
+@st.composite
+def feasible_problems(draw):
+    """A random system, requirements 0.2 to 1.25 times the feasible 0.8 p(x0)
+    (up to the powers at x0 itself), and a random switch state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config, _ = feasible_random_system(rng, draw(st.integers(1, 5)))
+    scale = draw(st.floats(0.2, 1.25))
+    n = config.n_receivers
+    s = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any))
+    config = replace(config, p_req=tuple(scale * p for p in config.p_req))
+    return ChargingProblem(sys=config, sw=SwitchState(s=tuple(s)))
+
+
+class TestCertificate:
+    """The closed-form KKT certificate against the fitted reference, and its
+    shadow prices against the slope of p_tx."""
+
+    def test_agrees_with_the_nnls_reference(self):
+        # requirements are the powers at a load point x0 (some loads on a
+        # bound) times 1 or a random factor, so optima often sit on a bound
+        # with the requirement active there too
+        rng = np.random.default_rng(2024)
+        n_checked = n_partial = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 8))
+            config = random_system(rng, n=n, spread=2.0)
+            sw = random_switch(rng, n) if rng.uniform() < 0.5 else None
+            x0 = [float(rng.choice([x, config.x_lo[k], config.x_hi[k]]))
+                  for k, x in enumerate(random_loads(rng, config))]
+            p0 = solve_closed_form(config, sw, x0).p
+            factor = float(rng.choice([1.0, 10 ** rng.uniform(-0.5, 0.3)]))
+            reqs = tuple(factor * p if rng.uniform() < 0.8 else float(rng.choice([0.0, -1.0]))
+                         for p in p0)
+            prob = ChargingProblem(sys=config, sw=sw, p_req_eff=reqs)
+            sol = optimize_loads(prob)
+            if sol.status is SolveStatus.OPTIMAL and reference_residual(prob, sol.x) <= 1e-6:
+                n_checked += 1
+                n_partial += sw is not None and not all(sw.s)
+                assert sol.kkt_residual <= 1e-6
+        assert n_checked > 200 and n_partial > 50
+
+    @pytest.mark.parametrize("p3, expected", [
+        (5.0, (0.0, 1.48967, 0.0)),  # receiver 2 on its requirement and at x_lo
+        (10.0, (0.0, 0.0, 3.23348)),
+        (30.0, (0.0, 0.0, 1.86685)),
+        (36.0, (6.22589, 6.32353, 6.97143)),
+    ])
+    def test_shadow_prices_are_the_slope_of_p_tx(self, p3, expected):
+        config, _ = parse_scenario("three_receivers")
+        reqs = (17.5, 17.5, p3)
+
+        def p_tx(k, delta):
+            moved = tuple(v + delta * (j == k) for j, v in enumerate(reqs))
+            return optimize_loads(ChargingProblem(sys=config, p_req_eff=moved)).p_tx
+
+        sol = optimize_loads(ChargingProblem(sys=config, p_req_eff=reqs))
+        assert sol.shadow_prices == pytest.approx(expected, rel=1e-5)
+        for k in range(3):
+            slope = (p_tx(k, 1e-4) - p_tx(k, -1e-4)) / 2e-4
+            assert sol.shadow_prices[k] == pytest.approx(slope, rel=1e-6, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(feasible_problems(), st.data())
+    def test_shadow_price_properties(self, prob, data):
+        config, s = prob.sys, prob.switch.s
+        sol = optimize_loads(prob)
+        assert sol.status is SolveStatus.OPTIMAL
+        prices = sol.shadow_prices
+        assert all(v >= 0.0 for v in prices)
+        for k in range(config.n_receivers):
+            if not s[k] or sol.p[k] > config.p_req[k] * (1.0 + 1e-6):
+                assert prices[k] == 0.0
+        perm = data.draw(st.permutations(range(config.n_receivers)))
+        moved = optimize_loads(ChargingProblem(sys=permuted(config, perm),
+                                               sw=SwitchState(s=tuple(s[k] for k in perm))))
+        assert moved.shadow_prices == pytest.approx([prices[k] for k in perm], rel=1e-9)
+        alpha = data.draw(st.floats(0.25, 4.0))
+        scaled = replace(config, v_tx=alpha * config.v_tx,
+                         p_req=tuple(alpha**2 * p for p in config.p_req))
+        sol = optimize_loads(ChargingProblem(sys=scaled, sw=prob.switch))
+        assert sol.shadow_prices == pytest.approx(prices, rel=1e-9)
+
+    def test_prices_infinite_at_the_feasibility_boundary(self, bench3):
+        # the feasible set shrinks to a point and 1 + 2 D T vanishes: no
+        # constraint qualification, so the Fritz John multipliers certify it
+        scale = largest_feasible_scale(bench3)
+        assert scale == pytest.approx(1.1212645345775987, rel=1e-12)
+        reqs = tuple(scale * p for p in bench3.p_req)
+        sol = optimize_loads(ChargingProblem(sys=bench3, p_req_eff=reqs))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.p == pytest.approx(reqs, rel=1e-9)
+        assert sol.shadow_prices == (math.inf,) * 3
+        assert math.isfinite(sol.kkt_residual)
 
 
 class TestBruteForceOracle:

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, sweeps, exit codes, formatting."""
 
+import os
 import runpy
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,6 +307,25 @@ def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:16:1: receiver 1: derived coupling")
     assert "Traceback" not in err
+
+
+def test_library_warning_prints_one_line(tmp_path):
+    # a derived coupling in the near field warns but is admitted; run as a
+    # new process so the warning reaches stderr through the default filters
+    from test_scenario import CLOSE_RANGE_DERIVE
+
+    path = tmp_path / "near.scn"
+    path.write_text(CLOSE_RANGE_DERIVE.replace("center = 0 0 0.001", "center = 0 0 0.3"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "mrcwpt", "analyze", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == (
+        "warning: coil separation is not large against the coil radii; "
+        "dipole coupling formula loses accuracy\n"
+    )
 
 
 class TestUnwritableOutput:
