@@ -138,7 +138,10 @@ def tune_capacitor(self_inductance: float, w: float) -> float:
         raise ValidationError("self_inductance must be > 0")
     if not w > 0.0:
         raise ValidationError("angular frequency must be > 0")
-    return 1.0 / (self_inductance * w * w)
+    lw2 = self_inductance * w * w
+    if not 0.0 < lw2 < math.inf:
+        raise ValidationError("self_inductance * w**2 is outside the float range")
+    return 1.0 / lw2
 
 
 def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:

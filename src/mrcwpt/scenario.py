@@ -187,9 +187,17 @@ def _parse_coil(section: _Section, label: str, path):
         raise ScenarioError(f"{label}: is missing 'turns'", path, section.line)
     try:
         geom = CoilGeometry(**geom_kwargs)
-    except ValidationError as exc:
-        raise ScenarioError(f"{label}: {exc}", path, section.line) from exc
-    return derive_coil_electrical(geom), geom
+        return derive_coil_electrical(geom), geom
+    except (ValidationError, ArithmeticError) as exc:
+        raise _geometry_error(label, exc, path, section.line) from exc
+
+
+def _geometry_error(label: str, exc: Exception, path, line: int, col: int | None = None):
+    """The ScenarioError for coil geometry the model rejects, or whose
+    derived values leave the float range (an overflowing power, a huge
+    turn count)."""
+    reason = exc if isinstance(exc, ValidationError) else "geometry is out of float range"
+    return ScenarioError(f"{label}: {reason}", path, line, col)
 
 
 def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, ScenarioOptions]:
@@ -208,7 +216,7 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
     for section in sections[1:]:
         if section.name.startswith("receiver"):
             parts = section.name.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ScenarioError(
                     f"bad receiver section '[{section.name}]'", path, section.line
                 )
@@ -234,7 +242,7 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
             raise ScenarioError(f"missing [{required}] section", path)
     if not receivers:
         raise ScenarioError("at least one [receiver k] section is required", path)
-    n = max(receivers)
+    n = len(receivers)
     if sorted(receivers) != list(range(1, n + 1)):
         raise ScenarioError(
             f"receiver sections must be numbered 1..{n} without gaps", path
@@ -278,8 +286,8 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
                 )
             try:
                 h = mutual_inductance(tx_geom, geom)
-            except ValidationError as exc:
-                raise ScenarioError(f"{label}: {exc}", path, h_line, h_col) from exc
+            except (ValidationError, ArithmeticError) as exc:
+                raise _geometry_error(label, exc, path, h_line, h_col) from exc
         else:
             h = _finite("h", h_raw, "a finite number or 'derive'", path, h_line, h_col)
         lo = _as_float(section, "x_lo", path)

@@ -3,9 +3,12 @@
 import csv
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcwpt import (
     SwitchState,
@@ -188,8 +191,6 @@ class TestWithoutTs:
         assert np.all(sample.points[:, 2] == 0.0)
 
     def test_uncoupled_receiver_collapses_axis(self):
-        from dataclasses import replace
-
         config = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(-9.21e-8, 0.0))
         sample = sample_region_without_ts(config, None, 50)
         assert np.all(sample.points[:, 1] == 0.0)
@@ -205,6 +206,51 @@ class TestWithoutTs:
     def test_grid_guard(self, bench2):
         with pytest.raises(ValidationError):
             sample_region_without_ts(bench2, None, 1)
+
+
+@st.composite
+def concurrent_regions(draw):
+    """A random system of 1 to 4 receivers, one of them sometimes uncoupled
+    (h = 0, so whole grid lines give equal rows), with a drawn switch state
+    (all closed or a random nonempty subset) and a small grid."""
+    n = draw(st.integers(1, 4))
+    config = random_system(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    if draw(st.booleans()):
+        h = list(config.h)
+        h[draw(st.integers(0, n - 1))] = 0.0
+        config = replace(config, h=tuple(h))
+    s = draw(st.tuples(*[st.integers(0, 1)] * n))
+    sw = SwitchState(s=s) if any(s) and draw(st.booleans()) else None
+    grid = draw(st.integers(2, (40, 16, 9, 6)[len(sw.connected if sw else s) - 1]))
+    return config, sw, grid
+
+
+class TestNeighbourFilter:
+    """The concurrent frontier is swept over the samples that no grid
+    neighbour strictly dominates; it must equal the sweep over all samples."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(concurrent_regions())
+    def test_boundary_is_the_frontier_of_every_sample(self, drawn):
+        config, sw, grid = drawn
+        sample = sample_region_without_ts(config, sw, grid)
+        full = pareto_boundary(sample.points)
+        assert sample.boundary.shape == full.shape
+        assert sample.boundary.tobytes() == full.tobytes()
+
+    def test_equal_samples_are_kept(self):
+        # receiver 2 uncoupled: every row repeats along its load axis
+        config = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(-9.21e-8, 0.0))
+        powers = region._power_grid(config, SwitchState.all_closed(2), 5)
+        keep = region._neighbour_undominated(powers)
+        assert np.all(keep == keep[:, :1])
+        assert keep.any() and not keep.all()
+
+    def test_bundled_frontier_sees_a_small_share(self, bench3):
+        powers = region._power_grid(bench3, SwitchState.all_closed(3), 60)
+        keep = region._neighbour_undominated(powers)
+        frontier = sample_region_without_ts(bench3, None, 60).boundary
+        assert len(frontier) <= keep.sum() < 0.06 * keep.size
 
 
 class TestGridCap:

@@ -1,8 +1,11 @@
 """Scenario parsing, validation diagnostics, serialization round trips."""
 
 import math
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrcwpt import (
     ScenarioError,
@@ -165,6 +168,36 @@ class TestErrors:
         with pytest.raises(ScenarioError, match="numbered"):
             parse_scenario_text(bad)
 
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            # a digit that int() does not read
+            ("[receiver 1]", "[receiver \u00b2]", "bad receiver section"),
+            # numbering checked without a list up to the largest index
+            ("[receiver 1]", "[receiver 99999999999999]", "numbered"),
+            # l * w**2 underflows to zero when tuning
+            ("w = 1e7", "w = 5e-324", "float range"),
+        ],
+        ids=["superscript-index", "huge-index", "tiny-w"],
+    )
+    def test_awkward_values_rejected(self, old, new, match):
+        with pytest.raises(ScenarioError, match=match):
+            parse_scenario_text(MINIMAL.replace(old, new))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("outer_radius = 0.101\nturns", "outer_radius = 1e308\nturns"),
+         ("turns = 10\nresistivity", "turns = 1" + "0" * 400 + "\nresistivity")],
+        ids=["huge-radius", "huge-turns"],
+    )
+    def test_geometry_out_of_float_range_rejected(self, old, new):
+        text = CLOSE_RANGE_DERIVE.replace("0 0 0.001", "0 0 1")
+        assert old in text
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ScenarioError, match="out of float range"):
+                parse_scenario_text(text.replace(old, new))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "absent.scn")
@@ -197,3 +230,61 @@ class TestRoundTrip:
 def test_bundled_path_resolution():
     assert bundled_scenario_path("three_receivers") is not None
     assert bundled_scenario_path("nonexistent") is None
+
+
+# values that have broken parsers: non-finite and overflowing numbers,
+# digits int() does not read, huge integers, vectors, the derive keyword
+_AWKWARD_VALUES = (
+    "nan", "inf", "-inf", "1e309", "-1", "0", "-0.0", "5e-324", "1e-300", "1e200",
+    "1e308", "derive", "\u00b2", "\u0663", "1_0", "0x10", "9" * 5000, "1" + "0" * 400,
+    "1 2 3", "0 0 1", "0 0 0", "1e200 0 0",
+)
+_AWKWARD_LINES = (
+    "[receiver \u00b2]", "[receiver 0]", "[receiver 99999999999999]", "[receiver 2]",
+    "[options]", "[source]", "[ ]", "[", "]", "=", "version = 2",
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """Arbitrary text, or a valid scenario (electrical, geometric with a
+    derived coupling, or bundled) after a few line edits: a value replaced,
+    a line dropped, duplicated or inserted."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=300))
+    template = draw(st.sampled_from(
+        (MINIMAL, CLOSE_RANGE_DERIVE.replace("0 0 0.001", "0 0 1"),
+         bundled_scenario_path("three_receivers").read_text(encoding="utf-8"))
+    ))
+    lines = template.splitlines()
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.integers(0, 4))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        if op == 0 and lines and "=" in lines[i]:
+            value = draw(st.one_of(st.sampled_from(_AWKWARD_VALUES), st.text(max_size=12)))
+            lines[i] = lines[i].split("=", 1)[0] + "= " + value
+        elif op == 1 and lines:
+            del lines[i]
+        elif op == 2 and lines:
+            lines.insert(i, lines[i])
+        elif op == 3:
+            lines.insert(i, draw(st.sampled_from(_AWKWARD_LINES)))
+        else:
+            lines.insert(i, draw(st.text(max_size=20)))
+    return "\n".join(lines)
+
+
+class TestParserProperty:
+    """Any text parses to a config or raises ScenarioError, which the CLI
+    maps to its documented exit code; nothing else escapes the parser."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(scenario_texts())
+    def test_any_text_gives_a_config_or_a_scenario_error(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # close-range and thick-wire notes
+            try:
+                config, options = parse_scenario_text(text)
+            except ScenarioError:
+                return
+        assert len(options.x_nominal) == config.n_receivers
