@@ -1,11 +1,14 @@
 """Achievable power regions, sampled on load-resistance grids.
 
 Without time sharing the region is the image of the load box under the
-per-load power map (generally nonconvex). With time sharing it is the set
-of convex mixtures, with total weight at most one, of points drawn from
-every switch configuration's region; since mixtures are linear in the
-sampled vertices, the convex hull of the pooled samples plus the origin
-realizes that set exactly on the sample vertices.
+per-load power map (generally nonconvex); with it, the convex hull of
+every switch configuration's samples plus the origin. Both frontiers see
+only the samples that no grid neighbour strictly dominates. That is exact
+for the hull too: every configuration samples the same load axes, and at
+one grid load fewer connected receivers each draw at least as much power
+(the float denominator only grows as terms are added), so by induction on
+the connected receivers the box [0, q] of every sample q lies in the
+hull, and with it every sample that q strictly dominates.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import bisect
 import csv
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +31,6 @@ DEFAULT_GRID_3D = 60
 WITHOUT_TS = "without-ts"
 WITH_TS = "with-ts"
 
-# rows converted to Python floats at a time by the frontier sweeps
-_ROW_CHUNK = 1024
 # rows encoded per write when exporting CSV; the encoder's scratch memory
 # grows with the block (about 0.9 MiB for 4,096 rows of three powers)
 _CSV_CHUNK = 4096
@@ -46,8 +46,8 @@ class PowerRegionSample:
     ``points`` holds one achievable power tuple per row. ``boundary`` is
     the outer frontier: the componentwise-maximal (Pareto) samples for the
     concurrent region, or the hull vertices for the time-shared region.
-    The concurrent frontier is swept only over the samples that no grid
-    neighbour strictly dominates, and equals ``pareto_boundary(points)``.
+    Both see only the samples that no grid neighbour strictly dominates,
+    and equal the frontier and the hull of all ``points``.
     """
 
     points: np.ndarray
@@ -88,12 +88,6 @@ def _power_grid(sys: SystemConfig, sw: SwitchState, grid_points: int) -> list:
     return p
 
 
-def _power_samples(sys: SystemConfig, sw: SwitchState, grid_points: int) -> np.ndarray:
-    """Power tuples for every grid combination of the connected loads."""
-    p = _power_grid(sys, sw, grid_points)
-    return np.stack(p, axis=-1).reshape(-1, sys.n_receivers)
-
-
 def _neighbour_undominated(powers: list) -> np.ndarray:
     """Mask over a grid of the samples that no grid neighbour strictly
     dominates.
@@ -126,6 +120,17 @@ def _neighbour_undominated(powers: list) -> np.ndarray:
     return keep
 
 
+def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int):
+    """Power tuples for every grid combination of the connected loads, and
+    the frontier candidates among them, in the same order: the tuples that
+    no grid neighbour strictly dominates."""
+    powers = _power_grid(sys, sw, grid_points)
+    # the open receivers' zero powers never decide a dominance
+    keep = _neighbour_undominated([powers[k] for k in sw.connected])
+    points = np.stack(powers, axis=-1).reshape(-1, sys.n_receivers)
+    return points, points[keep.reshape(-1)]
+
+
 def _unique_rows(points: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D array in lexicographic order, as
     ``np.unique(points, axis=0)`` gives them: one sort, then a neighbour
@@ -141,36 +146,20 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
 def pareto_boundary(points: np.ndarray) -> np.ndarray:
     """Componentwise-maximal (Pareto) points in lexicographic order.
 
-    Two- and three-dimensional inputs use O(n log n) sweeps that stream
-    the sorted rows as Python floats, converted a chunk at a time; higher
-    dimensions fall back to an iterative dominance filter, so keep those
-    sample sets moderate. :func:`sample_region_without_ts` first drops the
-    grid samples that a grid neighbour strictly dominates, which leaves the
-    frontier unchanged and hands this sweep about 5% of the samples on
-    the bundled three-receiver region.
+    Up to three dimensions the rows, zero-padded to three, go through one
+    O(n log n) staircase sweep over Python floats; higher dimensions fall
+    back to an iterative dominance filter, so keep those sample sets
+    moderate. The region sampler hands this only the samples that no grid
+    neighbour strictly dominates: 5% of the bundled three-receiver region.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
     pts = _unique_rows(pts)
-    if pts.shape[1] == 1:
-        return pts[[-1]]
-    if pts.shape[1] == 2:
-        # scan by first coordinate descending (distinct sorted rows
-        # reversed); a point survives when its second coordinate beats
-        # everything seen so far
-        order = np.arange(len(pts))[::-1]
-        best = -math.inf
-        keep = []
-        for pos, (_, y) in enumerate(_row_lists(pts, order)):
-            if y > best:
-                keep.append(pos)
-                best = y
-        # keep holds at most one row per first coordinate, in descending order
-        return pts[order[keep[::-1]]]
-    if pts.shape[1] == 3:
-        frontier = pts[_maxima_3d(pts)]
-        return frontier[np.lexsort(frontier.T[::-1])]
+    if pts.shape[1] <= 3:
+        # trailing zero columns keep the rows distinct and in lexicographic
+        # order, and never decide a dominance
+        return pts[_maxima_3d(np.pad(pts, ((0, 0), (0, 3 - pts.shape[1]))))]
     # visiting candidates in decreasing coordinate sum prunes the cloud fast
     order = np.argsort(-pts.sum(axis=1))
     pts = pts[order]
@@ -185,45 +174,24 @@ def pareto_boundary(points: np.ndarray) -> np.ndarray:
     return frontier[np.lexsort(frontier.T[::-1])]
 
 
-def _row_lists(pts: np.ndarray, order):
-    """The rows ``pts[order]`` as Python lists, converted a chunk at a time.
-
-    Python floats make the sweeps' scalar arithmetic several times cheaper
-    than numpy scalars; converting every row at once would hold the whole
-    array as Python objects.
-    """
-    for a in range(0, len(order), _ROW_CHUNK):
-        yield from pts[order[a : a + _ROW_CHUNK]].tolist()
-
-
 def _maxima_3d(pts: np.ndarray) -> np.ndarray:
-    """Indices of componentwise-maximal rows among distinct 3-D points in
+    """Mask of the componentwise-maximal rows among distinct 3-D points in
     lexicographic order.
 
     Plane sweep in decreasing first coordinate with a staircase of the
     (second, third)-coordinate frontier seen so far: ascending second
-    coordinate, strictly descending third. O(n log n). Within a run of
-    equal first coordinates (second, then third coordinate descending)
-    only a row whose third coordinate beats the run's earlier rows can be
-    maximal; it is then tested against the staircase.
+    coordinate, strictly descending third. O(n log n). The rows are
+    distinct, so a staircase step that reaches a row in both coordinates
+    strictly dominates it.
     """
-    order = np.arange(len(pts))[::-1]
     stair_y: list[float] = []
     stair_z: list[float] = []
-    keep = []
-    x_run = None
-    best_z = -math.inf
-    for pos, (x, y, z) in enumerate(_row_lists(pts, order)):
-        if x != x_run:
-            x_run = x
-            best_z = -math.inf
-        if not z > best_z:
-            continue
-        best_z = z
+    keep = np.zeros(len(pts), dtype=bool)
+    for i, (_, y, z) in zip(range(len(pts) - 1, -1, -1), pts[::-1].tolist()):
         at = bisect.bisect_left(stair_y, y)
         if at < len(stair_y) and stair_z[at] >= z:
-            continue  # dominated by an earlier (strictly larger x) point
-        keep.append(pos)
+            continue  # dominated by an earlier point
+        keep[i] = True
         # splice the new step in, dropping the steps it dominates
         lo = at
         while lo > 0 and stair_z[lo - 1] <= z:
@@ -233,7 +201,7 @@ def _maxima_3d(pts: np.ndarray) -> np.ndarray:
             hi += 1
         stair_y[lo:hi] = [y]
         stair_z[lo:hi] = [z]
-    return order[keep]
+    return keep
 
 
 def hull_2d(points: np.ndarray) -> np.ndarray:
@@ -241,8 +209,9 @@ def hull_2d(points: np.ndarray) -> np.ndarray:
 
     Only exactly collinear vertices are dropped; keeping near-collinear
     ones costs a few extra vertices but guarantees every input point stays
-    inside the hull to float accuracy. Both chains stream the sorted rows
-    as Python floats, converted a chunk at a time.
+    inside the hull to float accuracy. Both chains walk the sorted rows as
+    Python floats; the region sampler hands this only the samples that no
+    grid neighbour strictly dominates, which leaves the hull unchanged.
     """
     pts = _unique_rows(np.asarray(points, dtype=float))
     if len(pts) <= 2:
@@ -262,9 +231,9 @@ def hull_2d(points: np.ndarray) -> np.ndarray:
             chain.append(p)
         return chain
 
-    n = len(pts)
-    lower = build(_row_lists(pts, range(n)))
-    upper = build(_row_lists(pts, range(n - 1, -1, -1)))
+    rows = pts.tolist()
+    lower = build(rows)
+    upper = build(rows[::-1])
     hull = np.array(lower[:-1] + upper[:-1])
     if len(hull) < 3:
         return np.array([pts[0], pts[-1]])
@@ -282,39 +251,21 @@ def hull_area_2d(vertices: np.ndarray) -> float:
 
 def point_in_hull_2d(point, vertices: np.ndarray, tol: float = 1e-6) -> bool:
     """Whether a point lies in a counterclockwise convex polygon within tol."""
-    v = np.asarray(vertices, dtype=float)
-    p = np.asarray(point, dtype=float)
-    if len(v) == 0:
-        return False
-    if len(v) == 1:
-        return bool(np.linalg.norm(p - v[0]) <= tol)
-    if len(v) == 2:
-        a, b = v
-        ab = b - a
-        length = np.linalg.norm(ab)
-        if length == 0.0:
-            return bool(np.linalg.norm(p - a) <= tol)
-        t = float(np.clip((p - a) @ ab / (length * length), 0.0, 1.0))
-        return bool(np.linalg.norm(a + t * ab - p) <= tol)
-    for i in range(len(v)):
-        a = v[i]
-        b = v[(i + 1) % len(v)]
-        edge = b - a
-        norm = np.linalg.norm(edge)
-        if norm == 0.0:
-            continue
-        # signed distance to the edge line; negative means outside (CCW hull)
-        if ((edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0])) / norm) < -tol:
-            return False
-    return True
+    return bool(points_in_hull_2d(point, vertices, tol)[0])
 
 
 def points_in_hull_2d(points, vertices: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Vectorized :func:`point_in_hull_2d` over many points."""
+    """Which points lie in a counterclockwise convex polygon within tol; a
+    degenerate polygon of one or two vertices is that point or segment."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return np.array([point_in_hull_2d(p, v, tol) for p in pts])
+    if len(v) == 0:
+        return np.zeros(len(pts), dtype=bool)
+    if len(v) <= 2:
+        a = v[0]
+        ab = v[-1] - a
+        t = np.clip((pts - a) @ ab / (ab @ ab or 1.0), 0.0, 1.0)
+        return np.linalg.norm(a + t[:, None] * ab - pts, axis=1) <= tol
     inside = np.ones(len(pts), dtype=bool)
     for i in range(len(v)):
         a = v[i]
@@ -323,6 +274,7 @@ def points_in_hull_2d(points, vertices: np.ndarray, tol: float = 1e-6) -> np.nda
         norm = float(np.hypot(edge[0], edge[1]))
         if norm == 0.0:
             continue
+        # signed distance to the edge line; negative means outside (CCW hull)
         signed = (edge[0] * (pts[:, 1] - a[1]) - edge[1] * (pts[:, 0] - a[0])) / norm
         inside &= signed >= -tol
     return inside
@@ -333,10 +285,9 @@ def _hull_nd(points: np.ndarray):
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        hull = ConvexHull(points)
+        return ConvexHull(points)
     except QhullError:
         return None
-    return hull
 
 
 def points_in_hull_nd(points, hull, tol: float = 1e-6) -> np.ndarray:
@@ -354,17 +305,13 @@ def sample_region_without_ts(
     if sw is None:
         sw = SwitchState.all_closed(sys.n_receivers)
     grid_points = _grid_points(sys, grid_points, len(sw.connected), with_ts=False)
-    powers = _power_grid(sys, sw, grid_points)
-    # the open receivers' zero powers never decide a dominance
-    keep = _neighbour_undominated([powers[k] for k in sw.connected])
-    points = np.stack(powers, axis=-1).reshape(-1, sys.n_receivers)
-    del powers  # the per-receiver copies are not needed by the sweep
+    points, candidates = _grid_samples(sys, sw, grid_points)
     return PowerRegionSample(
         points=points,
         mode=WITHOUT_TS,
         grid_points=grid_points,
         bounds=tuple((sys.x_lo[k], sys.x_hi[k]) for k in range(sys.n_receivers)),
-        boundary=pareto_boundary(points[keep.reshape(-1)]),
+        boundary=pareto_boundary(candidates),
     )
 
 
@@ -379,20 +326,23 @@ def sample_region_with_ts(
     n = sys.n_receivers
     grid_points = _grid_points(sys, grid_points, n, with_ts=True)
 
-    pools = [np.zeros((1, n))]
-    for sw in enumerate_configs(n):
-        pools.append(_power_samples(sys, sw, grid_points))
-    points = np.vstack(pools)
-
-    if n == 1:
-        boundary = np.array([[0.0], [float(points.max())]])
-    elif n == 2:
-        boundary = hull_2d(points)
-    elif n == 3:
-        hull = _hull_nd(points)
-        boundary = points[hull.vertices] if hull is not None else np.zeros((0, n))
-    else:
+    origin = np.zeros((1, n))
+    if n > 3:  # no hull is taken, so no frontier candidates are needed
+        pools = [np.stack(_power_grid(sys, sw, grid_points), axis=-1).reshape(-1, n)
+                 for sw in enumerate_configs(n)]
+        points = np.vstack([origin] + pools)
         boundary = np.zeros((0, n))
+    else:
+        pools = [_grid_samples(sys, sw, grid_points) for sw in enumerate_configs(n)]
+        points = np.vstack([origin] + [samples for samples, _ in pools])
+        candidates = np.vstack([origin] + [kept for _, kept in pools])
+        if n == 1:
+            boundary = np.array([[0.0], [float(points.max())]])
+        elif n == 2:
+            boundary = hull_2d(candidates)
+        else:
+            hull = _hull_nd(candidates)
+            boundary = candidates[hull.vertices] if hull is not None else np.zeros((0, n))
     return PowerRegionSample(
         points=points,
         mode=WITH_TS,

@@ -32,14 +32,6 @@ from mrcwpt.region import PowerRegionSample
 from conftest import bench_system, random_system
 
 
-@pytest.fixture(params=[None, 3], ids=["default-chunk", "chunk-3"])
-def row_chunk(request, monkeypatch):
-    """The frontier sweeps at their own row chunk, and at one so small
-    that nearly every row sits on a chunk edge."""
-    if request.param is not None:
-        monkeypatch.setattr(region, "_ROW_CHUNK", request.param)
-
-
 class TestHullPrimitives:
     def test_square_hull(self):
         pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [0.2, 0.7]])
@@ -74,8 +66,8 @@ class TestHullPrimitives:
         assert len(frontier) == 4
         assert [0.5, 0.5, 0.5] not in frontier.tolist()
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_pareto_sweep_matches_quadratic_reference(self, dim, row_chunk):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pareto_sweep_matches_quadratic_reference(self, dim):
         def reference(pts):
             keep = [
                 i
@@ -150,15 +142,15 @@ def _hull_inputs(rng, trial):
 
 
 class TestHullReference:
-    """hull_2d streams rows in chunks; it must match the numpy-row chain."""
+    """hull_2d walks Python-float rows; it must match the numpy-row chain."""
 
-    def test_hull_matches_numpy_row_reference(self, row_chunk):
+    def test_hull_matches_numpy_row_reference(self):
         rng = np.random.default_rng(11)
         for trial in range(200):
             pts = _hull_inputs(rng, trial)
             assert np.array_equal(hull_2d(pts), _hull_2d_reference(pts))
 
-    def test_hull_matches_reference_on_a_sampled_region(self, bench2, row_chunk):
+    def test_hull_matches_reference_on_a_sampled_region(self, bench2):
         pts = sample_region_with_ts(bench2, 40).points
         assert np.array_equal(hull_2d(pts), _hull_2d_reference(pts))
 
@@ -208,17 +200,25 @@ class TestWithoutTs:
             sample_region_without_ts(bench2, None, 1)
 
 
-@st.composite
-def concurrent_regions(draw):
-    """A random system of 1 to 4 receivers, one of them sometimes uncoupled
-    (h = 0, so whole grid lines give equal rows), with a drawn switch state
-    (all closed or a random nonempty subset) and a small grid."""
-    n = draw(st.integers(1, 4))
+def _drawn_system(draw, n):
+    """A random system of n receivers, one of them sometimes uncoupled
+    (h = 0, so whole grid lines, and configurations with and without it,
+    give equal rows)."""
     config = random_system(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
     if draw(st.booleans()):
         h = list(config.h)
         h[draw(st.integers(0, n - 1))] = 0.0
         config = replace(config, h=tuple(h))
+    return config
+
+
+@st.composite
+def concurrent_regions(draw):
+    """A random system of 1 to 4 receivers (see :func:`_drawn_system`),
+    with a drawn switch state (all closed or a random nonempty subset) and
+    a small grid."""
+    n = draw(st.integers(1, 4))
+    config = _drawn_system(draw, n)
     s = draw(st.tuples(*[st.integers(0, 1)] * n))
     sw = SwitchState(s=s) if any(s) and draw(st.booleans()) else None
     grid = draw(st.integers(2, (40, 16, 9, 6)[len(sw.connected if sw else s) - 1]))
@@ -251,6 +251,34 @@ class TestNeighbourFilter:
         keep = region._neighbour_undominated(powers)
         frontier = sample_region_without_ts(bench3, None, 60).boundary
         assert len(frontier) <= keep.sum() < 0.06 * keep.size
+
+
+@st.composite
+def time_shared_regions(draw):
+    """A random system of 2 or 3 receivers (see :func:`_drawn_system`) and
+    a small grid."""
+    n = draw(st.integers(2, 3))
+    return _drawn_system(draw, n), draw(st.integers(2, (40, 12)[n - 2]))
+
+
+class TestTimeSharedCandidates:
+    """The time-shared hull is taken over the origin and each configuration's
+    grid-neighbour-undominated samples; it must equal the hull of every
+    sample."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(time_shared_regions())
+    def test_boundary_is_the_hull_of_every_sample(self, drawn):
+        config, grid = drawn
+        sample = sample_region_with_ts(config, grid)
+        points = sample.points
+        if config.n_receivers == 2:
+            full = hull_2d(points)
+        else:
+            hull = region._hull_nd(points)
+            full = points[hull.vertices] if hull is not None else np.zeros((0, 3))
+        assert sample.boundary.shape == full.shape
+        assert sample.boundary.tobytes() == full.tobytes()
 
 
 class TestGridCap:
