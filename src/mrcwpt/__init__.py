@@ -23,6 +23,7 @@ from .circuit import (
     SystemConfig,
     Thresholds,
     analytic_derivatives,
+    enumerate_configs,
     optimal_frequency,
     solve_closed_form,
     solve_linear_oracle,
@@ -75,11 +76,9 @@ from .scenario import (
 )
 from .timeshare import (
     AveragePowers,
-    ConfigSet,
     ScheduleResult,
     TimeSharingSchedule,
     average_powers,
-    enumerate_configs,
     optimize_schedule,
     schedule_to_csv,
     solve_config_subproblem,

@@ -10,6 +10,9 @@ Conventions: phasor amplitudes (not RMS), so average power carries a 1/2
 factor. Receivers are indexed 0..N-1. Sums run over connected receivers
 only; an open switch removes its receiver from the circuit entirely.
 
+Switch states are listed by :func:`enumerate_configs`, in the one order
+that the time-sharing slots and the time-shared power region share.
+
 The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
 derivatives, the time-sharing slots, the region grids, the grid oracle and
@@ -143,6 +146,25 @@ class SwitchState:
 
     def mask(self) -> str:
         return "".join(str(v) for v in self.s)
+
+
+_MAX_CONFIG_RECEIVERS = 16
+
+
+def enumerate_configs(n: int) -> tuple[SwitchState, ...]:
+    """Every nonzero switch state for n receivers (2**n - 1 of them).
+
+    The all-closed state comes first; the rest follow in order of
+    decreasing closed-switch count, ties broken by the binary value of the
+    switch vector (first receiver most significant), descending.
+    """
+    if not 1 <= n <= _MAX_CONFIG_RECEIVERS:
+        raise ValidationError(
+            f"receiver count must be between 1 and {_MAX_CONFIG_RECEIVERS}"
+        )
+    states = [tuple((bits >> (n - 1 - k)) & 1 for k in range(n)) for bits in range(1, 2**n)]
+    states.sort(key=lambda s: (-sum(s), -int("".join(map(str, s)), 2)))
+    return tuple(SwitchState(s=s) for s in states)
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def _parse_sweep(expr: str):
 
 def _receiver_index(name: str, prefix: str, n: int) -> int:
     tail = name[len(prefix):]
-    if not tail.isdigit() or not 1 <= int(tail) <= n:
+    if not tail.isdecimal() or not 1 <= int(tail) <= n:
         raise ValidationError(f"unknown sweep variable '{name}'")
     return int(tail) - 1
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, resonant_powers
+from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers
 from .errors import ValidationError
-from .timeshare import enumerate_configs
 
 DEFAULT_GRID_2D = 200
 DEFAULT_GRID_3D = 60
@@ -120,15 +119,17 @@ def _neighbour_undominated(powers: list) -> np.ndarray:
     return keep
 
 
-def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int):
-    """Power tuples for every grid combination of the connected loads, and
-    the frontier candidates among them, in the same order: the tuples that
-    no grid neighbour strictly dominates."""
+def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int, points: np.ndarray):
+    """Write the power tuples of every grid combination of the connected
+    loads into the rows of ``points``, in grid order, and return the
+    frontier candidates among them, in the same order: the tuples that no
+    grid neighbour strictly dominates."""
     powers = _power_grid(sys, sw, grid_points)
+    for k, pk in enumerate(powers):
+        points[:, k] = pk.reshape(-1)
     # the open receivers' zero powers never decide a dominance
     keep = _neighbour_undominated([powers[k] for k in sw.connected])
-    points = np.stack(powers, axis=-1).reshape(-1, sys.n_receivers)
-    return points, points[keep.reshape(-1)]
+    return points[keep.reshape(-1)]
 
 
 def _unique_rows(points: np.ndarray) -> np.ndarray:
@@ -305,7 +306,8 @@ def sample_region_without_ts(
     if sw is None:
         sw = SwitchState.all_closed(sys.n_receivers)
     grid_points = _grid_points(sys, grid_points, len(sw.connected), with_ts=False)
-    points, candidates = _grid_samples(sys, sw, grid_points)
+    points = np.empty((grid_points ** len(sw.connected), sys.n_receivers))
+    candidates = _grid_samples(sys, sw, grid_points, points)
     return PowerRegionSample(
         points=points,
         mode=WITHOUT_TS,
@@ -326,23 +328,29 @@ def sample_region_with_ts(
     n = sys.n_receivers
     grid_points = _grid_points(sys, grid_points, n, with_ts=True)
 
-    origin = np.zeros((1, n))
-    if n > 3:  # no hull is taken, so no frontier candidates are needed
-        pools = [np.stack(_power_grid(sys, sw, grid_points), axis=-1).reshape(-1, n)
-                 for sw in enumerate_configs(n)]
-        points = np.vstack([origin] + pools)
-        boundary = np.zeros((0, n))
-    else:
-        pools = [_grid_samples(sys, sw, grid_points) for sw in enumerate_configs(n)]
-        points = np.vstack([origin] + [samples for samples, _ in pools])
-        candidates = np.vstack([origin] + [kept for _, kept in pools])
-        if n == 1:
-            boundary = np.array([[0.0], [float(points.max())]])
-        elif n == 2:
-            boundary = hull_2d(candidates)
+    # the origin, then each configuration's samples, written in place
+    points = np.empty(((grid_points + 1) ** n, n))
+    points[0] = 0.0
+    candidates = [points[:1]]
+    start = 1
+    for sw in enumerate_configs(n):
+        block = points[start : start + grid_points ** len(sw.connected)]
+        start += len(block)
+        if n > 3:  # no hull is taken, so no frontier candidates are needed
+            for k, pk in enumerate(_power_grid(sys, sw, grid_points)):
+                block[:, k] = pk.reshape(-1)
         else:
-            hull = _hull_nd(candidates)
-            boundary = candidates[hull.vertices] if hull is not None else np.zeros((0, n))
+            candidates.append(_grid_samples(sys, sw, grid_points, block))
+    candidates = np.vstack(candidates)
+    if n == 1:
+        boundary = np.array([[0.0], [float(points.max())]])
+    elif n == 2:
+        boundary = hull_2d(candidates)
+    elif n == 3:
+        hull = _hull_nd(candidates)
+        boundary = candidates[hull.vertices] if hull is not None else np.zeros((0, n))
+    else:
+        boundary = np.zeros((0, n))
     return PowerRegionSample(
         points=points,
         mode=WITH_TS,

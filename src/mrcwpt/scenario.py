@@ -123,7 +123,7 @@ def _finite(key: str, text: str, kind: str, path, line: int, col: int) -> float:
     return number
 
 
-def _as_int(section: _Section, key: str, path, default: int) -> int:
+def _as_int(section: _Section, key: str, path, default: int | None = None) -> int | None:
     if key not in section.entries:
         return default
     value, line, col = section.entries.pop(key)
@@ -312,21 +312,18 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
         p_req.append(req)
         x_nominal.append(nominal)
 
+    # only the options the text sets: ScenarioOptions holds the defaults
+    given = {}
     options_section = by_name.get("options")
     if options_section is not None:
-        opts = ScenarioOptions(
-            x_nominal=tuple(x_nominal),
-            dx=_as_float(options_section, "dx", path, required=False, default=1e-3),
-            itr_max=_as_int(options_section, "itr_max", path, default=300_000),
-            dp_stop=_as_float(options_section, "dp_stop", path, required=False, default=1e-3),
-            tau_total=_as_float(options_section, "tau_total", path, required=False, default=1.0),
-            grid_points=(
-                _as_int(options_section, "grid_points", path, default=0) or None
-            ),
-        )
+        for key, parse in (("dx", _as_float), ("itr_max", _as_int), ("dp_stop", _as_float),
+                           ("tau_total", _as_float), ("grid_points", _as_int)):
+            if key in options_section.entries:
+                given[key] = parse(options_section, key, path)
         _reject_leftovers(options_section, path)
-    else:
-        opts = ScenarioOptions(x_nominal=tuple(x_nominal))
+        if given.get("grid_points") == 0:
+            given["grid_points"] = None
+    opts = ScenarioOptions(x_nominal=tuple(x_nominal), **given)
 
     try:
         config = SystemConfig(

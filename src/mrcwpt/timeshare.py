@@ -1,11 +1,14 @@
 """Time-shared multiuser power transfer.
 
 The transmission horizon is split into slots, one per switch configuration
-(nonzero subset of connected receivers), each with its own load-resistance
-vector. Delivered powers are time averages over the slots. The module
-provides configuration enumeration, average-power evaluation, the linear
-program over slot durations, the per-configuration load subproblem, and
-the alternating optimization that ties them together.
+(nonzero subset of connected receivers, in the order of
+:func:`~mrcwpt.circuit.enumerate_configs`), each with its own
+load-resistance vector. Delivered powers are time averages over the slots.
+The module provides average-power evaluation, the linear program over slot
+durations, the per-slot load subproblem, and the alternating optimization
+that ties them together. The alternation evaluates the slot matrix, every
+slot's instantaneous p_tx and p_n at its loads, once; an accepted slot
+solve then overwrites that slot's column with the powers it returns.
 """
 
 from __future__ import annotations
@@ -16,46 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central import CentralSolution, ChargingProblem, SolveStatus, _infeasible, optimize_loads
-from .circuit import SwitchState, SystemConfig, resonant_powers, solo_peak_loads
+from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers, solo_peak_loads
 from .errors import InfeasibleProblemError, ValidationError
 from .lp import solve_lp
-
-_MAX_CONFIG_RECEIVERS = 16
-
-
-@dataclass(frozen=True)
-class ConfigSet:
-    """All usable switch configurations, deterministically ordered.
-
-    The all-closed configuration comes first; the rest follow in order of
-    decreasing closed-switch count, ties broken by the binary value of the
-    switch vector (first receiver most significant), descending.
-    """
-
-    configs: tuple[SwitchState, ...]
-
-    def __len__(self) -> int:
-        return len(self.configs)
-
-    def __getitem__(self, q: int) -> SwitchState:
-        return self.configs[q]
-
-    def __iter__(self):
-        return iter(self.configs)
-
-
-def enumerate_configs(n: int) -> ConfigSet:
-    """Every nonzero switch state for n receivers (2**n - 1 of them)."""
-    if not 1 <= n <= _MAX_CONFIG_RECEIVERS:
-        raise ValidationError(
-            f"receiver count must be between 1 and {_MAX_CONFIG_RECEIVERS}"
-        )
-    states = []
-    for bits in range(1, 2**n):
-        s = tuple((bits >> (n - 1 - k)) & 1 for k in range(n))
-        states.append(s)
-    states.sort(key=lambda s: (-sum(s), -int("".join(map(str, s)), 2)))
-    return ConfigSet(configs=tuple(SwitchState(s=s) for s in states))
 
 
 @dataclass(frozen=True)
@@ -68,7 +34,7 @@ class TimeSharingSchedule:
     the source is simply off for the remainder.
     """
 
-    configs: ConfigSet
+    configs: tuple[SwitchState, ...]
     tau: tuple[float, ...]
     x: tuple[tuple[float, ...], ...]
     tau_total: float
@@ -104,7 +70,7 @@ def average_powers(sys: SystemConfig, sched: TimeSharingSchedule) -> AveragePowe
     return AveragePowers(p_tx=float(sum(weight * a)), p=tuple(float(v) for v in p))
 
 
-def _config_coefficients(sys: SystemConfig, configs: ConfigSet, x_per_config):
+def _config_coefficients(sys: SystemConfig, configs: tuple[SwitchState, ...], x_per_config):
     """Instantaneous p_tx (Q,) and p_n (N, Q) of every configuration at its loads."""
     s = np.array([sw.s for sw in configs]).T
     x = np.array(x_per_config, dtype=float).T
@@ -116,9 +82,24 @@ def _config_coefficients(sys: SystemConfig, configs: ConfigSet, x_per_config):
     return a, np.array(p)
 
 
+def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
+    """Slot durations minimizing the average p_tx of slot matrix (a, b)."""
+    active = [n for n in range(len(b)) if p_req[n] > 0.0]
+    sol = solve_lp(
+        c=a / tau_total,
+        a_le=np.ones((1, len(a))),
+        b_le=[tau_total],
+        a_ge=b[active] if active else None,
+        b_ge=[p_req[n] * tau_total for n in active] if active else None,
+    )
+    if sol.status != "optimal":
+        return None
+    return np.asarray(sol.x)
+
+
 def solve_time_allocation(
     sys: SystemConfig,
-    configs: ConfigSet,
+    configs: tuple[SwitchState, ...],
     x_per_config,
     tau_total: float,
     p_req,
@@ -129,40 +110,27 @@ def solve_time_allocation(
     average-power requirement and the horizon budget.
     """
     a, b = _config_coefficients(sys, configs, x_per_config)
-    active = [n for n in range(sys.n_receivers) if p_req[n] > 0.0]
-    sol = solve_lp(
-        c=a / tau_total,
-        a_le=np.ones((1, len(configs))),
-        b_le=[tau_total],
-        a_ge=b[active] if active else None,
-        b_ge=[p_req[n] * tau_total for n in active] if active else None,
-    )
-    if sol.status != "optimal":
-        return None
-    return np.asarray(sol.x)
+    return _slot_lp(a, b, tau_total, p_req)
 
 
 def solve_config_subproblem(
-    sys: SystemConfig, sched: TimeSharingSchedule, q: int, p_req
+    sys: SystemConfig, sw: SwitchState, tau_q: float, tau_total: float, p_others, p_req
 ) -> CentralSolution:
-    """Optimize slot q's load vector with every other slot held fixed.
+    """Optimize the load vector of a slot in configuration ``sw`` that lasts
+    ``tau_q`` of ``tau_total``, with every other slot held fixed.
 
-    The average-power requirement of each load, less what the other slots
-    already deliver, is rescaled by the slot's share of the horizon into an
-    instantaneous requirement; requirements that other slots already cover
-    drop out. Requires tau[q] > 0.
+    ``p_others[n]`` is the average power load n collects from the other
+    slots. Each load's average-power requirement, less that, is rescaled by
+    the slot's share of the horizon into an instantaneous requirement;
+    requirements that other slots already cover drop out. Requires
+    tau_q > 0.
     """
-    if not sched.tau[q] > 0.0:
+    if not tau_q > 0.0:
         raise ValidationError("configuration has no allocated time")
-    sw = sched.configs[q]
-    scale = sched.tau_total / sched.tau[q]
-    # average power each load collects from the other slots
-    _, p = _config_coefficients(sys, sched.configs, sched.x)
-    others = p * np.asarray(sched.tau) / sched.tau_total
-    others[:, q] = 0.0
+    scale = tau_total / tau_q
     eff = []
     for n in range(sys.n_receivers):
-        residual = p_req[n] - float(sum(others[n]))
+        residual = p_req[n] - p_others[n]
         if not sw.s[n]:
             if residual > 1e-9 * max(1.0, p_req[n]):
                 return _infeasible()
@@ -171,6 +139,11 @@ def solve_config_subproblem(
             eff.append(residual * scale)
     prob = ChargingProblem(sys=sys, sw=sw, p_req_eff=tuple(eff))
     return optimize_loads(prob)
+
+
+def _no_worse(new: float, old: float) -> bool:
+    """Whether a proposed drawn power may replace the current one."""
+    return new <= old * (1.0 + 1e-12) + 1e-15
 
 
 @dataclass(frozen=True)
@@ -213,47 +186,39 @@ def optimize_schedule(
         )
 
     configs = enumerate_configs(sys.n_receivers)
-    q_count = len(configs)
-    solo = solo_peak_loads(sys)
-    x = [list(base.x)] + [list(solo) for _ in range(q_count - 1)]
-    tau = np.zeros(q_count)
+    x = [base.x] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
+    # the slot matrix: a[q] is slot q's p_tx and b[n, q] its p_n, at x[q]
+    a, b = _config_coefficients(sys, configs, x)
+    tau = np.zeros(len(configs))
     tau[0] = tau_total
     p_req = sys.p_req
-
-    def schedule():
-        return TimeSharingSchedule(
-            configs=configs,
-            tau=tuple(float(t) for t in tau),
-            x=tuple(tuple(row) for row in x),
-            tau_total=tau_total,
-        )
 
     trace = []
     failures = 0
     prev = float("inf")
-    iterations = 0
-    a, _ = _config_coefficients(sys, configs, x)
     for _ in range(max_outer):
-        iterations += 1
-        lp_tau = solve_time_allocation(sys, configs, x, tau_total, p_req)
-        if lp_tau is not None:
-            current = float(a @ tau) / tau_total
-            proposed = float(a @ lp_tau) / tau_total
-            if proposed <= current * (1.0 + 1e-12) + 1e-15:
-                tau = lp_tau
+        lp_tau = _slot_lp(a, b, tau_total, p_req)
+        if lp_tau is not None and _no_worse(
+            float(a @ lp_tau) / tau_total, float(a @ tau) / tau_total
+        ):
+            tau = lp_tau
 
-        for q in range(q_count):
+        for q, sw in enumerate(configs):
             if tau[q] <= 1e-12 * tau_total:
                 continue
-            sol = solve_config_subproblem(sys, schedule(), q, p_req)
+            # average power each load collects from the other slots
+            others = b * tau / tau_total
+            others[:, q] = 0.0
+            p_others = [float(sum(row)) for row in others]
+            sol = solve_config_subproblem(sys, sw, float(tau[q]), tau_total, p_others, p_req)
             if sol.status is SolveStatus.INFEASIBLE:
                 failures += 1
-                continue
-            # a[q] is still current: only slot q's own update changes x[q]
-            if sol.p_tx <= a[q] * (1.0 + 1e-12) + 1e-15:
-                x[q] = list(sol.x)
+            elif _no_worse(sol.p_tx, a[q]):
+                # the solution's powers are slot q's new column, bit for bit
+                x[q] = sol.x
+                a[q] = sol.p_tx
+                b[:, q] = sol.p
 
-        a, _ = _config_coefficients(sys, configs, x)
         p_itr = float(a @ tau) / tau_total
         trace.append(p_itr)
         if prev - p_itr <= dp_stop:
@@ -261,10 +226,15 @@ def optimize_schedule(
         prev = p_itr
 
     return ScheduleResult(
-        schedule=schedule(),
+        schedule=TimeSharingSchedule(
+            configs=configs,
+            tau=tuple(float(t) for t in tau),
+            x=tuple(x),
+            tau_total=tau_total,
+        ),
         p_tx=trace[-1],
         p_tx_trace=tuple(trace),
-        iterations=iterations,
+        iterations=len(trace),
         subproblem_failures=failures,
     )
 

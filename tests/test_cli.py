@@ -77,6 +77,18 @@ class TestAnalyze:
             == EXIT_INVALID
         assert "unknown sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "three_receivers", "--sweep", "x_²=1:2:0.5"),
+        ("optimize", "three_receivers", "--sweep", "p_req_³=5:6:1"),
+    ], ids=["analyze", "optimize"])
+    def test_superscript_receiver_index(self, argv, capsys):
+        # str.isdigit accepts superscript digits that int() rejects
+        assert run_cli(*argv) == EXIT_INVALID
+        name = argv[-1].split("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unknown sweep variable '{name}'"
+        ]
+
     @pytest.mark.parametrize("spec", ["x_1=0.1:nan:1", "x_1=1:2:inf"])
     def test_non_finite_sweep_bounds(self, capsys, spec):
         assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mrcwpt import (
     ScenarioError,
+    ScenarioOptions,
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
@@ -121,6 +122,18 @@ p_req = 0.5
         config, options = parse_scenario_text(MINIMAL)
         assert options.x_nominal == (pytest.approx(math.sqrt(10.0)),)
         del config
+
+    @pytest.mark.parametrize("section", ["", "\n[options]\n"], ids=["absent", "empty"])
+    def test_unset_options_take_the_dataclass_defaults(self, section):
+        _, options = parse_scenario_text(MINIMAL + section)
+        assert options == ScenarioOptions(x_nominal=options.x_nominal)
+
+    def test_set_options_override_defaults(self):
+        text = MINIMAL + "\n[options]\nitr_max = 7\ntau_total = 2.5\ngrid_points = 0\n"
+        _, options = parse_scenario_text(text)
+        assert options == ScenarioOptions(
+            x_nominal=options.x_nominal, itr_max=7, tau_total=2.5, grid_points=None
+        )
 
 
 class TestErrors:

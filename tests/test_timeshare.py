@@ -1,5 +1,9 @@
 """Time-sharing: configurations, averages, the duration LP, alternating loop."""
 
+import hashlib
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,13 +17,14 @@ from mrcwpt import (
     enumerate_configs,
     optimize_loads,
     optimize_schedule,
+    parse_scenario,
     schedule_to_csv,
     solve_closed_form,
     solve_config_subproblem,
     solve_time_allocation,
 )
 
-from conftest import bench_system
+from conftest import bench_system, random_system
 
 
 class TestEnumerateConfigs:
@@ -140,14 +145,21 @@ class TestTimeAllocationLp:
         assert tau is None
 
 
+def _others(config, sched, q):
+    """Average power each load collects from every slot of ``sched`` but q."""
+    tau = list(sched.tau)
+    tau[q] = 0.0
+    rest = TimeSharingSchedule(
+        configs=sched.configs, tau=tuple(tau), x=sched.x, tau_total=sched.tau_total
+    )
+    return average_powers(config, rest).p
+
+
 class TestConfigSubproblem:
     def test_single_config_reduces_to_concurrent_solver(self):
         config = bench_system(p_req=(5.0,), n=1)
         configs = enumerate_configs(1)
-        sched = TimeSharingSchedule(
-            configs=configs, tau=(1.0,), x=((2.5,),), tau_total=1.0
-        )
-        sol = solve_config_subproblem(config, sched, 0, config.p_req)
+        sol = solve_config_subproblem(config, configs[0], 1.0, 1.0, (0.0,), config.p_req)
         direct = optimize_loads(ChargingProblem(sys=config))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(direct.x[0], rel=1e-6)
@@ -164,7 +176,9 @@ class TestConfigSubproblem:
             x=tuple(tuple(row) for row in x),
             tau_total=1.0,
         )
-        sol = solve_config_subproblem(bench3, sched, 1, (1.0, 1.0, 1.0))
+        sol = solve_config_subproblem(
+            bench3, configs[1], 0.1, 1.0, _others(bench3, sched, 1), (1.0, 1.0, 1.0)
+        )
         assert sol.status is SolveStatus.OPTIMAL
         # slack requirements leave the slot free to sit at its cheapest point
         for k in configs[1].connected:
@@ -172,14 +186,10 @@ class TestConfigSubproblem:
 
     def test_disconnected_receiver_with_unmet_need_is_infeasible(self, bench3):
         configs = enumerate_configs(3)
-        sched = TimeSharingSchedule(
-            configs=configs,
-            tau=(0.0, 1.0) + (0.0,) * 5,
-            x=tuple(tuple([2.5] * 3) for _ in configs),
-            tau_total=1.0,
-        )
         # config (1,1,0) cannot serve receiver 3 and nothing else does
-        sol = solve_config_subproblem(bench3, sched, 1, bench3.p_req)
+        sol = solve_config_subproblem(
+            bench3, configs[1], 1.0, 1.0, (0.0, 0.0, 0.0), bench3.p_req
+        )
         assert sol.status is SolveStatus.INFEASIBLE
 
     def test_average_requirements_met_after_solve(self):
@@ -191,7 +201,9 @@ class TestConfigSubproblem:
             x=((2.5, 2.5), (2.5, 2.5), (2.5, 2.5)),
             tau_total=1.0,
         )
-        sol = solve_config_subproblem(config, sched, 0, config.p_req)
+        sol = solve_config_subproblem(
+            config, configs[0], 0.6, 1.0, _others(config, sched, 0), config.p_req
+        )
         assert sol.status is SolveStatus.OPTIMAL
         new_x = (tuple(sol.x), sched.x[1], sched.x[2])
         avg = average_powers(
@@ -206,7 +218,10 @@ class TestConfigSubproblem:
     def test_zero_time_slot_rejected(self, bench3):
         sched = uniform_schedule(bench3)
         with pytest.raises(ValidationError, match="allocated"):
-            solve_config_subproblem(bench3, sched, 3, bench3.p_req)
+            solve_config_subproblem(
+                bench3, sched.configs[3], sched.tau[3], 1.0, _others(bench3, sched, 3),
+                bench3.p_req,
+            )
 
 
 class TestOptimizeSchedule:
@@ -293,6 +308,29 @@ class TestOptimizeSchedule:
                 assert avg.p[k] >= bench3.p_req[k] * (1 - 1e-6)
             assert sum(result.schedule.tau) <= 1.0 + 1e-12
 
+    def test_slot_matrix_evaluated_once(self, bench3, monkeypatch):
+        # one slot-matrix evaluation and one schedule per call; the loop
+        # still solves every slot with time through solve_config_subproblem
+        from mrcwpt import timeshare
+
+        calls = {"coefficients": 0, "schedules": 0, "subproblems": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(timeshare, "_config_coefficients",
+                            counted("coefficients", timeshare._config_coefficients))
+        monkeypatch.setattr(timeshare, "TimeSharingSchedule",
+                            counted("schedules", timeshare.TimeSharingSchedule))
+        monkeypatch.setattr(timeshare, "solve_config_subproblem",
+                            counted("subproblems", timeshare.solve_config_subproblem))
+        result = timeshare.optimize_schedule(bench3, tau_total=1.0, dp_stop=1e-3)
+        assert calls == {"coefficients": 1, "schedules": 1, "subproblems": 6}
+        assert (result.iterations, result.subproblem_failures) == (2, 1)
+
     def test_csv_export(self, bench3, tmp_path):
         result = optimize_schedule(bench3, tau_total=1.0, dp_stop=1e-3)
         out = tmp_path / "schedule.csv"
@@ -308,3 +346,59 @@ def test_schedule_csv_write_failure_carries_path(bench3, tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "schedule.csv"
     with pytest.raises(OSError, match="cannot write schedule CSV to .*schedule.csv"):
         schedule_to_csv(bench3, result.schedule, missing)
+
+
+def _feasible_random_system(seed, n):
+    """A seeded random system whose requirements are 70% of what its
+    mid-box loads deliver, redrawn until the concurrent problem is feasible."""
+    rng = np.random.default_rng(seed)
+    while True:
+        config = random_system(rng, n=n, spread=2.0)
+        x_mid = [float(np.sqrt(config.x_lo[k] * config.x_hi[k])) for k in range(n)]
+        reqs = tuple(0.7 * p for p in solve_closed_form(config, None, x_mid).p)
+        if any(r <= 0 for r in reqs):
+            continue
+        config = replace(config, p_req=reqs)
+        if optimize_loads(ChargingProblem(sys=config)).status is SolveStatus.OPTIMAL:
+            return config
+
+
+class TestPinnedSchedules:
+    """Whole alternating runs pinned bit for bit: a sha256 digest of the
+    little-endian doubles of tau, x (slot by slot) and p_tx_trace, plus the
+    iteration and subproblem-failure counts. A rewrite of the loop must
+    leave every one of these bits alone."""
+
+    @pytest.mark.parametrize(
+        "system, iterations, failures, sha",
+        [
+            (lambda: parse_scenario("two_receivers")[0], 2, 0,
+             "6e689de7d350c465648a680aa64de07d67b4d3f4b5856ec315ff210e9eb5f101"),
+            (lambda: bench_system(p_req=(17.5, 17.5, 5.0)), 2, 0,
+             "950c9fc27325dddd85f493b9e7458efc338b5d50adfed8bf478ab96a47383d5c"),
+            (lambda: bench_system(p_req=(17.5, 17.5, 20.0)), 2, 0,
+             "6ecab6963a8c610e1ca48b384e0321b953a9f48c62d8f38da1fe0f8d5e5f81a8"),
+            (lambda: bench_system(p_req=(17.5, 17.5, 37.0)), 2, 0,
+             "3885f4d60bc5c9ac7694f28c142716c270d31b6e373de0b22751a4c1ab323b3f"),
+            (lambda: _feasible_random_system(1, 1), 2, 0,
+             "b62e43713df3842c011092b2cfe7e228fee4ff9a9e7ef35e715efe44b2bbd2a1"),
+            (lambda: _feasible_random_system(2, 2), 2, 4,
+             "877d7ef255424dc0351e5db386ea1a143dbd8b00367658edd36d55b8f21212ca"),
+            (lambda: _feasible_random_system(3, 3), 2, 6,
+             "cc7e7b00daccd023696d1d967c7f806c34d228a9c2eeb3eb84e2bcaafce24141"),
+            (lambda: _feasible_random_system(4, 4), 2, 2,
+             "3ffdef9f042dd59f5d35bff8462c41f5422b8f6704233899d1c3e96991af39ab"),
+            (lambda: _feasible_random_system(6, 3), 2, 1,
+             "26d12b7f448075df20c2b85a7aae8a58798950c558ae7ad3907b36259a6fdf4f"),
+        ],
+        ids=["two_receivers", "bundled-5W", "bundled-20W", "bundled-37W",
+             "random-n1", "random-n2", "random-n3", "random-n4", "random-n3-b"],
+    )
+    def test_digests_unchanged(self, system, iterations, failures, sha):
+        result = optimize_schedule(system(), tau_total=1.0, dp_stop=1e-3)
+        sched = result.schedule
+        values = [*sched.tau, *(v for row in sched.x for v in row), *result.p_tx_trace]
+        assert result.iterations == iterations
+        assert result.subproblem_failures == failures
+        assert result.p_tx == result.p_tx_trace[-1]
+        assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == sha
