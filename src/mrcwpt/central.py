@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig, resonant_powers, solve_closed_form
+from .circuit import SwitchState, SystemConfig, grid_powers, solve_closed_form
 from .errors import NumericalError, ValidationError
 
 
@@ -292,13 +292,7 @@ def brute_force_oracle(prob: ChargingProblem, grid_resolution: int) -> OracleRes
         raise ValidationError("grid_resolution must be at least 2")
     reqs = prob.requirements
 
-    axes = [
-        np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_resolution) for k in conn
-    ]
-    x = list(sys.x_hi)
-    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
-        x[k] = axis
-    p_tx, p, _ = resonant_powers(sys, x, sw.s)
+    axes, p_tx, p = grid_powers(sys, sw, grid_resolution)
 
     feasible = np.ones(p_tx.shape, dtype=bool)
     for k in conn:

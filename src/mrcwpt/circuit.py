@@ -15,8 +15,9 @@ that the time-sharing slots and the time-shared power region share.
 
 The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
-derivatives, the time-sharing slots, the region grids, the grid oracle and
-the distributed run's once-per-run final-state slack. Two copies are kept
+derivatives, the time-sharing slots, the load grids of :func:`grid_powers`
+(shared by the power regions and the grid oracle) and the distributed
+run's once-per-run final-state slack. Two copies are kept
 on purpose: :func:`solve_linear_oracle` solves the full mesh equations as
 the independent cross-check, and ``distributed._Loads`` keeps a plain-float
 copy with cached per-receiver terms for the per-turn path alone, the
@@ -179,6 +180,12 @@ class SteadyState:
     rho: float
 
 
+def _check_receiver(sys: SystemConfig, n) -> None:
+    """Reject a receiver index outside 0..N-1."""
+    if n not in range(sys.n_receivers):
+        raise ValidationError(f"receiver index {n} is not in 0..{sys.n_receivers - 1}")
+
+
 def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> SwitchState:
     """The switch state (all closed for None), checked against the loads and n."""
     if sw is None:
@@ -193,8 +200,10 @@ def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> Swi
             raise ValidationError(f"receiver {k + 1}: load resistance must be finite")
         if sw.s[k] and not x[k] > 0.0:
             raise ValidationError(f"receiver {k + 1}: load resistance must be > 0")
-    if n is not None and not sw.s[n]:
-        raise ValidationError(f"receiver {n + 1} is not connected")
+    if n is not None:
+        _check_receiver(sys, n)
+        if not sw.s[n]:
+            raise ValidationError(f"receiver {n + 1} is not connected")
     return sw
 
 
@@ -220,6 +229,25 @@ def resonant_powers(sys: SystemConfig, x, s):
         for k in range(sys.n_receivers)
     ]
     return half_v2 / denom, p, denom
+
+
+def grid_powers(sys: SystemConfig, sw: SwitchState, grid_points: int):
+    """Returns (axes, p_tx, [p_1, ..., p_N]) on a log grid of the load box:
+    ``grid_points`` loads from x_lo to x_hi per connected receiver, arrays of
+    shape ``(grid_points,) * k`` over the k axes, every open receiver at its
+    x_hi with zero power. A power that is not finite raises NumericalError."""
+    conn = sw.connected
+    axes = [np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in conn]
+    x = list(sys.x_hi)
+    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
+        x[k] = axis
+    # an overflow shows as a power that is not finite, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_tx, p, _ = resonant_powers(sys, x, sw.s)
+    for pk in p:
+        if not np.isfinite(pk).all():
+            raise NumericalError("the powers on the load grid overflow")
+    return axes, p_tx, p
 
 
 def solo_peak_loads(sys: SystemConfig) -> list[float]:
@@ -250,6 +278,9 @@ def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadySta
         for k in range(sys.n_receivers)
     )
     p_sum = sum(powers)
+    # every power is >= 0, so a finite sum means every power is finite
+    if not (math.isfinite(p_tx) and math.isfinite(p_sum)):
+        raise NumericalError("the steady-state powers overflow at these loads")
     return SteadyState(
         i_tx=i_tx,
         i=currents,

@@ -37,9 +37,10 @@ trace rows are stored; the full trace is built from them when first read.
 
 One turn sums the circuit's shared denominator once, in a fixed order, and
 decides its case on plain floats; a traced row's powers, p_tx and feedback
-bits are read from that same sum, taken before the update. Traced and
-untraced runs, the cycle's replay and the public ``step`` all take this
-one turn, and ``probe_direction`` reads its direction from it.
+bits are read from that same sum, taken before the update. Runs, the
+cycle's replay, ``step`` and ``probe_direction`` all take this one turn on
+a ``_Loads``, which checks its loads; the last two build one per call and
+check the receiver index.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from enum import Enum
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, resonant_powers, solo_peak_loads
+from .circuit import SwitchState, SystemConfig, _check_receiver, resonant_powers, solo_peak_loads
 from .errors import ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
@@ -136,39 +137,14 @@ class DistributedRun:
         return trace
 
 
-class _Params:
-    """Plain-float views of the system for the hot simulation loop."""
-
-    # _Loads copies circuit.resonant_powers on these with each receiver's
-    # terms cached: a shared call per probe doubled the iteration time, and
-    # the cache spares a probe every term before the probed receiver. A turn
-    # reads them as plain floats, one sum of the denominator per turn.
-
-    def __init__(self, sys: SystemConfig):
-        self.n = sys.n_receivers
-        self.r_tx = sys.transmitter.resistance
-        self.half_v2 = 0.5 * abs(sys.v_tx) ** 2
-        self.r = [c.resistance for c in sys.receivers]
-        self.wh2 = [(sys.w * h) ** 2 for h in sys.h]
-        # the numerator factor of each load's power, half_v2 * wh2_k
-        self.coef = [self.half_v2 * wh2 for wh2 in self.wh2]
-        self.x_lo = list(sys.x_lo)
-        self.x_hi = list(sys.x_hi)
-        self.p_req = list(sys.p_req)
-        self.req_lo = [req * (1.0 - _REQ_TOL) for req in self.p_req]
-        self.req_hi = [req * (1.0 + _REQ_TOL) for req in self.p_req]
-
-
-@functools.lru_cache(maxsize=8)
-def _step_params(sys: SystemConfig) -> _Params:
-    """The params of a frozen config, shared by the turns of a ``step`` loop
-    (nothing writes to a ``_Params`` once it is built)."""
-    return _Params(sys)
-
-
 class _Loads:
-    """The loads of one run with each receiver's denominator term cached.
+    """The loads of one run, with the system's constants as plain floats and
+    each receiver's denominator term cached.
 
+    ``_Loads(sys, x)`` checks ``x``, one finite load > 0 per receiver, and
+    keeps that list as the state. The turns copy circuit.resonant_powers on
+    the cached terms: a shared call per probe doubled the iteration time,
+    and the cache spares a probe every term before the probed receiver.
     ``term[k] = wh2_k / (r_k + x_k)`` is recomputed only when x_k moves.
     Every denominator is summed from r_tx over the receivers in order, the
     probe of receiver n reusing the prefix r_tx + term[0] + ... +
@@ -180,23 +156,36 @@ class _Loads:
     turn's measurement from them.
     """
 
-    def __init__(self, params: _Params, x: list[float]):
-        self.params = params
+    def __init__(self, sys: SystemConfig, x: list[float]):
+        self.n = sys.n_receivers
+        if len(x) != self.n:
+            raise ValidationError("load vector must have one entry per receiver")
+        for k, xk in enumerate(x):
+            if not 0.0 < xk < math.inf:
+                raise ValidationError(f"receiver {k + 1}: load resistance must be finite and > 0")
+        self.r_tx = sys.transmitter.resistance
+        self.half_v2 = 0.5 * abs(sys.v_tx) ** 2
+        self.r = [c.resistance for c in sys.receivers]
+        self.wh2 = [(sys.w * h) ** 2 for h in sys.h]
+        # the numerator factor of each load's power, half_v2 * wh2_k
+        self.coef = [self.half_v2 * wh2 for wh2 in self.wh2]
+        self.x_lo, self.x_hi, self.p_req = sys.x_lo, sys.x_hi, sys.p_req
+        self.req_lo = [req * (1.0 - _REQ_TOL) for req in self.p_req]
+        self.req_hi = [req * (1.0 + _REQ_TOL) for req in self.p_req]
         self.x = x
-        self.term = [0.0] * params.n
-        self.num = [0.0] * params.n
-        self.sq = [0.0] * params.n
-        for k in range(params.n):
+        self.term = [0.0] * self.n
+        self.num = [0.0] * self.n
+        self.sq = [0.0] * self.n
+        for k in range(self.n):
             self._set(k, x[k])
         self.denom = self.pn = math.nan
 
     def _set(self, k: int, xk: float) -> None:
-        prm = self.params
         self.x[k] = xk
-        self.term[k] = prm.wh2[k] / (prm.r[k] + xk)
+        self.term[k] = self.wh2[k] / (self.r[k] + xk)
         # numerator and squared factor of load k's power
-        self.num[k] = prm.coef[k] * xk
-        self.sq[k] = (prm.r[k] + xk) ** 2
+        self.num[k] = self.coef[k] * xk
+        self.sq[k] = (self.r[k] + xk) ** 2
 
     def powers(self, denom: float) -> list[float]:
         """Every load's power at the current loads, ``denom`` being their
@@ -206,19 +195,19 @@ class _Loads:
 
     def feedback(self, p: list[float]) -> list[bool]:
         """The feedback bits of powers ``p``."""
-        return [pk >= lo for pk, lo in zip(p, self.params.req_lo)]
+        return [pk >= lo for pk, lo in zip(p, self.req_lo)]
 
     def measured(self, n: int):
         """(p_tx, p, fb) as the last turn, receiver n's, measured them
         before its update: only load n has moved since."""
         p = self.powers(self.denom)
         p[n] = self.pn
-        return self.params.half_v2 / self.denom, p, self.feedback(p)
+        return self.half_v2 / self.denom, p, self.feedback(p)
 
     def denominator(self) -> float:
         """The denominator at the current loads, r_tx + term[0] + ... +
         term[N - 1] summed in order, as a turn sums it."""
-        denom = self.params.r_tx
+        denom = self.r_tx
         for t in self.term:
             denom += t
         return denom
@@ -233,8 +222,8 @@ class _Loads:
         one does not rise, and the peers' feedback bits are read only when
         the case depends on them, each with the expression ``feedback``
         uses, so the case is the one a fully measured turn takes."""
-        prm, term = self.params, self.term
-        prefix = prm.r_tx
+        term = self.term
+        prefix = self.r_tx
         for t in term[:n]:
             prefix += t
         denom = prefix
@@ -243,15 +232,15 @@ class _Loads:
         num, sq = self.num, self.sq
         pn = num[n] / (sq[n] * (denom * denom))
         self.denom, self.pn = denom, pn
-        if pn < prm.req_lo[n]:
+        if pn < self.req_lo[n]:
             unmet = True
-        elif pn > prm.req_hi[n]:
+        elif pn > self.req_hi[n]:
             unmet = False
         else:
             return 5
 
         # three-point probe of load n's own power, the other loads fixed
-        xn, r_n, wh2_n, coef_n = self.x[n], prm.r[n], prm.wh2[n], prm.coef[n]
+        xn, r_n, wh2_n, coef_n = self.x[n], self.r[n], self.wh2[n], self.coef[n]
         suffix = term[n + 1 :]
         p0 = num[n] / (sq[n] * denom * denom)
         rise = p0 + _PROBE_TOL
@@ -274,27 +263,27 @@ class _Loads:
         if unmet:
             # toward the peak
             if below:
-                self._set(n, min(prm.x_hi[n], x_up))
+                self._set(n, min(self.x_hi[n], x_up))
                 return 1
-            self._set(n, max(prm.x_lo[n], xn - dx))
+            self._set(n, max(self.x_lo[n], xn - dx))
             return 2
         d2 = denom * denom
-        req_lo = prm.req_lo
-        for k in range(prm.n):
+        req_lo = self.req_lo
+        for k in range(self.n):
             if k != n and not num[k] / (sq[k] * d2) >= req_lo[k]:
                 # a peer is unmet: help it only with more than one own
                 # step of margin
-                if pn - prm.p_req[n] > abs(up - p0):
-                    self._set(n, min(prm.x_hi[n], x_up))
+                if pn - self.p_req[n] > abs(up - p0):
+                    self._set(n, min(self.x_hi[n], x_up))
                     return 3
                 return 5
-        self._set(n, max(prm.x_lo[n], xn - dx))
+        self._set(n, max(self.x_lo[n], xn - dx))
         return 4
 
     def advance(self, turns: int, dx: float) -> tuple[float, float]:
         """Run ``turns`` turns from the start of a round; returns the least
         and greatest p_tx measured."""
-        n_rx, half_v2 = self.params.n, self.params.half_v2
+        n_rx, half_v2 = self.n, self.half_v2
         lo, hi = math.inf, -math.inf
         for i in range(turns):
             self.turn(i % n_rx, dx)
@@ -334,7 +323,7 @@ def init_distributed(sys: SystemConfig) -> DistributedState:
     feedback bits come from the actual all-connected steady state.
     """
     x = solo_peak_loads(sys)
-    loads = _Loads(_Params(sys), x)
+    loads = _Loads(sys, x)
     fb = loads.feedback(loads.powers(loads.denominator()))
     return DistributedState(x=x, fb=fb, itr=0)
 
@@ -349,15 +338,12 @@ def probe_direction(sys: SystemConfig, sw: SwitchState | None, x, n: int, dx: fl
         raise ValidationError("dx must be > 0")
     if sw is not None and sw.s != (1,) * sys.n_receivers:
         raise ValidationError("the distributed protocol runs with all switches closed")
-    params = _Params(sys)
-    if len(x) != params.n:
-        raise ValidationError("load vector must have one entry per receiver")
-    if any(not v > 0.0 for v in x):
-        raise ValidationError("load resistance must be > 0")
+    _check_receiver(sys, n)
+    loads = _Loads(sys, list(x))
     # an unmet receiver moves toward its own-power peak, so its turn against
     # an unreachable requirement reads the direction from the protocol's probes
-    params.req_lo[n] = math.inf
-    case = _Loads(params, list(x)).turn(n, dx)
+    loads.req_lo[n] = math.inf
+    case = loads.turn(n, dx)
     return {1: Direction.BELOW, 2: Direction.ABOVE, 5: Direction.AT_PEAK}[case]
 
 
@@ -365,7 +351,8 @@ def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
     """Advance one receiver's turn in place; returns the case applied (1-5)."""
     if not dx > 0.0:
         raise ValidationError("dx must be > 0")
-    loads = _Loads(_step_params(sys), state.x)
+    _check_receiver(sys, n)
+    loads = _Loads(sys, state.x)
     case = loads.turn(n, dx)
     p_tx, p, fb = loads.measured(n)
     state.fb = fb
@@ -411,10 +398,8 @@ def run_distributed(
         raise ValidationError("dx must be > 0")
     if itr_max < 1:
         raise ValidationError("itr_max must be >= 1")
-    params = _Params(sys)
-    loads = _Loads(params, solo_peak_loads(sys))
-    x, turn = loads.x, loads.turn
-    n_rx = params.n
+    loads = _Loads(sys, solo_peak_loads(sys))
+    x, turn, n_rx = loads.x, loads.turn, loads.n
 
     width = 3 + 2 * n_rx + 1 + n_rx
     # the simulated rows, packed: half the cost of assigning a tuple to a
@@ -449,9 +434,9 @@ def run_distributed(
             break
 
     denom = loads.denominator()
-    p_tx, p = params.half_v2 / denom, loads.powers(denom)
+    p_tx, p = loads.half_v2 / denom, loads.powers(denom)
     slack = _power_resolution(sys, x, p, dx)
-    feasible = all(p[k] >= params.p_req[k] - slack[k] for k in range(n_rx))
+    feasible = all(p[k] >= sys.p_req[k] - slack[k] for k in range(n_rx))
     return DistributedRun(
         x=tuple(x),
         feasible=feasible,

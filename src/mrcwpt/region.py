@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers
+from .circuit import SwitchState, SystemConfig, enumerate_configs, grid_powers
 from .errors import ValidationError
 
 DEFAULT_GRID_2D = 200
@@ -75,16 +75,8 @@ def _grid_points(sys: SystemConfig, grid_points: int | None, loads: int, with_ts
 
 
 def _power_grid(sys: SystemConfig, sw: SwitchState, grid_points: int) -> list:
-    """Each receiver's power at every grid combination of the k connected
-    loads, as arrays of shape ``(grid_points,) * k``. An open receiver's
-    power is exactly zero throughout."""
-    conn = sw.connected
-    axes = [np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in conn]
-    x = list(sys.x_hi)
-    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
-        x[k] = axis
-    _, p, _ = resonant_powers(sys, x, sw.s)
-    return p
+    """Each receiver's power on the load grid of :func:`circuit.grid_powers`."""
+    return grid_powers(sys, sw, grid_points)[2]
 
 
 def _neighbour_undominated(powers: list) -> np.ndarray:

@@ -37,9 +37,6 @@ from .errors import ScenarioError, ValidationError
 _ELECTRICAL_KEYS = {"r", "l"}
 _GEOMETRY_KEYS = {"inner_radius", "outer_radius", "turns", "resistivity"}
 _GEOMETRY_OPT = {"center", "normal"}
-_RECEIVER_KEYS = {"h", "x_lo", "x_hi", "p_req", "x"}
-_SOURCE_KEYS = {"v_tx", "phase", "w"}
-_OPTION_KEYS = {"dx", "itr_max", "dp_stop", "tau_total", "grid_points"}
 
 
 @dataclass(frozen=True)

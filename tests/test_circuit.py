@@ -320,6 +320,14 @@ class TestAnalyticDerivatives:
             analytic_derivatives(bench3, SwitchState(s=(1, 0, 1)), [2.5] * 3, 1)
 
 
+@pytest.mark.parametrize("n", [-1, 3])
+@pytest.mark.parametrize("function", [analytic_derivatives, thresholds])
+def test_receiver_index_out_of_range(bench3, function, n):
+    # -1 used to count receiver 3 among its own "others"
+    with pytest.raises(ValidationError, match="receiver index"):
+        function(bench3, None, [2.5] * 3, n)
+
+
 class TestThresholds:
     def test_benchmark_anchors(self, bench3):
         th = thresholds(bench3, None, [2.5, 2.5, 2.5], 0)

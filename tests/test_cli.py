@@ -4,11 +4,12 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def run_cli(*argv):
@@ -307,6 +308,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         key = new.split()[0]
         assert f"{path}:{line}:1: '{key}' must be a finite number" in err
+
+
+class TestNumericalFailure:
+    """Loads near the float limit overflow the closed form (1/2 |v|^2 B x
+    and (r + x)^2 both reach inf): exit 3 with one line, no NaN output."""
+
+    @staticmethod
+    def check_failure(code, capsys):
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("spec", ["x_1=1e307:2e307:1e307", "x_1=1e307:1e307:1"])
+    def test_sweep_past_the_float_range(self, spec, capsys):
+        self.check_failure(run_cli("analyze", "three_receivers", "--sweep", spec), capsys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_region_past_the_float_range(self, tmp_path, capsys):
+        from mrcwpt import parse_scenario, serialize_scenario
+        from mrcwpt.scenario import ScenarioOptions
+
+        config, options = parse_scenario("two_receivers")
+        config = replace(config, x_hi=(1e307, 1e307))
+        path = tmp_path / "huge_loads.scn"
+        path.write_text(serialize_scenario(
+            config, ScenarioOptions(x_nominal=options.x_nominal, grid_points=5)))
+        self.check_failure(run_cli("region", str(path)), capsys)
 
 
 def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):

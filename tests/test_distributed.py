@@ -24,7 +24,7 @@ from mrcwpt import (
     thresholds,
     trace_to_csv,
 )
-from mrcwpt.distributed import DistributedState, _Loads, _Params, _power_resolution
+from mrcwpt.distributed import DistributedState, _Loads, _power_resolution
 
 from conftest import bench_system, random_loads, random_system
 
@@ -85,6 +85,18 @@ class TestProbeDirection:
     def test_requires_positive_step(self, bench3):
         with pytest.raises(ValidationError):
             probe_direction(bench3, None, [2.5] * 3, 0, 0.0)
+
+    @pytest.mark.parametrize("x", [
+        [float("inf"), 5.0, 5.0], [5.0, float("nan"), 5.0], [5.0, 5.0],
+    ], ids=["inf", "nan", "short"])
+    def test_rejects_bad_loads(self, bench3, x):
+        with pytest.raises(ValidationError, match="load"):
+            probe_direction(bench3, None, x, 0, 1e-3)
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_rejects_receiver_index_out_of_range(self, bench3, n):
+        with pytest.raises(ValidationError, match="receiver index"):
+            probe_direction(bench3, None, [5.0] * 3, n, 1e-3)
 
 
 def _fresh_state(config, x):
@@ -179,6 +191,31 @@ class TestStepCases:
         case = step(config, state, 0, 1e-3)  # case 4 pushes against x_lo
         assert case == 4
         assert state.x[0] == 1.0
+
+
+class TestStepRejectsBadInput:
+    """A rejected turn leaves the state as it was."""
+
+    @staticmethod
+    def rejected(config, state, n, match):
+        x, itr, trace = list(state.x), state.itr, list(state.trace)
+        with pytest.raises(ValidationError, match=match):
+            step(config, state, n, 1e-3)
+        assert state.itr == itr and state.trace == trace
+        # the same float objects, so a NaN compares equal to itself here
+        assert state.x == x
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_receiver_index_out_of_range(self, bench3, n):
+        state = init_distributed(bench3)
+        step(bench3, state, 0, 1e-3)
+        self.rejected(bench3, state, n, "receiver index")
+
+    def test_nan_load(self, bench3):
+        state = init_distributed(bench3)
+        step(bench3, state, 0, 1e-3)
+        state.x[1] = float("nan")
+        self.rejected(bench3, state, 0, "receiver 2: load")
 
 
 class TestRun:
@@ -437,7 +474,7 @@ class TestCycleDetection:
             n = config.n_receivers
             full = run_distributed(config, dx=1e-3, itr_max=2_000)
             bare = run_distributed(config, dx=1e-3, itr_max=2_000, record_trace=False)
-            loads = _Loads(_Params(config), init_distributed(config).x)
+            loads = _Loads(config, init_distributed(config).x)
             cases = [loads.turn(i % n, 1e-3) for i in range(2_000)]
             assert cases == full.trace[:, 2].astype(int).tolist()
             assert tuple(loads.x) == full.x == bare.x
