@@ -14,7 +14,6 @@ from .central import (
     SolveStatus,
     brute_force_oracle,
     optimize_loads,
-    solve_convex,
 )
 from .circuit import (
     PowerDerivatives,
@@ -61,7 +60,6 @@ from .region import (
     hull_2d,
     hull_area_2d,
     pareto_boundary,
-    point_in_hull_2d,
     points_in_hull_2d,
     read_region_csv,
     region_to_csv,

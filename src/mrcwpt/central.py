@@ -265,9 +265,6 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     )
 
 
-solve_convex = optimize_loads
-
-
 @dataclass(frozen=True)
 class OracleResult:
     """Best feasible grid point found by exhaustive search."""

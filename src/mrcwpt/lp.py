@@ -1,9 +1,11 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex for the slot-duration linear program.
 
-Solves  min c.x  s.t.  a_le x <= b_le,  a_ge x >= b_ge,  x >= 0.
+Solves  min c.x  s.t.  sum(x) <= budget,  a_ge x >= b_ge,  x >= 0,  the
+one program time sharing poses: x holds the slot durations, the first row
+is the horizon and each further row a load's average-power requirement.
 Bland's rule is used for both the entering and leaving choices, which
-guarantees termination on degenerate instances. Sized for problems with a
-handful of rows and at most a few dozen columns.
+guarantees termination on degenerate instances. Sized for a handful of
+rows and at most a few dozen columns.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ValidationError
 
 _PIVOT_TOL = 1e-11
 _FEAS_TOL = 1e-9
@@ -60,68 +64,43 @@ def _simplex(tableau, basis, n_cols):
         _pivot(tableau, basis, leaving, entering)
 
 
-def solve_lp(c, a_le=None, b_le=None, a_ge=None, b_ge=None) -> LpSolution:
-    """Minimize ``c @ x`` over ``x >= 0`` under the given row constraints."""
+def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
+    """Minimize ``c @ x`` over ``x >= 0`` with ``sum(x) <= budget`` and
+    ``a_ge @ x >= b_ge``; ``budget`` and ``b_ge`` must be nonnegative.
+
+    The tableau's rows are the horizon, then the requirement rows; its
+    columns are x, one slack per row (+1 on the horizon, -1 on each
+    requirement), then one artificial per requirement row.
+    """
     c = np.asarray(c, dtype=float)
+    budget = float(budget)
+    b_ge = np.asarray(b_ge, dtype=float).reshape(-1)
+    if not budget >= 0.0 or not np.all(b_ge >= 0.0):
+        raise ValidationError("budget and requirements must be >= 0")
     n = len(c)
-    rows = []
-    rhs = []
-    senses = []
-    for a, b, sense in ((a_le, b_le, "le"), (a_ge, b_ge, "ge")):
-        if a is None:
-            continue
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        for i in range(a.shape[0]):
-            rows.append(a[i])
-            rhs.append(float(b[i]))
-            senses.append(sense)
-    m = len(rows)
-    if m == 0:
-        # with x >= 0 the minimum of c.x is at the origin unless c has a
-        # negative entry, in which case the problem is unbounded
-        if np.any(c < -_PIVOT_TOL):
-            raise ArithmeticError("linear program is unbounded")
-        return LpSolution(status="optimal", x=(0.0,) * n, objective=0.0)
-
-    # equality form: one slack (+1 for <=, -1 for >=) per row, then flip
-    # rows to make every right-hand side nonnegative
-    a_eq = np.zeros((m, n + m))
-    b_eq = np.array(rhs)
-    for i in range(m):
-        a_eq[i, :n] = rows[i]
-        a_eq[i, n + i] = 1.0 if senses[i] == "le" else -1.0
-        if b_eq[i] < 0.0:
-            a_eq[i] = -a_eq[i]
-            b_eq[i] = -b_eq[i]
-
-    # rows whose slack survived the flip with +1 start basic; the rest get
-    # an artificial variable
-    basis = [-1] * m
-    artificial = []
-    for i in range(m):
-        if a_eq[i, n + i] == 1.0:
-            basis[i] = n + i
-        else:
-            artificial.append(i)
-    n_art = len(artificial)
-    total = n + m + n_art
+    k = len(b_ge)
+    m = k + 1
+    total = n + m + k
     tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, : n + m] = a_eq
-    tableau[:m, -1] = b_eq
-    for j, i in enumerate(artificial):
-        tableau[i, n + m + j] = 1.0
-        basis[i] = n + m + j
+    tableau[0, : n + 1] = 1.0
+    tableau[0, -1] = budget
+    tableau[1:m, :n] = np.asarray(a_ge, dtype=float).reshape(k, n)
+    tableau[1:m, -1] = b_ge
+    # the horizon's slack starts basic, each requirement's artificial too
+    basis = [n] + [n + m + j for j in range(k)]
+    for j in range(k):
+        tableau[1 + j, n + 1 + j] = -1.0
+        tableau[1 + j, n + m + j] = 1.0
 
-    if n_art:
+    if k:
         # phase one: minimize the sum of artificials
-        for j in range(n_art):
-            tableau[-1, n + m + j] = 1.0
-        for i in artificial:
+        rhs_max = max(1.0, budget, float(b_ge.max()))
+        tableau[-1, n + m : total] = 1.0
+        for i in range(1, m):
             tableau[-1] -= tableau[i]
         _simplex(tableau, basis, total)
         phase1 = -tableau[-1, -1]
-        if phase1 > _FEAS_TOL * max(1.0, float(np.abs(b_eq).max())):
+        if phase1 > _FEAS_TOL * rhs_max:
             return LpSolution(status="infeasible", x=None, objective=None)
         # drive any artificial still basic out of the basis
         for i in range(m):

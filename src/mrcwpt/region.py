@@ -74,11 +74,6 @@ def _grid_points(sys: SystemConfig, grid_points: int | None, loads: int, with_ts
     return grid_points
 
 
-def _power_grid(sys: SystemConfig, sw: SwitchState, grid_points: int) -> list:
-    """Each receiver's power on the load grid of :func:`circuit.grid_powers`."""
-    return grid_powers(sys, sw, grid_points)[2]
-
-
 def _neighbour_undominated(powers: list) -> np.ndarray:
     """Mask over a grid of the samples that no grid neighbour strictly
     dominates.
@@ -116,7 +111,7 @@ def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int, points: 
     loads into the rows of ``points``, in grid order, and return the
     frontier candidates among them, in the same order: the tuples that no
     grid neighbour strictly dominates."""
-    powers = _power_grid(sys, sw, grid_points)
+    powers = grid_powers(sys, sw, grid_points)[2]
     for k, pk in enumerate(powers):
         points[:, k] = pk.reshape(-1)
     # the open receivers' zero powers never decide a dominance
@@ -242,11 +237,6 @@ def hull_area_2d(vertices: np.ndarray) -> float:
     return 0.5 * float(np.abs(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
 
 
-def point_in_hull_2d(point, vertices: np.ndarray, tol: float = 1e-6) -> bool:
-    """Whether a point lies in a counterclockwise convex polygon within tol."""
-    return bool(points_in_hull_2d(point, vertices, tol)[0])
-
-
 def points_in_hull_2d(points, vertices: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Which points lie in a counterclockwise convex polygon within tol; a
     degenerate polygon of one or two vertices is that point or segment."""
@@ -281,6 +271,30 @@ def _hull_nd(points: np.ndarray):
         return ConvexHull(points)
     except QhullError:
         return None
+
+
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Hull vertices of up to 3-D points that include the origin.
+
+    The hull is taken over the columns that are not all zero (an uncoupled
+    receiver's column is, and would leave qhull a flat cloud); the other
+    columns of every vertex are zero. With one such column the hull is the
+    segment from the origin to its maximum; with none, the origin.
+    """
+    live = np.flatnonzero(points.any(axis=0))
+    sub = points[:, live]
+    if len(live) == 0:
+        hull = sub[:1]
+    elif len(live) == 1:
+        hull = np.array([[0.0], [float(sub.max())]])
+    elif len(live) == 2:
+        hull = hull_2d(sub)
+    else:
+        qhull = _hull_nd(sub)
+        hull = sub[qhull.vertices] if qhull is not None else sub[:0]
+    vertices = np.zeros((len(hull), points.shape[1]))
+    vertices[:, live] = hull
+    return vertices
 
 
 def points_in_hull_nd(points, hull, tol: float = 1e-6) -> np.ndarray:
@@ -329,20 +343,11 @@ def sample_region_with_ts(
         block = points[start : start + grid_points ** len(sw.connected)]
         start += len(block)
         if n > 3:  # no hull is taken, so no frontier candidates are needed
-            for k, pk in enumerate(_power_grid(sys, sw, grid_points)):
+            for k, pk in enumerate(grid_powers(sys, sw, grid_points)[2]):
                 block[:, k] = pk.reshape(-1)
         else:
             candidates.append(_grid_samples(sys, sw, grid_points, block))
-    candidates = np.vstack(candidates)
-    if n == 1:
-        boundary = np.array([[0.0], [float(points.max())]])
-    elif n == 2:
-        boundary = hull_2d(candidates)
-    elif n == 3:
-        hull = _hull_nd(candidates)
-        boundary = candidates[hull.vertices] if hull is not None else np.zeros((0, n))
-    else:
-        boundary = np.zeros((0, n))
+    boundary = _hull_vertices(np.vstack(candidates)) if n <= 3 else np.zeros((0, n))
     return PowerRegionSample(
         points=points,
         mode=WITH_TS,

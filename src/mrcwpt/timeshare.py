@@ -85,13 +85,7 @@ def _config_coefficients(sys: SystemConfig, configs: tuple[SwitchState, ...], x_
 def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
     """Slot durations minimizing the average p_tx of slot matrix (a, b)."""
     active = [n for n in range(len(b)) if p_req[n] > 0.0]
-    sol = solve_lp(
-        c=a / tau_total,
-        a_le=np.ones((1, len(a))),
-        b_le=[tau_total],
-        a_ge=b[active] if active else None,
-        b_ge=[p_req[n] * tau_total for n in active] if active else None,
-    )
+    sol = solve_lp(a / tau_total, tau_total, b[active], [p_req[n] * tau_total for n in active])
     if sol.status != "optimal":
         return None
     return np.asarray(sol.x)

@@ -18,7 +18,6 @@ from mrcwpt import (
     optimize_loads,
     parse_scenario,
     solve_closed_form,
-    solve_convex,
     solve_linear_oracle,
 )
 
@@ -149,7 +148,7 @@ class TestSolveConvex:
             receivers=bench3.receivers, h=(bench3.h[0], 0.0, bench3.h[2]),
             x_lo=bench3.x_lo, x_hi=bench3.x_hi, p_req=(1.0, 1.0, 1.0),
         )
-        sol = solve_convex(ChargingProblem(sys=config))
+        sol = optimize_loads(ChargingProblem(sys=config))
         assert sol.status is SolveStatus.INFEASIBLE
 
     def test_subset_switch_configuration(self, bench3):
@@ -502,6 +501,43 @@ class TestBruteForceOracle:
             assert oracle.feasible
             assert oracle.p_tx >= previous - 1e-12
             previous = oracle.p_tx
+
+    def test_upper_conductance_capped_by_a_requirement(self, monkeypatch):
+        # load boxes reaching below the receiver resistance (x_lo = 0.05 r_n)
+        # let g - r g^2 peak inside the box, so a requirement can close the
+        # upper end of a receiver's interval before g_hi: the solver then
+        # roots psi, the largest D whose upper ends still fit
+        import scipy.optimize
+
+        rooted = []
+        brentq = scipy.optimize.brentq
+
+        def spy(f, *args, **kwargs):
+            rooted.append(f.__name__)
+            return brentq(f, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "brentq", spy)
+        rng = np.random.default_rng(0)
+        psi_roots = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            config = random_system(rng, n=n)
+            r = np.array([c.resistance for c in config.receivers])
+            config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
+            x = np.exp(rng.uniform(np.log(0.05 * r), np.log(20.0 * r)))
+            p = solve_closed_form(config, SwitchState.all_closed(n), tuple(x)).p
+            prob = ChargingProblem(sys=replace(config, p_req=tuple(0.7 * np.array(p))))
+            rooted.clear()
+            sol = optimize_loads(prob)
+            assert sol.status is SolveStatus.OPTIMAL
+            oracle = brute_force_oracle(prob, 300 if n <= 2 else 60)
+            assert oracle.feasible
+            assert sol.p_tx <= oracle.p_tx * (1.0 + 1e-9)
+            assert sol.kkt_residual <= 1e-6
+            if "psi" in rooted:
+                psi_roots += 1
+                assert sol.kkt_residual <= 1e-10
+        assert psi_roots >= 50
 
     def test_dimension_guard(self):
         rng = np.random.default_rng(1)

@@ -215,6 +215,46 @@ class TestRegion:
         _, hull = read_region_csv(shared)
         assert points_in_hull_2d(points, hull, 1e-6).all()
 
+    @pytest.mark.parametrize("flags", [(), ("--with-ts",)], ids=["without-ts", "with-ts"])
+    def test_frequency_override_samples_the_retuned_system(self, flags, tmp_path):
+        from mrcwpt import parse_scenario, region_to_csv
+        from mrcwpt import sample_region_with_ts, sample_region_without_ts
+
+        out = tmp_path / "w.csv"
+        assert run_cli("region", "two_receivers", *flags, "--w", "14.2e6",
+                       "--out", str(out)) == EXIT_OK
+        config, options = parse_scenario("two_receivers")
+        retuned = config.with_frequency(14.2e6)
+        if flags:
+            sample = sample_region_with_ts(retuned, options.grid_points)
+        else:
+            sample = sample_region_without_ts(retuned, None, options.grid_points)
+        expected = tmp_path / "expected.csv"
+        region_to_csv(sample, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        # the scenario's own frequency gives another region
+        default = tmp_path / "default.csv"
+        assert run_cli("region", "two_receivers", *flags, "--out", str(default)) == EXIT_OK
+        assert default.read_bytes() != out.read_bytes()
+
+    def test_time_shared_region_with_an_uncoupled_receiver(self, tmp_path, capsys):
+        from mrcwpt import parse_scenario, read_region_csv, serialize_scenario
+        from mrcwpt.scenario import ScenarioOptions
+
+        config, options = parse_scenario("three_receivers")
+        config = replace(config, h=(*config.h[:2], 0.0))
+        small = ScenarioOptions(x_nominal=options.x_nominal, grid_points=12)
+        path = tmp_path / "uncoupled.scn"
+        path.write_text(serialize_scenario(config, small))
+        out = tmp_path / "ts.csv"
+        assert run_cli("region", str(path), "--with-ts", "--out", str(out)) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == f"points = {13**3}"
+        points, boundary = read_region_csv(out)
+        assert len(boundary) > 3
+        samples = {tuple(row) for row in points.tolist()}
+        assert all(tuple(row) in samples for row in boundary.tolist())
+        assert np.all(boundary[:, 2] == 0.0)
+
     def test_stdout_matches_out_file(self, capsys, tmp_path):
         out = tmp_path / "region.csv"
         assert run_cli("region", "two_receivers", "--out", str(out)) == EXIT_OK

@@ -16,7 +16,6 @@ from mrcwpt import (
     hull_2d,
     hull_area_2d,
     pareto_boundary,
-    point_in_hull_2d,
     points_in_hull_2d,
     read_region_csv,
     region_to_csv,
@@ -26,6 +25,7 @@ from mrcwpt import (
     thresholds,
 )
 from mrcwpt import region
+from mrcwpt.circuit import enumerate_configs, grid_powers
 from mrcwpt.cli import main
 from mrcwpt.region import PowerRegionSample
 
@@ -47,9 +47,9 @@ class TestHullPrimitives:
 
     def test_membership(self):
         hull = hull_2d(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float))
-        assert point_in_hull_2d([1.0, 1.0], hull)
-        assert point_in_hull_2d([2.0 + 5e-7, 1.0], hull, tol=1e-6)
-        assert not point_in_hull_2d([2.1, 1.0], hull, tol=1e-6)
+        assert points_in_hull_2d([1.0, 1.0], hull).tolist() == [True]
+        assert points_in_hull_2d([2.0 + 5e-7, 1.0], hull, tol=1e-6).tolist() == [True]
+        assert points_in_hull_2d([2.1, 1.0], hull, tol=1e-6).tolist() == [False]
         mask = points_in_hull_2d([[1, 1], [3, 3]], hull)
         assert mask.tolist() == [True, False]
 
@@ -241,13 +241,13 @@ class TestNeighbourFilter:
     def test_equal_samples_are_kept(self):
         # receiver 2 uncoupled: every row repeats along its load axis
         config = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(-9.21e-8, 0.0))
-        powers = region._power_grid(config, SwitchState.all_closed(2), 5)
+        powers = grid_powers(config, SwitchState.all_closed(2), 5)[2]
         keep = region._neighbour_undominated(powers)
         assert np.all(keep == keep[:, :1])
         assert keep.any() and not keep.all()
 
     def test_bundled_frontier_sees_a_small_share(self, bench3):
-        powers = region._power_grid(bench3, SwitchState.all_closed(3), 60)
+        powers = grid_powers(bench3, SwitchState.all_closed(3), 60)[2]
         keep = region._neighbour_undominated(powers)
         frontier = sample_region_without_ts(bench3, None, 60).boundary
         assert len(frontier) <= keep.sum() < 0.06 * keep.size
@@ -261,24 +261,68 @@ def time_shared_regions(draw):
     return _drawn_system(draw, n), draw(st.integers(2, (40, 12)[n - 2]))
 
 
+def _hull_of_coupled_columns(points):
+    """The hull of every sample over the columns that are not all zero (one
+    column: the segment from the origin; none: the origin), with zeros put
+    back in the others."""
+    live = np.flatnonzero(points.any(axis=0))
+    sub = points[:, live]
+    if len(live) == 0:
+        hull = sub[:1]
+    elif len(live) == 1:
+        hull = np.array([[0.0], [sub.max()]])
+    elif len(live) == 2:
+        hull = hull_2d(sub)
+    else:
+        hull = sub[region._hull_nd(sub).vertices]
+    full = np.zeros((len(hull), points.shape[1]))
+    full[:, live] = hull
+    return full
+
+
 class TestTimeSharedCandidates:
     """The time-shared hull is taken over the origin and each configuration's
-    grid-neighbour-undominated samples; it must equal the hull of every
-    sample."""
+    grid-neighbour-undominated samples, in the columns of the coupled
+    receivers; it must equal that hull of every sample."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(time_shared_regions())
     def test_boundary_is_the_hull_of_every_sample(self, drawn):
         config, grid = drawn
         sample = sample_region_with_ts(config, grid)
-        points = sample.points
-        if config.n_receivers == 2:
-            full = hull_2d(points)
-        else:
-            hull = region._hull_nd(points)
-            full = points[hull.vertices] if hull is not None else np.zeros((0, 3))
+        full = _hull_of_coupled_columns(sample.points)
         assert sample.boundary.shape == full.shape
         assert sample.boundary.tobytes() == full.tobytes()
+
+    # a segment from the origin for two receivers, a polygon for three
+    @pytest.mark.parametrize("n, least", [(2, 2), (3, 4)])
+    def test_uncoupled_receiver_keeps_a_boundary(self, n, least):
+        h = list(bench_system(n=n).h)
+        h[-1] = 0.0
+        config = replace(bench_system(p_req=(5.0,) * n, n=n), h=tuple(h))
+        sample = sample_region_with_ts(config, 12)
+        assert len(sample.boundary) >= least
+        assert np.all(sample.boundary[:, -1] == 0.0)
+        samples = {tuple(row) for row in sample.points.tolist()}
+        assert all(tuple(row) in samples for row in sample.boundary.tolist())
+
+    def test_system_without_power_has_the_origin(self):
+        config = replace(bench_system(n=3), h=(0.0, 0.0, 0.0))
+        sample = sample_region_with_ts(config, 4)
+        assert not sample.points.any()
+        assert sample.boundary.tolist() == [[0.0, 0.0, 0.0]]
+
+    def test_four_receivers_sample_every_configuration(self):
+        config = random_system(np.random.default_rng(4), n=4)
+        sample = sample_region_with_ts(config, 3)
+        blocks = [np.zeros((1, 4))]
+        for sw in enumerate_configs(4):
+            powers = grid_powers(config, sw, 3)[2]
+            blocks.append(np.stack([p.reshape(-1) for p in powers], axis=1))
+        expected = np.vstack(blocks)
+        assert sample.points.shape == (4**4, 4) == expected.shape
+        assert sample.points.tobytes() == expected.tobytes()
+        assert sample.boundary.shape == (0, 4)
 
 
 class TestGridCap:
@@ -329,12 +373,12 @@ class TestWithTs:
         hull = with_ts.boundary
         rng = np.random.default_rng(3)
         for vertex in hull[rng.integers(0, len(hull), 12)]:
-            for theta in (0.0, 0.3, 0.7, 1.0):
-                assert point_in_hull_2d(theta * vertex, hull, 1e-9)
+            scaled = np.outer([0.0, 0.3, 0.7, 1.0], vertex)
+            assert points_in_hull_2d(scaled, hull, 1e-9).all()
 
     def test_origin_included(self, bench2):
         with_ts = sample_region_with_ts(bench2, 40)
-        assert point_in_hull_2d([0.0, 0.0], with_ts.boundary, 1e-12)
+        assert points_in_hull_2d([0.0, 0.0], with_ts.boundary, 1e-12).all()
 
     def test_single_receiver_region_is_segment_to_origin(self):
         config = bench_system(p_req=(5.0,), n=1)
