@@ -36,16 +36,7 @@ from .coils import (
     mutual_inductance,
     tune_capacitor,
 )
-from .distributed import (
-    Direction,
-    DistributedRun,
-    DistributedState,
-    init_distributed,
-    probe_direction,
-    run_distributed,
-    step,
-    trace_to_csv,
-)
+from .distributed import DistributedRun, run_distributed, trace_to_csv
 from .errors import (
     DegeneratePlacementError,
     InconsistentMeasurementError,

@@ -180,12 +180,6 @@ class SteadyState:
     rho: float
 
 
-def _check_receiver(sys: SystemConfig, n) -> None:
-    """Reject a receiver index outside 0..N-1."""
-    if n not in range(sys.n_receivers):
-        raise ValidationError(f"receiver index {n} is not in 0..{sys.n_receivers - 1}")
-
-
 def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> SwitchState:
     """The switch state (all closed for None), checked against the loads and n."""
     if sw is None:
@@ -201,7 +195,8 @@ def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> Swi
         if sw.s[k] and not x[k] > 0.0:
             raise ValidationError(f"receiver {k + 1}: load resistance must be > 0")
     if n is not None:
-        _check_receiver(sys, n)
+        if n not in range(sys.n_receivers):
+            raise ValidationError(f"receiver index {n} is not in 0..{sys.n_receivers - 1}")
         if not sw.s[n]:
             raise ValidationError(f"receiver {n + 1} is not connected")
     return sw

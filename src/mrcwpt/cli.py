@@ -212,7 +212,7 @@ def _cmd_distributed(args) -> int:
         config, dx=options.dx, itr_max=options.itr_max, record_trace=bool(args.out)
     )
     if args.out:
-        trace_to_csv(run, config.n_receivers, args.out)
+        trace_to_csv(run, args.out)
     print(f"iterations = {run.iterations}")
     print(f"feasible = {'yes' if run.feasible else 'no'}")
     print(f"p_tx = {fmt(run.p_tx)}")

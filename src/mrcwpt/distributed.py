@@ -37,10 +37,12 @@ trace rows are stored; the full trace is built from them when first read.
 
 One turn sums the circuit's shared denominator once, in a fixed order, and
 decides its case on plain floats; a traced row's powers, p_tx and feedback
-bits are read from that same sum, taken before the update. Runs, the
-cycle's replay, ``step`` and ``probe_direction`` all take this one turn on
-a ``_Loads``, which checks its loads; the last two build one per call and
-check the receiver index.
+bits are read from that same sum, taken before the update. A run and the
+cycle's replay both take this one turn on a single ``_Loads``, which checks
+the loads it starts from.
+
+``run_distributed`` is the protocol's one entry point: it returns a
+``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
 """
 
 from __future__ import annotations
@@ -48,13 +50,12 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, _check_receiver, resonant_powers, solo_peak_loads
+from .circuit import SystemConfig, resonant_powers, solo_peak_loads
 from .errors import ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
@@ -64,24 +65,6 @@ _PROBE_TOL = 1e-12
 # trace rows encoded per write when exporting CSV: at N = 3 (13 values a
 # row) about as many values, and as much scratch memory, as a region block
 _CSV_CHUNK = 1024
-
-
-class Direction(Enum):
-    """Position of a load value relative to its own-power peak."""
-
-    BELOW = "below"
-    AT_PEAK = "at_peak"
-    ABOVE = "above"
-
-
-@dataclass
-class DistributedState:
-    """Mutable state of one simulation run."""
-
-    x: list[float]
-    fb: list[bool]
-    itr: int
-    trace: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -315,52 +298,6 @@ def _power_resolution(
     return own + change[:n].sum(axis=0) + _PROBE_TOL
 
 
-def init_distributed(sys: SystemConfig) -> DistributedState:
-    """Starting state: each load at its clamped solo power peak.
-
-    The initializer is the load value that would maximize the delivered
-    power if every other receiver were disconnected, clamped to the bounds;
-    feedback bits come from the actual all-connected steady state.
-    """
-    x = solo_peak_loads(sys)
-    loads = _Loads(sys, x)
-    fb = loads.feedback(loads.powers(loads.denominator()))
-    return DistributedState(x=x, fb=fb, itr=0)
-
-
-def probe_direction(sys: SystemConfig, sw: SwitchState | None, x, n: int, dx: float) -> Direction:
-    """Classify x[n] against its own-power peak from three power probes.
-
-    Probes are simulated steady states with only x[n] perturbed by +-dx;
-    the lower probe never leaves the positive domain.
-    """
-    if not dx > 0.0:
-        raise ValidationError("dx must be > 0")
-    if sw is not None and sw.s != (1,) * sys.n_receivers:
-        raise ValidationError("the distributed protocol runs with all switches closed")
-    _check_receiver(sys, n)
-    loads = _Loads(sys, list(x))
-    # an unmet receiver moves toward its own-power peak, so its turn against
-    # an unreachable requirement reads the direction from the protocol's probes
-    loads.req_lo[n] = math.inf
-    case = loads.turn(n, dx)
-    return {1: Direction.BELOW, 2: Direction.ABOVE, 5: Direction.AT_PEAK}[case]
-
-
-def step(sys: SystemConfig, state: DistributedState, n: int, dx: float) -> int:
-    """Advance one receiver's turn in place; returns the case applied (1-5)."""
-    if not dx > 0.0:
-        raise ValidationError("dx must be > 0")
-    _check_receiver(sys, n)
-    loads = _Loads(sys, state.x)
-    case = loads.turn(n, dx)
-    p_tx, p, fb = loads.measured(n)
-    state.fb = fb
-    state.itr += 1
-    state.trace.append((state.itr, n + 1, case, tuple(state.x), tuple(p), p_tx, tuple(fb)))
-    return case
-
-
 def _cycle_start(seen: dict, mu: int, n_rx: int) -> int:
     """First iteration (1-based) of a run whose end-of-round loads first
     recur after round ``mu`` (round 0 being the start).
@@ -448,20 +385,22 @@ def run_distributed(
     )
 
 
-def trace_to_csv(run: DistributedRun, n_receivers: int, path) -> None:
-    """Write the iteration trace as CSV (one row per iteration).
+def trace_to_csv(run: DistributedRun, path) -> None:
+    """Write the iteration trace as CSV (one row per iteration), with one
+    x, p and fb column per receiver of the run.
 
     Reads the simulated ``rows`` only: rows on a detected cycle differ
     only in ``itr``, so each of them is formatted once and reused.
     """
     try:
         with open(path, "w", newline="") as handle:
-            _write_trace_csv(run, n_receivers, handle)
+            _write_trace_csv(run, handle)
     except OSError as exc:
         raise OSError(f"cannot write trace CSV to {path}: {exc}") from exc
 
 
-def _write_trace_csv(run: DistributedRun, n_receivers: int, handle) -> None:
+def _write_trace_csv(run: DistributedRun, handle) -> None:
+    n_receivers = len(run.x)
     header = (
         ["itr", "receiver", "case"]
         + [f"x_{k + 1}" for k in range(n_receivers)]

@@ -90,6 +90,19 @@ class TestAnalyze:
             f"error: unknown sweep variable '{name}'"
         ]
 
+    @pytest.mark.parametrize("spec, message", [
+        ("x_1", "sweep must look like name=a:b:step"),
+        ("x_1=1:2", "sweep range must be a:b:step"),
+        ("x_1=a:b:c", "sweep bounds must be numbers"),
+        ("x_1=2:1:1", "sweep needs a <= b and step > 0"),
+        ("x_1=1:2:0", "sweep needs a <= b and step > 0"),
+    ], ids=["no-range", "two-parts", "not-numbers", "reversed", "zero-step"])
+    def test_malformed_sweep(self, capsys, spec, message):
+        assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec", ["x_1=0.1:nan:1", "x_1=1:2:inf"])
     def test_non_finite_sweep_bounds(self, capsys, spec):
         assert run_cli("analyze", "three_receivers", "--sweep", spec) == EXIT_INVALID
@@ -121,6 +134,31 @@ class TestOptimize:
         assert rows[0].startswith("p_req_3,status,p_tx")
         ptx = [float(r.split(",")[2]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(ptx, ptx[1:]))
+
+    def test_sweep_past_the_boundary_writes_infeasible_rows(self, tmp_path):
+        # 36 W is still reachable for receiver 3; 38 and 40 W are not
+        out = tmp_path / "opt.csv"
+        code = run_cli(
+            "optimize", "three_receivers",
+            "--sweep", "p_req_3=36:40:2", "--out", str(out),
+        )
+        assert code == EXIT_OK
+        rows = [r.split(",") for r in out.read_text().splitlines()]
+        assert rows[0] == ["p_req_3", "status", "p_tx", "x_1", "x_2", "x_3"]
+        assert [r[:2] for r in rows[1:]] == [
+            ["3.60000000000e+01", "optimal"],
+            ["3.80000000000e+01", "infeasible"],
+            ["4.00000000000e+01", "infeasible"],
+        ]
+        assert all(v != "nan" for v in rows[1][2:])
+        assert rows[2][2:] == rows[3][2:] == ["nan"] * 4
+
+    def test_sweep_over_loads_rejected(self, capsys):
+        assert run_cli("optimize", "three_receivers", "--sweep", "x_1=1:2:1") \
+            == EXIT_INVALID
+        assert capsys.readouterr().err.splitlines() == [
+            "error: optimize sweeps run over p_req_<k>"
+        ]
 
     def test_infeasible_exit_code(self, tmp_path):
         # push receiver 3's requirement beyond the achievable boundary
@@ -164,6 +202,23 @@ class TestTimeshare:
         assert "p_tx_trace" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 8  # header + 7 configurations
+
+    def test_infeasible_concurrent_problem_exits_2(self, tmp_path, capsys):
+        # receiver 3 cannot reach 45 W with all receivers connected, and
+        # time sharing starts from that concurrent optimum
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "hard.scn"
+        path.write_text(serialize_scenario(replace(config, p_req=(17.5, 17.5, 45.0)), options))
+        out = tmp_path / "sched.csv"
+        assert run_cli("timeshare", str(path), "--out", str(out)) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "infeasible: the concurrent (no time sharing) problem is infeasible"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestRegion:
@@ -300,6 +355,16 @@ class TestEstimateH:
         out = capsys.readouterr().out
         value = float(out.split("=")[1])
         assert value == pytest.approx(config.h[0], rel=1e-9)
+
+    @pytest.mark.parametrize("receiver", ["0", "4"])
+    def test_receiver_out_of_range(self, capsys, receiver):
+        assert run_cli(
+            "estimate-h", "three_receivers",
+            "--receiver", receiver, "--ptx", "100", "--direction", "1",
+        ) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: receiver index must be 1..3"]
+        assert captured.out == ""
 
     def test_inconsistent_measurement(self, capsys):
         assert run_cli(

@@ -11,49 +11,43 @@ import pytest
 
 from mrcwpt import (
     ChargingProblem,
-    Direction,
     SolveStatus,
     ValidationError,
-    init_distributed,
     optimize_loads,
-    probe_direction,
     run_distributed,
     solve_closed_form,
     solve_linear_oracle,
-    step,
     thresholds,
     trace_to_csv,
 )
-from mrcwpt.distributed import DistributedState, _Loads, _power_resolution
+from mrcwpt.circuit import solo_peak_loads
+from mrcwpt.distributed import _Loads, _power_resolution
 
 from conftest import bench_system, random_loads, random_system
 
 
 class TestInit:
     def test_benchmark_receiver_one(self, bench3):
-        state = init_distributed(bench3)
+        x = solo_peak_loads(bench3)
         r_tx = bench3.transmitter.resistance
         expected = (
             bench3.receivers[0].resistance * r_tx + (bench3.w * bench3.h[0]) ** 2
         ) / r_tx
-        assert state.x[0] == pytest.approx(expected, rel=1e-12)
-        assert state.x[0] == pytest.approx(11.52, abs=0.01)
+        assert x[0] == pytest.approx(expected, rel=1e-12)
+        assert x[0] == pytest.approx(11.52, abs=0.01)
 
     def test_zero_coupling_reduces_to_own_resistance(self):
-        from dataclasses import replace
-
         config = replace(bench_system(), h=(0.0, 0.0, 0.0))
-        state = init_distributed(config)
         # own resistance (0.0672) clamps to the lower bound
-        assert state.x == [1.0, 1.0, 1.0]
+        assert solo_peak_loads(config) == [1.0, 1.0, 1.0]
 
     def test_initializer_is_solo_peak(self, bench3):
         from mrcwpt import SwitchState
 
-        state = init_distributed(bench3)
+        x = solo_peak_loads(bench3)
         for n in range(3):
             solo = SwitchState(s=tuple(1 if k == n else 0 for k in range(3)))
-            peak = thresholds(bench3, solo, state.x, n).x_own_peak
+            peak = thresholds(bench3, solo, x, n).x_own_peak
             unclamped = (
                 bench3.receivers[n].resistance * bench3.transmitter.resistance
                 + (bench3.w * bench3.h[n]) ** 2
@@ -61,83 +55,90 @@ class TestInit:
             assert peak == pytest.approx(unclamped, rel=1e-12)
 
     def test_feedback_matches_initial_powers(self, bench3):
-        state = init_distributed(bench3)
-        powers = solve_closed_form(bench3, None, state.x).p
+        loads = _Loads(bench3, solo_peak_loads(bench3))
+        fb = loads.feedback(loads.powers(loads.denominator()))
+        powers = solve_closed_form(bench3, None, loads.x).p
         for k in range(3):
-            assert state.fb[k] == (powers[k] >= bench3.p_req[k] * (1 - 1e-9))
+            assert fb[k] == (powers[k] >= bench3.p_req[k] * (1 - 1e-9))
+
+
+def _direction_case(config, x, dx):
+    """The case of receiver 1's turn at loads x against a requirement it
+    cannot reach: it moves toward its own-power peak, so the case reads
+    its direction (1 below the peak, 2 above, 5 at it)."""
+    unreachable = replace(config, p_req=(1e9,) + config.p_req[1:])
+    return _Loads(unreachable, list(x)).turn(0, dx)
 
 
 class TestProbeDirection:
     def test_below_at_and_above_peak(self, bench3):
         x = [2.5, 2.5, 2.5]
         peak = thresholds(bench3, None, x, 0).x_own_peak
-        assert probe_direction(bench3, None, [peak / 2, 2.5, 2.5], 0, 1e-3) is Direction.BELOW
-        assert probe_direction(bench3, None, [2 * peak, 2.5, 2.5], 0, 1e-3) is Direction.ABOVE
-        assert probe_direction(bench3, None, [peak, 2.5, 2.5], 0, 1e-3) is Direction.AT_PEAK
+        assert _direction_case(bench3, [peak / 2, 2.5, 2.5], 1e-3) == 1
+        assert _direction_case(bench3, [2 * peak, 2.5, 2.5], 1e-3) == 2
+        assert _direction_case(bench3, [peak, 2.5, 2.5], 1e-3) == 5
 
     def test_peak_band_is_one_step_wide(self, bench3):
         x = [2.5, 2.5, 2.5]
         peak = thresholds(bench3, None, x, 0).x_own_peak
         dx = 1e-2
-        assert probe_direction(bench3, None, [peak - 2 * dx, 2.5, 2.5], 0, dx) is Direction.BELOW
-        assert probe_direction(bench3, None, [peak + 2 * dx, 2.5, 2.5], 0, dx) is Direction.ABOVE
+        assert _direction_case(bench3, [peak - 2 * dx, 2.5, 2.5], dx) == 1
+        assert _direction_case(bench3, [peak + 2 * dx, 2.5, 2.5], dx) == 2
 
     def test_requires_positive_step(self, bench3):
-        with pytest.raises(ValidationError):
-            probe_direction(bench3, None, [2.5] * 3, 0, 0.0)
+        for dx in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValidationError, match="dx must be > 0"):
+                run_distributed(bench3, dx=dx, itr_max=10)
 
     @pytest.mark.parametrize("x", [
         [float("inf"), 5.0, 5.0], [5.0, float("nan"), 5.0], [5.0, 5.0],
     ], ids=["inf", "nan", "short"])
     def test_rejects_bad_loads(self, bench3, x):
         with pytest.raises(ValidationError, match="load"):
-            probe_direction(bench3, None, x, 0, 1e-3)
-
-    @pytest.mark.parametrize("n", [-1, 3])
-    def test_rejects_receiver_index_out_of_range(self, bench3, n):
-        with pytest.raises(ValidationError, match="receiver index"):
-            probe_direction(bench3, None, [5.0] * 3, n, 1e-3)
+            _Loads(bench3, x)
 
 
-def _fresh_state(config, x):
-    state = init_distributed(config)
-    state.x = list(x)
-    return state
+def _turn(config, x, dx=1e-3):
+    """Receiver 1's turn at loads x: (case, loads after the update)."""
+    loads = _Loads(config, list(x))
+    return loads.turn(0, dx), loads.x
 
 
 class TestStepCases:
     def test_case_1_unmet_below_peak_raises(self, bench3):
         # p_1 at x=2.5 is ~29.4 W; requirement 40 W is unmet, left of peak
-        from dataclasses import replace
-
         config = replace(bench3, p_req=(40.0, 1.0, 1.0))
-        state = _fresh_state(config, [2.5, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)
+        case, x = _turn(config, [2.5, 2.5, 2.5])
         assert case == 1
-        assert state.x[0] == pytest.approx(2.501, rel=1e-12)
+        assert x[0] == pytest.approx(2.501, rel=1e-12)
 
     def test_case_2_unmet_above_peak_lowers(self, bench3):
-        from dataclasses import replace
-
         config = replace(bench3, p_req=(40.0, 1.0, 1.0))
-        state = _fresh_state(config, [20.0, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)
+        case, x = _turn(config, [20.0, 2.5, 2.5])
         assert case == 2
-        assert state.x[0] == pytest.approx(19.999, rel=1e-12)
+        assert x[0] == pytest.approx(19.999, rel=1e-12)
+
+    def test_case_2_lower_probe_at_half_the_load(self):
+        # a step larger than the load: the lower probe lands at x / 2, not
+        # at x - dx <= 0, finds the power rising there and lowers the load
+        # to its bound
+        config = replace(
+            bench_system(n=1), h=(1e-9,), x_lo=(0.01,), p_req=(100.0,)
+        )
+        p = [solve_closed_form(config, None, [v]).p[0] for v in (0.5, 1.5, 0.25)]
+        assert p[1] < p[0] < p[2]
+        case, x = _turn(config, [0.5], dx=1.0)
+        assert case == 2
+        assert x == [0.01]
 
     def test_case_3_met_with_needy_peer_raises(self, bench3):
-        from dataclasses import replace
-
         # receiver 3 cannot reach 50 W, receiver 1 is satisfied
         config = replace(bench3, p_req=(1.0, 1.0, 50.0))
-        state = _fresh_state(config, [2.5, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)
+        case, x = _turn(config, [2.5, 2.5, 2.5])
         assert case == 3
-        assert state.x[0] == pytest.approx(2.501, rel=1e-12)
+        assert x[0] == pytest.approx(2.501, rel=1e-12)
 
     def test_case_5_met_within_one_step_with_needy_peer_holds(self, bench3):
-        from dataclasses import replace
-
         # receiver 1 is satisfied by half the power change of one own
         # +dx step while receiver 3 is unmet: helping would push it back
         # across its own requirement, so it holds
@@ -148,74 +149,51 @@ class TestStepCases:
         margin = 0.5 * abs(p1_up - p1)
         config = replace(bench3, p_req=(p1 - margin, 1.0, 50.0))
         assert margin > 1e-6 * p1  # well outside the requirement's equality band
-        state = _fresh_state(config, x)
-        case = step(config, state, 0, dx)
+        case, after = _turn(config, x, dx)
         assert case == 5
-        assert state.x == x
+        assert after == x
 
     def test_case_4_all_met_lowers(self, bench3):
-        from dataclasses import replace
-
         config = replace(bench3, p_req=(1.0, 1.0, 1.0))
-        state = _fresh_state(config, [2.5, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)
+        case, x = _turn(config, [2.5, 2.5, 2.5])
         assert case == 4
-        assert state.x[0] == pytest.approx(2.499, rel=1e-12)
+        assert x[0] == pytest.approx(2.499, rel=1e-12)
 
     def test_case_5_exactly_at_requirement_holds(self, bench3):
-        from dataclasses import replace
-
         x = [2.5, 2.5, 2.5]
         p1 = solve_closed_form(bench3, None, x).p[0]
         config = replace(bench3, p_req=(p1, 1.0, 1.0))
-        state = _fresh_state(config, x)
-        case = step(config, state, 0, 1e-3)
+        case, after = _turn(config, x)
         assert case == 5
-        assert state.x[0] == 2.5
+        assert after[0] == 2.5
 
     def test_case_5_met_at_peak_holds(self, bench3):
-        from dataclasses import replace
-
         config = replace(bench3, p_req=(1.0, 1.0, 1.0))
         peak = thresholds(bench3, None, [2.5] * 3, 0).x_own_peak
-        state = _fresh_state(config, [peak, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)
+        case, x = _turn(config, [peak, 2.5, 2.5])
         assert case == 5
-        assert state.x[0] == peak
+        assert x[0] == peak
 
     def test_clamping_at_bounds(self, bench3):
-        from dataclasses import replace
-
         config = replace(bench3, p_req=(0.2, 0.2, 0.2))
-        state = _fresh_state(config, [1.0, 2.5, 2.5])
-        case = step(config, state, 0, 1e-3)  # case 4 pushes against x_lo
+        case, x = _turn(config, [1.0, 2.5, 2.5])  # case 4 pushes against x_lo
         assert case == 4
-        assert state.x[0] == 1.0
+        assert x[0] == 1.0
 
 
 class TestStepRejectsBadInput:
-    """A rejected turn leaves the state as it was."""
-
-    @staticmethod
-    def rejected(config, state, n, match):
-        x, itr, trace = list(state.x), state.itr, list(state.trace)
-        with pytest.raises(ValidationError, match=match):
-            step(config, state, n, 1e-3)
-        assert state.itr == itr and state.trace == trace
-        # the same float objects, so a NaN compares equal to itself here
-        assert state.x == x
-
-    @pytest.mark.parametrize("n", [-1, 3])
-    def test_receiver_index_out_of_range(self, bench3, n):
-        state = init_distributed(bench3)
-        step(bench3, state, 0, 1e-3)
-        self.rejected(bench3, state, n, "receiver index")
+    """A rejected load vector is left as it was."""
 
     def test_nan_load(self, bench3):
-        state = init_distributed(bench3)
-        step(bench3, state, 0, 1e-3)
-        state.x[1] = float("nan")
-        self.rejected(bench3, state, 0, "receiver 2: load")
+        loads = _Loads(bench3, solo_peak_loads(bench3))
+        loads.turn(0, 1e-3)
+        x = list(loads.x)
+        x[1] = float("nan")
+        before = list(x)
+        with pytest.raises(ValidationError, match="receiver 2: load"):
+            _Loads(bench3, x)
+        # the same float objects, so a NaN compares equal to itself here
+        assert x == before
 
 
 class TestRun:
@@ -239,7 +217,7 @@ class TestRun:
         n = bench3.n_receivers
         # fb bits in each row match powers recomputed from the traced loads
         # of the previous row (the measurement state)
-        prev_x = init_distributed(bench3).x
+        prev_x = solo_peak_loads(bench3)
         for row in run.trace:
             powers = solve_closed_form(bench3, None, prev_x).p
             for k in range(n):
@@ -251,12 +229,12 @@ class TestRun:
         a = run_distributed(bench3, dx=1e-3, itr_max=2000)
         b = run_distributed(bench3, dx=1e-3, itr_max=2000)
         assert np.array_equal(a.trace, b.trace)
-        # replaying the recorded updates through step() reproduces the states
-        state = init_distributed(bench3)
+        # replaying the recorded updates turn by turn reproduces the states
+        loads = _Loads(bench3, solo_peak_loads(bench3))
         for i in range(60):
-            case = step(bench3, state, i % 3, 1e-3)
+            case = loads.turn(i % 3, 1e-3)
             assert case == int(a.trace[i, 2])
-            assert state.x == pytest.approx(list(a.trace[i, 3:6]), rel=1e-15)
+            assert loads.x == pytest.approx(list(a.trace[i, 3:6]), rel=1e-15)
 
     def test_quiescent_descent_reduces_drawn_power(self):
         # all requirements slack: every update is case 4 or 5 and the
@@ -275,8 +253,8 @@ class TestRun:
         assert run.p_tx <= sol.p_tx * 1.02
         # the near receivers raised their loads to feed the far one, and
         # the trajectory settles well before the iteration budget
-        start = init_distributed(bench3)
-        assert run.x[0] > start.x[0] and run.x[1] > start.x[1]
+        start = solo_peak_loads(bench3)
+        assert run.x[0] > start[0] and run.x[1] > start[1]
         drift = np.abs(run.trace[:, 3:6] - np.array(run.x)).max(axis=1)
         settled_from = int(np.nonzero(drift > 5e-3)[0][-1]) + 1
         assert settled_from < 60_000
@@ -306,7 +284,7 @@ class TestRun:
     def test_csv_export(self, bench3, tmp_path):
         run = run_distributed(bench3, dx=1e-3, itr_max=50)
         out = tmp_path / "trace.csv"
-        trace_to_csv(run, 3, out)
+        trace_to_csv(run, out)
         lines = out.read_text().splitlines()
         assert lines[0] == (
             "itr,receiver,case,x_1,x_2,x_3,p_1,p_2,p_3,p_tx,fb_1,fb_2,fb_3"
@@ -323,21 +301,17 @@ class TestRun:
             run_distributed(bench3, itr_max=0)
 
 
-def test_state_dataclass_roundtrip(bench3):
-    state = DistributedState(x=[1.0, 2.0, 3.0], fb=[True, False, True], itr=5)
-    assert state.trace == []
-
-
 def _step_loop(config, itr_max, dx=1e-3):
-    """Trace rows of a plain loop of the public step(), one row past the
-    budget: that row's powers are the ones measured at the final loads."""
-    state = init_distributed(config)
+    """Trace rows of a plain loop of turns on one ``_Loads``, with no cycle
+    detection, one row past the budget: that row's powers are the ones
+    measured at the final loads."""
+    loads = _Loads(config, solo_peak_loads(config))
     n = config.n_receivers
     rows = np.empty((itr_max + 1, 3 + 3 * n + 1))
     for i in range(itr_max + 1):
-        step(config, state, i % n, dx)
-        itr, rx, case, x, p, p_tx, fb = state.trace.pop()
-        rows[i] = (itr, rx, case, *x, *p, p_tx, *fb)
+        case = loads.turn(i % n, dx)
+        p_tx, p, fb = loads.measured(i % n)
+        rows[i] = (i + 1, i % n + 1, case, *loads.x, *p, p_tx, *fb)
     return rows
 
 
@@ -461,7 +435,7 @@ class TestCycleDetection:
         rows = _step_loop(config, 3_001)
         assert len(run.rows) < 3_001
         assert np.array_equal(run.rows, rows[: len(run.rows)])
-        trace_to_csv(run, 1, tmp_path / "trace.csv")
+        trace_to_csv(run, tmp_path / "trace.csv")
         assert "trace" not in vars(run)
         assert np.array_equal(run.trace, rows[:3_001])
         assert run.trace is vars(run)["trace"]
@@ -474,7 +448,7 @@ class TestCycleDetection:
             n = config.n_receivers
             full = run_distributed(config, dx=1e-3, itr_max=2_000)
             bare = run_distributed(config, dx=1e-3, itr_max=2_000, record_trace=False)
-            loads = _Loads(config, init_distributed(config).x)
+            loads = _Loads(config, solo_peak_loads(config))
             cases = [loads.turn(i % n, 1e-3) for i in range(2_000)]
             assert cases == full.trace[:, 2].astype(int).tolist()
             assert tuple(loads.x) == full.x == bare.x
@@ -497,7 +471,7 @@ class TestCycleDetection:
             run = run_distributed(config, dx=1e-3, itr_max=itr_max)
             cycled.append(run.cycle_period is not None)
             out = tmp_path / "trace.csv"
-            trace_to_csv(run, config.n_receivers, out)
+            trace_to_csv(run, out)
             assert out.read_bytes() == _csv_writer_reference(run, config.n_receivers)
         assert cycled == [True, False, True]
 
@@ -602,7 +576,7 @@ class TestTraceCsv:
         # digest from the row-template writer that preceded the block encoder
         config, itr_max = _pinned_30w()
         out = tmp_path / "trace.csv"
-        trace_to_csv(run_distributed(config, dx=1e-3, itr_max=itr_max), 3, out)
+        trace_to_csv(run_distributed(config, dx=1e-3, itr_max=itr_max), out)
         data = out.read_bytes()
         assert len(data) == 43_088_958
         assert hashlib.sha256(data).hexdigest() == (
@@ -615,11 +589,11 @@ class TestTraceCsv:
         config = random_system(np.random.default_rng(31), n=11)
         run = run_distributed(config, dx=1e-3, itr_max=1_500)
         out = tmp_path / "trace.csv"
-        trace_to_csv(run, 11, out)
+        trace_to_csv(run, out)
         assert out.read_bytes() == _csv_writer_reference(run, 11)
 
     def test_write_failure_carries_path(self, bench3, tmp_path):
         run = run_distributed(bench3, dx=1e-3, itr_max=30)
         missing = tmp_path / "no" / "such" / "dir" / "trace.csv"
         with pytest.raises(OSError, match="cannot write trace CSV to .*trace.csv"):
-            trace_to_csv(run, 3, missing)
+            trace_to_csv(run, missing)

@@ -53,6 +53,19 @@ class TestHullPrimitives:
         mask = points_in_hull_2d([[1, 1], [3, 3]], hull)
         assert mask.tolist() == [True, False]
 
+    def test_membership_in_degenerate_polygons(self):
+        # a segment and a single point are matched within tol of the
+        # segment or point; an empty polygon holds nothing
+        segment = np.array([[0.0, 0.0], [2.0, 2.0]])
+        pts = [[0, 0], [1, 1], [2, 2], [0.5, 0.5 + 1e-7], [0.5, 0.6], [3, 3], [-1, -1]]
+        assert points_in_hull_2d(pts, segment, tol=1e-6).tolist() == [
+            True, True, True, True, False, False, False,
+        ]
+        point = np.array([[1.0, 1.0]])
+        assert points_in_hull_2d([[1, 1], [1, 1 + 5e-7], [1.1, 1]], point, tol=1e-6).tolist() \
+            == [True, True, False]
+        assert points_in_hull_2d([[1, 1], [0, 0]], np.zeros((0, 2))).tolist() == [False, False]
+
     def test_pareto_two_dim(self):
         pts = np.array([[1, 4], [2, 3], [3, 1], [2, 2], [0, 5], [2.5, 3.0]])
         frontier = pareto_boundary(pts)

@@ -211,6 +211,41 @@ class TestErrors:
             with pytest.raises(ScenarioError, match="out of float range"):
                 parse_scenario_text(text.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            (MINIMAL + "\n[options]\nitr_max = 1.5\n",
+             "'itr_max' must be an integer, got '1.5'", 18, 1),
+            (CLOSE_RANGE_DERIVE.replace("center = 0 0 0.001", "center = 0 0"),
+             "'center' must be three numbers", 15, 1),
+            (MINIMAL + "\n[sink]\nr = 1.0\n", "unknown section '[sink]'", 17, None),
+            (MINIMAL.split("[receiver 1]")[0],
+             "at least one [receiver k] section is required", None, None),
+            (MINIMAL.replace("v_tx = 10.0", "v_tx = 0"), "v_tx must be > 0", 3, None),
+            (CLOSE_RANGE_DERIVE.replace(
+                "inner_radius = 0.099\nouter_radius = 0.101\nturns = 10\n"
+                "resistivity = 1.68e-8\n[receiver 1]",
+                "r = 1.0\nl = 1e-2\n[receiver 1]"),
+             "receiver 1: h = derive needs transmitter geometry", 14, 1),
+            (MINIMAL.replace("p_req = 0.5", "p_req = 0.5\nx = 20.0"),
+             "receiver 1: nominal x must lie within [x_lo, x_hi]", 9, None),
+        ],
+        ids=["fractional-itr_max", "two-number-center", "unknown-section", "no-receivers",
+             "zero-v_tx", "derive-without-transmitter-geometry", "nominal-x-outside-box"],
+    )
+    def test_error_message_and_location(self, text, message, line, column):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario_text(text, path="demo.scn")
+        where = "".join(f":{v}" for v in (line, column) if v is not None)
+        assert str(err.value) == f"demo.scn{where}: {message}"
+        assert (err.value.path, err.value.line, err.value.column) == ("demo.scn", line, column)
+
+    def test_directory_given_as_path(self, tmp_path):
+        with pytest.raises(ScenarioError, match="cannot read scenario") as err:
+            parse_scenario(tmp_path)
+        assert str(err.value).startswith(f"{tmp_path}: cannot read scenario: ")
+        assert (err.value.path, err.value.line, err.value.column) == (tmp_path, None, None)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "absent.scn")

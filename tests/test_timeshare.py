@@ -117,6 +117,41 @@ class TestAveragePowers:
             )
 
 
+    @staticmethod
+    def single_slot(loads):
+        """A schedule all in the all-closed slot, slot 0 at ``loads``."""
+        configs = enumerate_configs(3)
+        x = (tuple(loads),) + tuple(tuple([2.5] * 3) for _ in configs[1:])
+        return TimeSharingSchedule(
+            configs=configs, tau=(1.0,) + (0.0,) * 6, x=x, tau_total=1.0
+        )
+
+    @pytest.mark.parametrize("loads", [[2.5, float("nan"), 2.5], [0.0, 2.5, 2.5]],
+                             ids=["nan", "zero-connected"])
+    def test_bad_load_rejected(self, bench3, loads):
+        with pytest.raises(ValidationError, match="loads must be finite, and > 0 where connected"):
+            average_powers(bench3, self.single_slot(loads))
+
+    def test_zero_load_on_an_open_receiver_accepted(self, bench3):
+        configs = enumerate_configs(3)
+        # slot 4 connects receiver 1 only; receiver 2's zero load is unused
+        x = tuple((2.5, 0.0, 2.5) if q == 4 else (2.5,) * 3 for q in range(7))
+        tau = (0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0)
+        avg = average_powers(
+            bench3, TimeSharingSchedule(configs=configs, tau=tau, x=x, tau_total=1.0)
+        )
+        assert np.isfinite(avg.p_tx) and avg.p[1] > 0.0
+
+    def test_short_load_vectors_rejected(self, bench3):
+        configs = enumerate_configs(3)
+        sched = TimeSharingSchedule(
+            configs=configs, tau=(1.0,) + (0.0,) * 6,
+            x=tuple((2.5, 2.5) for _ in configs), tau_total=1.0,
+        )
+        with pytest.raises(ValidationError, match="load vector must have one entry per receiver"):
+            average_powers(bench3, sched)
+
+
 class TestTimeAllocationLp:
     def test_single_config_minimal_time(self):
         config = bench_system(p_req=(5.0,), n=1)
@@ -225,6 +260,15 @@ class TestConfigSubproblem:
 
 
 class TestOptimizeSchedule:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"tau_total": 0.0}, "tau_total must be > 0"),
+        ({"tau_total": float("nan")}, "tau_total must be > 0"),
+        ({"dp_stop": 0.0}, "dp_stop must be > 0"),
+    ], ids=["zero-horizon", "nan-horizon", "zero-dp_stop"])
+    def test_rejects_bad_arguments(self, bench3, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            optimize_schedule(bench3, **kwargs)
+
     def test_dominates_concurrent_solution(self, bench3):
         result = optimize_schedule(bench3, tau_total=1.0, dp_stop=1e-3)
         concurrent = optimize_loads(ChargingProblem(sys=bench3))
