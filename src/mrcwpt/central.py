@@ -7,17 +7,29 @@ scalar D. At a fixed D each requirement holds on one conductance interval
 [a_n(D), b_n(D)], which closes at a closed-form cap. The optimal D is the
 least cap, or the root of the decreasing psi(D) = r_tx + sum B b(D) - D, or
 else the largest root of the convex phi(D) = r_tx + sum B a(D) - D: each a
-1-D bracketed root (quasi-convex bisection, Boyd & Vandenberghe, sec. 4.2.5).
+1-D bracketed root (quasi-convex bisection, Boyd & Vandenberghe, sec. 4.2.5),
+found by Brent's method (Brent 1973, Algorithms for Minimization without
+Derivatives, ch. 4) in ``_brentq``.
 Where the optimum is a face, every receiver takes the same fraction t of its
 interval, g = a + t (b - a), a choice independent of the receiver order.
 The KKT multipliers of the returned point follow in closed form from the
 same reduction (the Jacobian is diagonal plus rank one), which yields its
 certificate and shadow prices; a brute-force grid oracle bounds the
 optimality gap in tests.
+
+The solve runs on plain Python floats: with one to a few receivers, array
+overhead would cost more than the arithmetic. Each weighted sum sum B_k v_k
+still goes through ``np.dot``, the dot product the array form of the
+reduction used (with OpenBLAS on x86-64 it accumulates by fused
+multiply-adds). A plain Python sum rounds differently: it moves answers in
+their last bits and, through time sharing, changes which slot subproblems
+succeed. ``tests/central_reference.py`` keeps the array form, and the tests
+require the same bits from both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +37,8 @@ import numpy as np
 
 from .circuit import SwitchState, SystemConfig, grid_powers, solve_closed_form
 from .errors import NumericalError, ValidationError
+
+_EPS = float(np.finfo(float).eps)
 
 
 class SolveStatus(Enum):
@@ -91,7 +105,7 @@ class CentralSolution:
     shadow_prices: tuple[float, ...]
 
 
-def _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g):
+def _certificate(b, r, g_lo, g_hi, preq, half_v2, r_tx, g):
     """KKT residual of a conductance point and its requirement multipliers.
 
     The program maximizes D = r_tx + sum B g over the box subject to
@@ -108,9 +122,9 @@ def _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g):
     (Sherman-Morrison). Where w = 0 to rounding no constraint qualification
     holds: the multipliers are the Fritz John ones (no objective term,
     2 D S = 1) and lam is +inf. The residual is the worst stationarity row
-    over max B or complementarity product over D. Returns it and lam.
+    over max B or complementarity product over D. Takes lists of floats,
+    one entry per receiver. Returns the residual and lam.
     """
-    b, r, g_lo, g_hi, preq, g = (v.tolist() for v in (b_coef, r, g_lo, g_hi, preq, g))
     m = len(g)
     d = r_tx + sum(bk * gk for bk, gk in zip(b, g))
     e = [half_v2 * (2.0 * r[k] * g[k] - 1.0) for k in range(m)]
@@ -134,7 +148,7 @@ def _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g):
 
     rows = [k for k in held if e[k]]
     w = 1.0 + 2.0 * d * sum(preq[k] / e[k] for k in rows)
-    objective = 0.0 if abs(w) <= 16 * m * np.finfo(float).eps else 1.0
+    objective = 0.0 if abs(w) <= 16 * m * _EPS else 1.0
     lam = [0.0] * m
     for k in rows:
         lam[k] = max((1.0 / w if objective else -1.0) / e[k], 0.0)
@@ -155,46 +169,111 @@ def _infeasible() -> CentralSolution:
     )
 
 
+def _dot(u, v) -> float:
+    """sum u_k v_k, formed by numpy's dot (see the module docstring)."""
+    return float(np.dot(u, v))
+
+
+def _brentq(f, lo: float, hi: float) -> float:
+    """Root of ``f`` between ``lo`` and ``hi``, where it changes sign.
+
+    Brent's method (Brent 1973, ch. 4) with xtol 1e-300, rtol 4 eps and at
+    most 100 iterations, ported step for step from the widely used C
+    implementation ``Zeros/brentq.c``, so it returns the same bits (the tests
+    check this). A NaN value, a bracket without a sign change or no
+    convergence raises NumericalError.
+    """
+    xtol, rtol = 1e-300, 4.0 * _EPS
+    xpre, xcur = lo, hi
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericalError("root bracket: the function is NaN at an end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericalError("root bracket: the function has one sign at both ends")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # an infinite step bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C divides to an infinite or NaN step
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericalError(f"root finding: the function is NaN at {xcur!r}")
+    raise NumericalError("root finding did not converge in 100 iterations")
+
+
 def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     """Conductances at the largest attainable D, or None if there is none.
 
     ``c`` is each requirement over |v|^2 B / 2 (zero where there is none),
     so receiver n needs g_n - r_n g_n^2 >= c_n D^2: the roots of that
     quadratic, clipped to the box, bound its interval [a_n(D), b_n(D)].
+    Every argument but ``r_tx`` is a list of floats, one per receiver.
     """
-    from scipy.optimize import brentq
+    terms = list(zip(c, r, g_lo, g_hi))
 
     def intervals(d):  # [a, b] per receiver, and the discriminant's root s
-        k = c * d * d  # the lower root is written cancellation-free
-        s = np.sqrt(np.maximum(1.0 - 4.0 * r * k, 0.0))
-        a = np.maximum(g_lo, 2.0 * k / (1.0 + s))
-        return a, np.minimum(g_hi, (1.0 + s) / (2.0 * r)), s
+        a, b, s = [], [], []
+        for ck, rk, lo, hi in terms:
+            k = ck * d * d  # the lower root is written cancellation-free
+            sk = math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))
+            a.append(max(lo, 2.0 * k / (1.0 + sk)))
+            b.append(min(hi, (1.0 + sk) / (2.0 * rk)))
+            s.append(sk)
+        return a, b, s
 
     def psi(d):
-        return r_tx + float(b_coef @ intervals(d)[1]) - d
+        return r_tx + _dot(b_coef, intervals(d)[1]) - d
 
     def phi(d):
-        return r_tx + float(b_coef @ intervals(d)[0]) - d
+        return r_tx + _dot(b_coef, intervals(d)[0]) - d
 
     def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
         a, _, s = intervals(d)
-        slope = np.divide(2.0 * c * d, s, out=np.full_like(s, np.inf), where=s > 0.0)
-        return float(b_coef[a > g_lo] @ slope[a > g_lo]) - 1.0
-
-    def root(f, lo, hi):
-        return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        moving = [j for j in range(len(a)) if a[j] > g_lo[j]]
+        slope = [2.0 * c[j] * d / s[j] if s[j] > 0.0 else math.inf for j in moving]
+        return _dot([b_coef[j] for j in moving], slope) - 1.0
 
     # each interval closes where g - r g^2 peaks over the box
-    g_peak = np.clip(1.0 / (2.0 * r), g_lo, g_hi)
-    caps = np.divide(g_peak * (1.0 - r * g_peak), c, out=np.full_like(c, np.inf),
-                     where=c > 0.0)
-    d_lo = r_tx + float(b_coef @ g_lo)
-    d_top = min(r_tx + float(b_coef @ g_hi), float(np.sqrt(caps.min())))
+    caps = []
+    for ck, rk, lo, hi in terms:
+        g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
+        caps.append(g_peak * (1.0 - rk * g_peak) / ck if ck > 0.0 else math.inf)
+    cap = min(caps)
+    d_lo = r_tx + _dot(b_coef, g_lo)
+    d_top = min(r_tx + _dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
     # even the smallest D is past a cap: some interval is already empty
     if d_top < d_lo or psi(d_lo) < 0.0:
         return None
     if psi(d_top) < 0.0:
-        d_top = root(psi, d_lo, d_top)
+        d_top = _brentq(psi, d_lo, d_top)
     if phi(d_top) > 0.0:
         # phi is convex: its largest root lies between its minimizer and d_top
         if phi_slope(d_lo) >= 0.0:
@@ -202,14 +281,16 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
         elif phi_slope(d_top) <= 0.0:
             return None
         else:
-            d_min = root(phi_slope, d_lo, d_top)
+            d_min = _brentq(phi_slope, d_lo, d_top)
         if phi(d_min) > 0.0:
             return None
-        d_top = root(phi, d_min, d_top)
+        d_top = _brentq(phi, d_min, d_top)
     a, b, _ = intervals(d_top)
-    spread = float(b_coef @ (b - a))
-    t = (d_top - r_tx - float(b_coef @ a)) / spread if spread > 0.0 else 0.0
-    return np.clip(a + min(max(t, 0.0), 1.0) * (b - a), g_lo, g_hi)
+    spread = _dot(b_coef, [bk - ak for ak, bk in zip(a, b)])
+    t = (d_top - r_tx - _dot(b_coef, a)) / spread if spread > 0.0 else 0.0
+    t = min(max(t, 0.0), 1.0)
+    return [min(max(ak + t * (bk - ak), lo), hi)
+            for ak, bk, lo, hi in zip(a, b, g_lo, g_hi)]
 
 
 def optimize_loads(prob: ChargingProblem) -> CentralSolution:
@@ -224,19 +305,19 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     conn = list(sw.connected)
     reqs = prob.requirements
 
-    r = np.array([sys.receivers[k].resistance for k in conn])
-    b_coef = np.array([(sys.w * sys.h[k]) ** 2 for k in conn])
-    g_lo = 1.0 / (r + np.array([sys.x_hi[k] for k in conn]))
-    g_hi = 1.0 / (r + np.array([sys.x_lo[k] for k in conn]))
-    preq = np.array([max(reqs[k], 0.0) for k in conn])
+    r = [float(sys.receivers[k].resistance) for k in conn]
+    b_coef = [float((sys.w * sys.h[k]) ** 2) for k in conn]
+    g_lo = [1.0 / (rk + float(sys.x_hi[k])) for rk, k in zip(r, conn)]
+    g_hi = [1.0 / (rk + float(sys.x_lo[k])) for rk, k in zip(r, conn)]
+    preq = [float(max(reqs[k], 0.0)) for k in conn]
     half_v2 = 0.5 * abs(sys.v_tx) ** 2
     r_tx = sys.transmitter.resistance
 
-    # a requirement on a receiver with zero coupling can never be met
-    if np.any((preq > 0.0) & (b_coef == 0.0)):
+    # a requirement on a receiver with zero coupling (or no source) can never be met
+    if any(p > 0.0 and half_v2 * bk == 0.0 for p, bk in zip(preq, b_coef)):
         return _infeasible()
 
-    c = np.divide(preq, half_v2 * b_coef, out=np.zeros_like(preq), where=preq > 0.0)
+    c = [p / (half_v2 * bk) if p > 0.0 else 0.0 for p, bk in zip(preq, b_coef)]
     g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
     if g_opt is None:
         return _infeasible()
@@ -245,8 +326,7 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     x_opt = [float(v) for v in sys.x_hi]
     prices = [0.0] * sys.n_receivers
     for j, k in enumerate(conn):
-        x_opt[k] = float(1.0 / g_opt[j] - r[j])
-        x_opt[k] = min(max(x_opt[k], sys.x_lo[k]), sys.x_hi[k])
+        x_opt[k] = min(max(1.0 / g_opt[j] - r[j], sys.x_lo[k]), sys.x_hi[k])
         prices[k] = half_v2 * lam[j]
 
     state = solve_closed_form(sys, sw, x_opt)

@@ -43,6 +43,10 @@ class TimeSharingSchedule:
         q = len(self.configs)
         if len(self.tau) != q or len(self.x) != q:
             raise ValidationError("tau and x must have one entry per configuration")
+        if len({len(sw.s) for sw in self.configs}) > 1:
+            raise ValidationError("every configuration must cover the same receivers")
+        if len({len(v) for v in self.x}) > 1:
+            raise ValidationError("every slot's load vector must have the same length")
         if not self.tau_total > 0.0:
             raise ValidationError("tau_total must be > 0")
         if any(t < 0.0 for t in self.tau):

@@ -21,6 +21,10 @@ from mrcwpt import (
     solve_linear_oracle,
 )
 
+from mrcwpt import central
+from mrcwpt.errors import NumericalError
+
+import central_reference
 from conftest import bench_system, random_loads, random_switch, random_system
 from nnls_reference import reference_residual
 
@@ -287,8 +291,6 @@ class TestScalarReduction:
 
     @pytest.mark.parametrize("n", [30, 60])
     def test_large_systems_verified_by_mesh_solve(self, n):
-        import scipy.optimize  # noqa: F401  (keep the lazy import out of the timing)
-
         rng = np.random.default_rng(n)
         for _ in range(3):
             config, p_tx_x0 = feasible_random_system(rng, n)
@@ -507,16 +509,14 @@ class TestBruteForceOracle:
         # let g - r g^2 peak inside the box, so a requirement can close the
         # upper end of a receiver's interval before g_hi: the solver then
         # roots psi, the largest D whose upper ends still fit
-        import scipy.optimize
-
         rooted = []
-        brentq = scipy.optimize.brentq
+        brentq = central._brentq
 
         def spy(f, *args, **kwargs):
             rooted.append(f.__name__)
             return brentq(f, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "brentq", spy)
+        monkeypatch.setattr(central, "_brentq", spy)
         rng = np.random.default_rng(0)
         psi_roots = 0
         for _ in range(200):
@@ -544,6 +544,72 @@ class TestBruteForceOracle:
         config = random_system(rng, n=4)
         with pytest.raises(ValidationError, match="at most 3"):
             brute_force_oracle(ChargingProblem(sys=config), 10)
+
+
+def drawn_reductions(rng, count):
+    """``count`` reductions of drawn problems: N = 1..6, random switches,
+    every third with the box 0.05 r..20 r (so the psi and phi roots run),
+    requirements 0.3..2 times the powers at random loads. Yields the array
+    inputs of ``central_reference.max_coupling`` (every drawn receiver is
+    coupled, so none is infeasible up front)."""
+    for i in range(count):
+        n = int(rng.integers(1, 7))
+        config = random_system(rng, n=n)
+        if i % 3 == 0:
+            r = np.array([c.resistance for c in config.receivers])
+            config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
+        sw = random_switch(rng, n)
+        p = solve_closed_form(config, sw, random_loads(rng, config)).p
+        scale = rng.uniform(0.3, 2.0)
+        reqs = tuple(scale * v if sw.s[k] else 0.0 for k, v in enumerate(p))
+        yield central_reference.problem_arrays(
+            ChargingProblem(sys=config, sw=sw, p_req_eff=reqs))
+
+
+class TestPlainFloatSolver:
+    """The plain-float reduction returns the bits of the array reference."""
+
+    def test_conductances_match_the_array_reference(self):
+        infeasible = 0
+        for arrays in drawn_reductions(np.random.default_rng(18), 2000):
+            expected = central_reference.max_coupling(*arrays)
+            got = central._max_coupling(*(v.tolist() for v in arrays[:5]), arrays[5])
+            if expected is None:
+                assert got is None
+                infeasible += 1
+            else:
+                assert got == expected.tolist()
+        # both outcomes are drawn often
+        assert 50 <= infeasible <= 1950
+
+    def test_brentq_matches_scipy(self, monkeypatch):
+        from scipy.optimize import brentq
+
+        brackets = []
+        root = central._brentq
+
+        def spy(f, lo, hi):
+            brackets.append((f, lo, hi))
+            return root(f, lo, hi)
+
+        monkeypatch.setattr(central, "_brentq", spy)
+        for arrays in drawn_reductions(np.random.default_rng(19), 600):
+            central._max_coupling(*(v.tolist() for v in arrays[:5]), arrays[5])
+        names = [f.__name__ for f, _, _ in brackets]
+        for name in ("psi", "phi", "phi_slope"):
+            assert names.count(name) >= 20
+        for f, lo, hi in brackets:
+            expected = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+            assert root(f, lo, hi) == expected
+
+    def test_brentq_failures_are_numerical_errors(self):
+        with pytest.raises(NumericalError, match="NaN"):
+            central._brentq(lambda d: math.nan, 0.0, 1.0)
+        with pytest.raises(NumericalError, match="one sign"):
+            central._brentq(lambda d: 1e-200, 0.0, 1.0)
+        # a step at 1e-250 in [-1e300, 1e300] takes more than 100 bisections
+        with pytest.raises(NumericalError, match="converge"):
+            central._brentq(lambda d: 1.0 if d > 1e-250 else -1.0, -1e300, 1e300)
 
 
 def test_degenerate_bounds_rejected():

@@ -456,6 +456,13 @@ def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def source_env():
+    """The environment for a new Python process that imports this checkout's mrcwpt."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_library_warning_prints_one_line(tmp_path):
     # a derived coupling in the near field warns but is admitted; run as a
     # new process so the warning reaches stderr through the default filters
@@ -463,16 +470,33 @@ def test_library_warning_prints_one_line(tmp_path):
 
     path = tmp_path / "near.scn"
     path.write_text(CLOSE_RANGE_DERIVE.replace("center = 0 0 0.001", "center = 0 0 0.3"))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-m", "mrcwpt", "analyze", str(path)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=source_env(), timeout=60)
     assert done.returncode == EXIT_OK
     assert done.stderr == (
         "warning: coil separation is not large against the coil radii; "
         "dipole coupling formula loses accuracy\n"
     )
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from mrcwpt.cli import main
+codes = [main(["optimize", "three_receivers"]), main(["timeshare", "two_receivers"])]
+print("codes", *codes)
+print("scipy", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_optimize_and_timeshare_load_no_scipy():
+    # the centralized solver and time sharing run without scipy; a fresh
+    # process shows any import of it, lazy ones included
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-2] == f"codes {EXIT_OK} {EXIT_OK}"
+    assert lines[-1] == "scipy"
 
 
 class TestUnwritableOutput:

@@ -11,6 +11,7 @@ from mrcwpt import (
     ChargingProblem,
     InfeasibleProblemError,
     SolveStatus,
+    SwitchState,
     TimeSharingSchedule,
     ValidationError,
     average_powers,
@@ -150,6 +151,18 @@ class TestAveragePowers:
         )
         with pytest.raises(ValidationError, match="load vector must have one entry per receiver"):
             average_powers(bench3, sched)
+
+    def test_ragged_load_vectors_rejected(self):
+        configs = enumerate_configs(3)
+        x = ((2.5, 2.5),) + tuple((2.5,) * 3 for _ in configs[1:])
+        with pytest.raises(ValidationError, match="load vector must have the same length"):
+            TimeSharingSchedule(configs=configs, tau=(1.0,) + (0.0,) * 6, x=x, tau_total=1.0)
+
+    def test_ragged_configurations_rejected(self):
+        configs = (SwitchState((1, 1, 1)), SwitchState((1, 1)))
+        with pytest.raises(ValidationError, match="cover the same receivers"):
+            TimeSharingSchedule(configs=configs, tau=(1.0, 0.0), x=((2.5,) * 3,) * 2,
+                                tau_total=1.0)
 
 
 class TestTimeAllocationLp:
