@@ -176,13 +176,14 @@ class RowFormat:
 
 
 def _put_int(buf: np.ndarray, at: int, width: int, value: np.ndarray) -> None:
-    """Write ``value`` zero-padded to ``width`` (at most 8) digits at byte
-    ``at`` of every row."""
-    if width <= 4:
-        buf[:, at : at + width] = _DIGITS[value][:, 4 - width :]
-        return
-    buf[:, at : at + width - 4] = _DIGITS[value // 10**4][:, 8 - width :]
-    buf[:, at + width - 4 : at + width].view(np.uint32)[:, 0] = _QUADS[value % 10**4]
+    """Write ``value`` zero-padded to ``width`` digits at byte ``at`` of
+    every row, four digits at a time from the right."""
+    end = at + width
+    while end - at > 4:
+        buf[:, end - 4 : end].view(np.uint32)[:, 0] = _QUADS[value % 10**4]
+        value = value // 10**4
+        end -= 4
+    buf[:, at:end] = _DIGITS[value][:, 4 - (end - at) :]
 
 
 def _put_literal(buf: np.ndarray, at: int, text: bytes) -> int:

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig, grid_powers, solve_closed_form
+from .circuit import SwitchState, SystemConfig, grid_powers, resonant_powers
 from .errors import NumericalError, ValidationError
 
 _EPS = float(np.finfo(float).eps)
@@ -329,16 +329,19 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
         x_opt[k] = min(max(1.0 / g_opt[j] - r[j], sys.x_lo[k]), sys.x_hi[k])
         prices[k] = half_v2 * lam[j]
 
-    state = solve_closed_form(sys, sw, x_opt)
+    # the loads are finite and in the box: only the powers need checking
+    p_tx, p, _ = resonant_powers(sys, x_opt, sw.s)
+    if not (math.isfinite(p_tx) and math.isfinite(sum(p))):
+        raise NumericalError("the steady-state powers overflow at these loads")
     for k in conn:
-        if reqs[k] > 0.0 and state.p[k] < reqs[k] - 1e-6 * max(reqs[k], 1.0):
+        if reqs[k] > 0.0 and p[k] < reqs[k] - 1e-6 * max(reqs[k], 1.0):
             raise NumericalError(
                 f"receiver {k + 1}: optimizer returned an infeasible point"
             )
     return CentralSolution(
         x=tuple(x_opt),
-        p_tx=state.p_tx,
-        p=state.p,
+        p_tx=p_tx,
+        p=tuple(p),
         status=SolveStatus.OPTIMAL,
         kkt_residual=kkt,
         shadow_prices=tuple(prices),

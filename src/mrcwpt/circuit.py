@@ -16,12 +16,14 @@ that the time-sharing slots and the time-shared power region share.
 The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
 derivatives, the time-sharing slots, the load grids of :func:`grid_powers`
-(shared by the power regions and the grid oracle) and the distributed
-run's once-per-run final-state slack. Two copies are kept
-on purpose: :func:`solve_linear_oracle` solves the full mesh equations as
-the independent cross-check, and ``distributed._Loads`` keeps a plain-float
+(shared by the power regions and the grid oracle), the centralized
+solver's final powers, the CLI's load sweeps and the distributed run's
+once-per-run final-state slack. Two copies are kept on purpose:
+:func:`solve_linear_oracle` solves the full mesh equations as the
+independent cross-check, and ``distributed._Loads`` keeps a plain-float
 copy with cached per-receiver terms for the per-turn path alone, the
-probes and measurements of every simulated turn.
+probes of every simulated turn; ``distributed._rebuild_rows`` evaluates
+that copy's expressions over arrays to form a traced run's rows.
 """
 
 from __future__ import annotations

@@ -14,16 +14,19 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys as _sys
 import warnings
 
 import numpy as np
 
+from ._csvfmt import RowFormat
 from .central import ChargingProblem, SolveStatus, optimize_loads
 from .circuit import (
     SwitchState,
     analytic_derivatives,
     optimal_frequency,
+    resonant_powers,
     solve_closed_form,
     thresholds,
 )
@@ -49,6 +52,8 @@ EXIT_NUMERICAL = 3
 
 # most points one sweep may ask for; the largest sweep in the README has 1,991
 _SWEEP_MAX_POINTS = 10**7
+# sweep rows formatted per block: about as much scratch memory as a region block
+_SWEEP_BLOCK = 1024
 
 
 def fmt(value: float) -> str:
@@ -91,7 +96,9 @@ def _parse_sweep(expr: str):
     count = np.floor((b - a) / step + 0.5) + 1
     if not count <= _SWEEP_MAX_POINTS:
         raise ValidationError(f"sweep would have more than {_SWEEP_MAX_POINTS} points")
-    values = a + step * np.arange(int(count))
+    # a point past the float range becomes inf, which the sweep rejects
+    with np.errstate(over="ignore"):
+        values = a + step * np.arange(int(count))
     values = values[values <= b + 0.5 * step]
     return name.strip(), values
 
@@ -104,12 +111,50 @@ def _receiver_index(name: str, prefix: str, n: int) -> int:
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    _write_text(["\n".join(lines) + "\n"], out_path)
+
+
+def _write_text(parts, out_path):
+    """Write the text pieces ``parts`` to ``out_path``, or to stdout."""
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     else:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(parts)
+
+
+def _load_sweep(config, x, k, values) -> np.ndarray:
+    """Sweep table rows (x_k, p_tx, p_1..p_N, p_sum, rho) from one
+    ``resonant_powers`` call over every load of receiver k.
+
+    Each row is the per-point ``solve_closed_form`` one bit for bit: the
+    load enters only through +, * and /, which numpy rounds as the float
+    operations do. The first point that is not a finite load > 0 or whose
+    powers overflow is handed to ``solve_closed_form``, which raises the
+    error a point-by-point sweep stops at.
+    """
+    loads = list(x)
+    loads[k] = values
+    with np.errstate(all="ignore"):
+        p_tx, p, _ = resonant_powers(config, loads, (1,) * len(x))
+        p_sum = sum(p)
+        rho = p_sum / p_tx
+        bad = ~((values > 0.0) & np.isfinite(values) & np.isfinite(p_tx) & np.isfinite(p_sum))
+    if bad.any():
+        loads[k] = float(values[np.argmax(bad)])
+        solve_closed_form(config, None, loads)
+    return np.column_stack([values, p_tx, *p, p_sum, rho])
+
+
+def _frequency_sweep(config, x, values) -> np.ndarray:
+    """Sweep table rows (w, p_tx, p_1..p_N, p_sum, rho), one re-tuned
+    system per point: B_k = (w h_k)^2 takes w through a power, which numpy
+    does not round as the float ``**`` does."""
+    rows = []
+    for w in values.tolist():
+        state = solve_closed_form(config.with_frequency(w), None, x)
+        rows.append((w, state.p_tx, *state.p, state.p_sum, state.rho))
+    return np.array(rows)
 
 
 def _cmd_analyze(args) -> int:
@@ -119,27 +164,17 @@ def _cmd_analyze(args) -> int:
 
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
-
         if name == "w":
-            def state_at(w_val):
-                return solve_closed_form(config.with_frequency(float(w_val)), None, x)
+            table = _frequency_sweep(config, x, values)
         elif name.startswith("x_"):
-            k = _receiver_index(name, "x_", n)
-
-            def state_at(x_val):
-                loads = list(x)
-                loads[k] = float(x_val)
-                return solve_closed_form(config, None, loads)
+            table = _load_sweep(config, x, _receiver_index(name, "x_", n), values)
         else:
             raise ValidationError(f"unknown sweep variable '{name}'")
-
-        lines = [",".join(header)]
-        for value in values:
-            state = state_at(value)
-            lines.append(",".join([fmt(value), fmt(state.p_tx)] + [fmt(p) for p in state.p]
-                                  + [fmt(state.p_sum), fmt(state.rho)]))
-        _emit(lines, args.out)
+        header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
+        encode = RowFormat(",".join(["%.11e"] * (n + 4)) + "\n")
+        blocks = (encode(table[a : a + _SWEEP_BLOCK])
+                  for a in range(0, len(table), _SWEEP_BLOCK))
+        _write_text(itertools.chain([",".join(header) + "\n"], blocks), args.out)
         return EXIT_OK
 
     state = solve_closed_form(config, None, x)

@@ -36,10 +36,12 @@ and the range of p_tx on it are reported on the result. Only the simulated
 trace rows are stored; the full trace is built from them when first read.
 
 One turn sums the circuit's shared denominator once, in a fixed order, and
-decides its case on plain floats; a traced row's powers, p_tx and feedback
-bits are read from that same sum, taken before the update. A run and the
-cycle's replay both take this one turn on a single ``_Loads``, which checks
-the loads it starts from.
+decides its case on plain floats. A run and the cycle's replay both take
+this one turn on a single ``_Loads``, which checks the loads it starts
+from. A traced turn records only its case and the load it set: the loads
+are the whole state, so after the loop ``_rebuild_rows`` forms every
+simulated row's loads, powers, p_tx and feedback bits at once, with the
+turn's own float expressions on the loads before the update.
 
 ``run_distributed`` is the protocol's one entry point: it returns a
 ``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
@@ -50,11 +52,12 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import RowFormat
+from ._csvfmt import RowFormat, _put_int
 from .circuit import SystemConfig, resonant_powers, solo_peak_loads
 from .errors import ValidationError
 
@@ -134,9 +137,8 @@ class _Loads:
     term[n - 1] and re-adding only the suffix, so each float equals that
     of a fresh evaluation at the same loads: the state is ``x`` alone.
 
-    Each turn leaves the denominator it summed in ``denom`` and the power
-    of its receiver before the update in ``pn``; :meth:`measured` reads the
-    turn's measurement from them.
+    Each turn leaves the denominator it summed in ``denom``, from which
+    :meth:`advance` reads p_tx.
     """
 
     def __init__(self, sys: SystemConfig, x: list[float]):
@@ -176,17 +178,6 @@ class _Loads:
         d2 = denom * denom
         return [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
 
-    def feedback(self, p: list[float]) -> list[bool]:
-        """The feedback bits of powers ``p``."""
-        return [pk >= lo for pk, lo in zip(p, self.req_lo)]
-
-    def measured(self, n: int):
-        """(p_tx, p, fb) as the last turn, receiver n's, measured them
-        before its update: only load n has moved since."""
-        p = self.powers(self.denom)
-        p[n] = self.pn
-        return self.half_v2 / self.denom, p, self.feedback(p)
-
     def denominator(self) -> float:
         """The denominator at the current loads, r_tx + term[0] + ... +
         term[N - 1] summed in order, as a turn sums it."""
@@ -203,8 +194,8 @@ class _Loads:
         x_n + dx and x_n - dx (half x_n when that is not positive) place
         x_n against its own-power peak, the lower probe only when the upper
         one does not rise, and the peers' feedback bits are read only when
-        the case depends on them, each with the expression ``feedback``
-        uses, so the case is the one a fully measured turn takes."""
+        the case depends on them, each as p_k >= req_lo[k] like a traced
+        row's, so the case is the one a fully measured turn takes."""
         term = self.term
         prefix = self.r_tx
         for t in term[:n]:
@@ -214,7 +205,7 @@ class _Loads:
             denom += t
         num, sq = self.num, self.sq
         pn = num[n] / (sq[n] * (denom * denom))
-        self.denom, self.pn = denom, pn
+        self.denom = denom
         if pn < self.req_lo[n]:
             unmet = True
         elif pn > self.req_hi[n]:
@@ -318,6 +309,52 @@ def _cycle_start(seen: dict, mu: int, n_rx: int) -> int:
     return (mu - 1) * n_rx + k + 1
 
 
+def _rebuild_rows(loads: _Loads, x0: list[float], cases: bytearray, moved: array) -> np.ndarray:
+    """The trace rows of the turns that set ``moved`` from loads ``x0``.
+
+    Row i is turn i of receiver k = i mod N, which set load k to
+    ``moved[i]``; it measured at the loads before it, where load k holds
+    the value of k's previous turn (or x0). Each load's denominator term,
+    numerator and squared factor are formed once per value it took, with
+    ``_Loads._set``'s expressions: numpy's +, * and / round as the float
+    operations do, but its square does not always round as CPython's
+    ``**``, which the turn uses, so the squares go through ``**``. Every
+    denominator is summed from r_tx over the receivers in order, as a
+    turn sums it.
+    """
+    n_rx, count = loads.n, len(cases)
+    rows = np.empty((count, 3 + 3 * n_rx + 1))
+    rows[:, 0] = np.arange(1, count + 1)
+    rows[:, 1] = np.arange(count) % n_rx + 1
+    rows[:, 2] = np.frombuffer(cases, dtype=np.uint8)
+    moved = np.frombuffer(moved)
+
+    def rowwise(a, start):
+        # row i's entry a[(i + start) // N], from a repeated N times
+        return np.repeat(a, n_rx)[start : start + count]
+
+    denom = np.full(count, loads.r_tx)
+    factors = []
+    for k in range(n_rx):
+        # every value load k took, the initial one first: row i sets value
+        # (i - k) // N + 1 and measures at value (i - k - 1) // N + 1
+        values = np.concatenate(([x0[k]], moved[k::n_rx]))
+        series = loads.r[k] + values
+        rows[:, 3 + k] = rowwise(values, n_rx - k)
+        denom += rowwise(loads.wh2[k] / series, n_rx - k - 1)
+        factors.append((loads.coef[k] * values, np.array([v**2 for v in series.tolist()])))
+    np.divide(loads.half_v2, denom, out=rows[:, 3 + 2 * n_rx])
+    # D * D in place of D, which p_tx was the last to read
+    d2 = np.multiply(denom, denom, out=denom)
+    for k, (num, sq) in enumerate(factors):
+        # p_k = num / (sq * d2), formed in place in its column
+        p = rows[:, 3 + n_rx + k]
+        np.multiply(rowwise(sq, n_rx - k - 1), d2, out=p)
+        np.divide(rowwise(num, n_rx - k - 1), p, out=p)
+        rows[:, 4 + 2 * n_rx + k] = p >= loads.req_lo[k]
+    return rows
+
+
 def run_distributed(
     sys: SystemConfig,
     dx: float = 1e-3,
@@ -335,14 +372,13 @@ def run_distributed(
         raise ValidationError("dx must be > 0")
     if itr_max < 1:
         raise ValidationError("itr_max must be >= 1")
-    loads = _Loads(sys, solo_peak_loads(sys))
+    x0 = solo_peak_loads(sys)
+    loads = _Loads(sys, list(x0))
     x, turn, n_rx = loads.x, loads.turn, loads.n
 
-    width = 3 + 2 * n_rx + 1 + n_rx
-    # the simulated rows, packed: half the cost of assigning a tuple to a
-    # numpy row, and only as long as the run simulates
-    buf = bytearray()
-    pack_row = struct.Struct(f"{width}d").pack
+    # a traced turn keeps its case and the load it set, packed; the rows
+    # are formed from them after the loop
+    cases, moved = bytearray(), array("d")
     # the loads after each round, mapped to the first round that ended
     # there; packed, they take ~15% less memory than tuples at equal speed,
     # and equal bytes are equal loads because loads are finite and > 0
@@ -353,8 +389,8 @@ def run_distributed(
         n = itr % n_rx
         case = turn(n, dx)
         if record_trace:
-            p_tx, p, fb = loads.measured(n)
-            buf += pack_row(itr + 1, n + 1, case, *x, *p, p_tx, *fb)
+            cases.append(case)
+            moved.append(x[n])
         if n < n_rx - 1:
             continue
         rnd = (itr + 1) // n_rx
@@ -370,6 +406,9 @@ def run_distributed(
             loads.advance((itr_max - itr - 1) % period, dx)
             break
 
+    # the round-end loads are done with: free them before the rows are formed
+    del seen
+    rows = _rebuild_rows(loads, x0, cases, moved)
     denom = loads.denominator()
     p_tx, p = loads.half_v2 / denom, loads.powers(denom)
     slack = _power_resolution(sys, x, p, dx)
@@ -380,7 +419,7 @@ def run_distributed(
         iterations=itr_max,
         p_tx=p_tx,
         p=tuple(p),
-        rows=np.frombuffer(buf).reshape(-1, width),
+        rows=rows,
         **cycle_fields,
     )
 
@@ -399,6 +438,14 @@ def trace_to_csv(run: DistributedRun, path) -> None:
         raise OSError(f"cannot write trace CSV to {path}: {exc}") from exc
 
 
+def _row_tail(n_receivers: int) -> str:
+    """The template of a trace row after its itr: the text csv.writer
+    makes of these rows, since nothing needs quoting."""
+    return ",".join(
+        ["%d", "%d"] + ["%.11e"] * (2 * n_receivers + 1) + ["%d"] * n_receivers
+    ) + "\r\n"
+
+
 def _write_trace_csv(run: DistributedRun, handle) -> None:
     n_receivers = len(run.x)
     header = (
@@ -408,27 +455,47 @@ def _write_trace_csv(run: DistributedRun, handle) -> None:
         + ["p_tx"]
         + [f"fb_{k + 1}" for k in range(n_receivers)]
     )
-    # the text csv.writer makes of these rows: nothing needs quoting
-    tail = ",".join(
-        ["%d", "%d"] + ["%.11e"] * (2 * n_receivers + 1) + ["%d"] * n_receivers
-    ) + "\r\n"
-    encode = RowFormat("%d," + tail)
+    encode = RowFormat("%d," + _row_tail(n_receivers))
     rows = run.rows
     total = run.iterations if len(rows) else 0
     first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
     handle.write(",".join(header) + "\r\n")
     for a in range(0, first, _CSV_CHUNK):
         handle.write(encode(rows[a : min(a + _CSV_CHUNK, first)]))
-    if first == total:
-        return
-    # one template per block of whole periods, each phase formatted once
-    # (formatted numbers hold no '%'); only the itr column is filled in
-    period = run.cycle_period
-    phases = RowFormat(tail)(rows[first : first + period, 1:]).splitlines(keepends=True)
-    row_templates = ["%d," + text for text in phases] * max(1, _CSV_CHUNK // period)
-    block_fmt = "".join(row_templates)
-    for a in range(first, total, len(row_templates)):
-        b = min(a + len(row_templates), total)
-        if b - a < len(row_templates):
-            block_fmt = "".join(row_templates[: b - a])
-        handle.write(block_fmt % tuple(range(a + 1, b + 1)))
+    if first < total:
+        _write_cycle_rows(handle, rows[first : first + run.cycle_period], first, total)
+
+
+def _write_cycle_rows(handle, cycle: np.ndarray, first: int, total: int) -> None:
+    """Write rows ``first`` to ``total - 1`` (0-based) of a trace whose
+    rows from ``first`` on repeat the period ``cycle``: row i is
+    ``cycle[(i - first) % len(cycle)]`` with itr i + 1.
+
+    Each phase is formatted once. A block is whole periods of phase bytes,
+    each row led by room for its itr, tiled once per itr digit count;
+    only the itr digits are written into it, at offsets that are fixed
+    because blocks split where itr gains a digit.
+    """
+    period = len(cycle)
+    tail = RowFormat(_row_tail((cycle.shape[1] - 4) // 3))
+    phases = tail(cycle[:, 1:]).encode("ascii").splitlines(keepends=True)
+    reps = max(1, _CSV_CHUNK // period)
+    a = first
+    while a < total:
+        digits = len(str(a + 1))
+        # row 10**digits - 1 is the first whose itr has one more digit
+        end = min(total, 10**digits - 1)
+        s = (a - first) % period
+        order = phases[s:] + phases[:s]
+        block = np.tile(np.frombuffer(b"".join(b"0" * digits + b"," + p for p in order),
+                                      dtype=np.uint8), reps)
+        lengths = np.tile([digits + 1 + len(p) for p in order], reps)
+        row_ends = np.cumsum(lengths)
+        itr_at = (row_ends - lengths)[:, None] + np.arange(digits)
+        for b in range(a, end, len(row_ends)):
+            m = min(len(row_ends), end - b)
+            itr = np.empty((m, digits), dtype=np.uint8)
+            _put_int(itr, 0, digits, np.arange(b + 1, b + m + 1))
+            block[itr_at[:m]] = itr
+            handle.write(str(block[: row_ends[m - 1]], "ascii"))
+        a = end

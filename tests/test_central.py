@@ -546,11 +546,10 @@ class TestBruteForceOracle:
             brute_force_oracle(ChargingProblem(sys=config), 10)
 
 
-def drawn_reductions(rng, count):
-    """``count`` reductions of drawn problems: N = 1..6, random switches,
-    every third with the box 0.05 r..20 r (so the psi and phi roots run),
-    requirements 0.3..2 times the powers at random loads. Yields the array
-    inputs of ``central_reference.max_coupling`` (every drawn receiver is
+def drawn_problems(rng, count):
+    """``count`` drawn problems: N = 1..6, random switches, every third
+    with the box 0.05 r..20 r (so the psi and phi roots run), requirements
+    0.3..2 times the powers at random loads (every drawn receiver is
     coupled, so none is infeasible up front)."""
     for i in range(count):
         n = int(rng.integers(1, 7))
@@ -562,8 +561,14 @@ def drawn_reductions(rng, count):
         p = solve_closed_form(config, sw, random_loads(rng, config)).p
         scale = rng.uniform(0.3, 2.0)
         reqs = tuple(scale * v if sw.s[k] else 0.0 for k, v in enumerate(p))
-        yield central_reference.problem_arrays(
-            ChargingProblem(sys=config, sw=sw, p_req_eff=reqs))
+        yield ChargingProblem(sys=config, sw=sw, p_req_eff=reqs)
+
+
+def drawn_reductions(rng, count):
+    """The array inputs of ``central_reference.max_coupling`` for
+    ``count`` drawn problems."""
+    for prob in drawn_problems(rng, count):
+        yield central_reference.problem_arrays(prob)
 
 
 class TestPlainFloatSolver:
@@ -601,6 +606,20 @@ class TestPlainFloatSolver:
         for f, lo, hi in brackets:
             expected = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
             assert root(f, lo, hi) == expected
+
+    def test_powers_match_the_closed_form(self):
+        # the solver reads its powers from resonant_powers, without the
+        # currents; they are the closed form's bits at the returned loads
+        solved = 0
+        for prob in drawn_problems(np.random.default_rng(18), 2000):
+            sol = optimize_loads(prob)
+            if sol.status is SolveStatus.INFEASIBLE:
+                continue
+            state = solve_closed_form(prob.sys, prob.switch, list(sol.x))
+            assert sol.p_tx == state.p_tx
+            assert sol.p == state.p
+            solved += 1
+        assert solved >= 50
 
     def test_brentq_failures_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="NaN"):

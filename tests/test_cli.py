@@ -116,6 +116,131 @@ class TestAnalyze:
         assert "sweep would have more than 10000000 points" in capsys.readouterr().err
 
 
+def _sweep_reference(scenario, spec):
+    """The sweep CSV from one solve_closed_form and fmt call per point."""
+    from mrcwpt import parse_scenario, solve_closed_form
+    from mrcwpt.cli import _parse_sweep, fmt
+
+    config, options = parse_scenario(scenario)
+    name, values = _parse_sweep(spec)
+    n = config.n_receivers
+    lines = [",".join([name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"])]
+    for value in values.tolist():
+        if name == "w":
+            state = solve_closed_form(config.with_frequency(value), None, options.x_nominal)
+        else:
+            loads = list(options.x_nominal)
+            loads[int(name[2:]) - 1] = value
+            state = solve_closed_form(config, None, loads)
+        lines.append(",".join(fmt(v) for v in
+                              [value, state.p_tx, *state.p, state.p_sum, state.rho]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepOutput:
+    """Sweep CSVs are the bytes of a point-by-point evaluation."""
+
+    @pytest.mark.parametrize("spec, digest", [
+        ("x_1=0.1:20:0.01", "2641a0a998b877ebf3dc2c536c1e5650bdb291abaf34d2977e3f218792affbc8"),
+        ("w=1e7:3e7:1e5", "7fe032d52e5b3c11dc81a31afc5186f30b90cca59db25afe34b7d52ea9b3258b"),
+    ], ids=["x_1", "w"])
+    def test_readme_sweeps_pinned(self, spec, digest, tmp_path):
+        # digests recorded from the point-by-point sweep
+        import hashlib
+
+        out = tmp_path / "sweep.csv"
+        assert run_cli("analyze", "three_receivers", "--sweep", spec, "--out", str(out)) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("scenario", ["two_receivers", "three_receivers"])
+    def test_seeded_sweeps_match_point_by_point(self, scenario, tmp_path):
+        rng = np.random.default_rng(190 + len(scenario))
+        n = 2 if scenario == "two_receivers" else 3
+        specs = []
+        for k in range(1, n + 1):
+            start = float(10 ** rng.uniform(-3, 3))
+            step = float(10 ** rng.uniform(-3, 1)) * start
+            stop = start + step * int(rng.integers(1, 3000))
+            specs.append(f"x_{k}={start!r}:{stop!r}:{step!r}")
+        for _ in range(2):
+            start = float(10 ** rng.uniform(5, 8))
+            step = float(rng.uniform(0.001, 0.1)) * start
+            stop = start + step * int(rng.integers(1, 300))
+            specs.append(f"w={start!r}:{stop!r}:{step!r}")
+        for spec in specs:
+            out = tmp_path / "sweep.csv"
+            assert run_cli("analyze", scenario, "--sweep", spec, "--out", str(out)) == EXIT_OK
+            assert out.read_text() == _sweep_reference(scenario, spec), spec
+
+    def test_load_sweep_rows_are_the_closed_form_bits(self):
+        # the CSV shows 12 digits; the table under it must be exact
+        from conftest import random_loads, random_system
+        from mrcwpt import solve_closed_form
+        from mrcwpt.cli import _load_sweep
+
+        rng = np.random.default_rng(1919)
+        for _ in range(40):
+            config = random_system(rng)
+            x = random_loads(rng, config)
+            k = int(rng.integers(config.n_receivers))
+            values = np.sort(10 ** rng.uniform(-2, 3, 50))
+            table = _load_sweep(config, x, k, values)
+            for row, value in zip(table.tolist(), values.tolist()):
+                loads = list(x)
+                loads[k] = value
+                state = solve_closed_form(config, None, loads)
+                assert row == [value, state.p_tx, *state.p, state.p_sum, state.rho]
+
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("analyze", "three_receivers", "--sweep", "x_2=1:3:0.5") == EXIT_OK
+        printed = capsys.readouterr().out
+        run_cli("analyze", "three_receivers", "--sweep", "x_2=1:3:0.5", "--out", str(out))
+        assert printed == out.read_text()
+
+    @pytest.fixture
+    def uncoupled_second(self, tmp_path):
+        # receiver 2 draws no power, so its load reaches the float limit
+        # without an overflow and a sweep past it ends on an infinite load
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "uncoupled.scn"
+        path.write_text(serialize_scenario(replace(config, h=(config.h[0], 0.0, config.h[2])),
+                                           options))
+        return str(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scenario, spec, code, message", [
+        ("three_receivers", "x_1=-1:1:0.5", EXIT_INVALID,
+         "error: receiver 1: load resistance must be > 0"),
+        # the first point makes r + x zero
+        ("three_receivers", "x_3=-0.0672:1:0.5", EXIT_INVALID,
+         "error: receiver 3: load resistance must be > 0"),
+        ("three_receivers", "x_2=0.5:4:0.5", EXIT_OK, None),
+        (None, "x_2=1:1.7e308:1e308", EXIT_INVALID,
+         "error: receiver 2: load resistance must be finite"),
+        ("three_receivers", "x_1=1e307:1e307:1", EXIT_NUMERICAL,
+         "numerical failure: the steady-state powers overflow at these loads"),
+        # the last point is past the float range, the second already overflows
+        ("three_receivers", "x_1=1:1.7e308:1e308", EXIT_NUMERICAL,
+         "numerical failure: the steady-state powers overflow at these loads"),
+    ], ids=["negative", "zero-series", "valid", "infinite", "overflow", "overflow-then-inf"])
+    def test_bad_points_stop_the_sweep(self, scenario, spec, code, message,
+                                       uncoupled_second, tmp_path, capsys):
+        # one error line and no file; no numpy warning is raised (it would
+        # print as a "warning:" line)
+        out = tmp_path / "sweep.csv"
+        scenario = scenario or uncoupled_second
+        assert run_cli("analyze", scenario, "--sweep", spec, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        if message is None:
+            assert err == "" and out.exists()
+        else:
+            assert err == message + "\n"
+            assert not out.exists()
+
+
 class TestOptimize:
     def test_single_solve(self, capsys):
         assert run_cli("optimize", "three_receivers") == EXIT_OK

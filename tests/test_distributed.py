@@ -21,9 +21,16 @@ from mrcwpt import (
     trace_to_csv,
 )
 from mrcwpt.circuit import solo_peak_loads
-from mrcwpt.distributed import _Loads, _power_resolution
+from mrcwpt.distributed import (
+    DistributedRun,
+    _Loads,
+    _power_resolution,
+    _write_cycle_rows,
+    _write_trace_csv,
+)
 
 from conftest import bench_system, random_loads, random_system
+from distributed_reference import feedback, measured
 
 
 class TestInit:
@@ -56,7 +63,7 @@ class TestInit:
 
     def test_feedback_matches_initial_powers(self, bench3):
         loads = _Loads(bench3, solo_peak_loads(bench3))
-        fb = loads.feedback(loads.powers(loads.denominator()))
+        fb = feedback(loads, loads.powers(loads.denominator()))
         powers = solve_closed_form(bench3, None, loads.x).p
         for k in range(3):
             assert fb[k] == (powers[k] >= bench3.p_req[k] * (1 - 1e-9))
@@ -302,15 +309,15 @@ class TestRun:
 
 
 def _step_loop(config, itr_max, dx=1e-3):
-    """Trace rows of a plain loop of turns on one ``_Loads``, with no cycle
-    detection, one row past the budget: that row's powers are the ones
-    measured at the final loads."""
+    """Trace rows of a plain loop of turns on one ``_Loads``, each measured
+    before its turn, with no cycle detection, one row past the budget: that
+    row's powers are the ones measured at the final loads."""
     loads = _Loads(config, solo_peak_loads(config))
     n = config.n_receivers
     rows = np.empty((itr_max + 1, 3 + 3 * n + 1))
     for i in range(itr_max + 1):
+        p_tx, p, fb = measured(loads)
         case = loads.turn(i % n, dx)
-        p_tx, p, fb = loads.measured(i % n)
         rows[i] = (i + 1, i % n + 1, case, *loads.x, *p, p_tx, *fb)
     return rows
 
@@ -335,23 +342,28 @@ def _late_cycle_single_receiver():
     return replace(config, p_req=(p_req,))
 
 
-def _csv_writer_reference(run, n):
-    """The trace CSV as written row by row through csv.writer."""
+def _csv_rows_reference(rows, n):
+    """Trace rows as written one by one through csv.writer."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
+    for row in rows:
+        out = [int(row[0]), int(row[1]), int(row[2])]
+        out += [f"{v:.11e}" for v in row[3 : 4 + 2 * n]]
+        out += [int(v) for v in row[4 + 2 * n :]]
+        writer.writerow(out)
+    return buf.getvalue().encode()
+
+
+def _csv_writer_reference(run, n):
+    """The trace CSV as written row by row through csv.writer."""
+    header = (
         ["itr", "receiver", "case"]
         + [f"x_{k + 1}" for k in range(n)]
         + [f"p_{k + 1}" for k in range(n)]
         + ["p_tx"]
         + [f"fb_{k + 1}" for k in range(n)]
     )
-    for row in run.trace:
-        out = [int(row[0]), int(row[1]), int(row[2])]
-        out += [f"{v:.11e}" for v in row[3 : 4 + 2 * n]]
-        out += [int(v) for v in row[4 + 2 * n :]]
-        writer.writerow(out)
-    return buf.getvalue().encode()
+    return ",".join(header).encode() + b"\r\n" + _csv_rows_reference(run.trace, n)
 
 
 class TestCycleDetection:
@@ -385,6 +397,21 @@ class TestCycleDetection:
             cycled += run.cycle_period is not None
         # the draw covers both runs that repeat and runs that do not
         assert 0 < cycled < 12
+
+    @pytest.mark.parametrize("n, seed", [(1, 13), (2, 52), (3, 364), (4, 122), (5, 338), (6, 99)])
+    def test_rebuilt_rows_match_step_loop(self, n, seed):
+        # rows formed after the loop equal rows measured turn by turn, for
+        # budgets ending mid-round, a row short of the detecting round and
+        # on it
+        config = random_system(np.random.default_rng([seed, n]), n=n)
+        detected_at = len(run_distributed(config, dx=1e-3, itr_max=3_000).rows)
+        rows = _step_loop(config, detected_at)
+        for itr_max in (detected_at - n - n // 2, detected_at - 1, detected_at):
+            run = run_distributed(config, dx=1e-3, itr_max=itr_max)
+            assert run.rows.shape == (itr_max, 4 + 3 * n)
+            assert np.array_equal(run.rows, rows[:itr_max])
+            _assert_matches_step_loop(run, rows, itr_max, n)
+            assert (run.cycle_period is None) == (itr_max < detected_at)
 
     def test_cycle_rows_repeat_one_period_on(self, bench3):
         configs = [replace(bench3, p_req=(17.5, 17.5, p3)) for p3 in (10.0, 36.0)]
@@ -597,3 +624,72 @@ class TestTraceCsv:
         missing = tmp_path / "no" / "such" / "dir" / "trace.csv"
         with pytest.raises(OSError, match="cannot write trace CSV to .*trace.csv"):
             trace_to_csv(run, missing)
+
+
+def _synthetic_cycle_run(n, period, first, total, seed=0):
+    """A run of ``total`` iterations whose rows from 0-based row ``first``
+    on repeat a period of ``period`` rows; its values are drawn."""
+    rng = np.random.default_rng(seed)
+    count = first + period
+    rows = np.empty((count, 4 + 3 * n))
+    rows[:, 0] = np.arange(1, count + 1)
+    rows[:, 1] = np.arange(count) % n + 1
+    rows[:, 2] = rng.integers(1, 6, count)
+    rows[:, 3 : 4 + 2 * n] = 10 ** rng.uniform(-14, 14, (count, 2 * n + 1))
+    rows[:, 4 + 2 * n :] = rng.integers(0, 2, (count, n))
+    return DistributedRun(
+        x=tuple(rows[-1, 3 : 3 + n]), feasible=True, iterations=total, p_tx=1.0,
+        p=(1.0,) * n, rows=rows, cycle_period=period, cycle_start=first + 1,
+        cycle_p_tx=(0.0, 1.0),
+    )
+
+
+class TestCycleTiler:
+    """The cycle rows tiled as bytes, against csv.writer on synthetic runs."""
+
+    @staticmethod
+    def check(run, n):
+        handle = io.StringIO()
+        _write_trace_csv(run, handle)
+        assert handle.getvalue().encode() == _csv_writer_reference(run, n)
+
+    def test_itr_gains_digits_inside_blocks(self):
+        # itr gains a digit at 10, 100, 1,000 and 10,000, each inside what
+        # would be one block of rows
+        self.check(_synthetic_cycle_run(3, 6, 5, 12_000), 3)
+
+    @pytest.mark.parametrize("phase", range(6))
+    def test_every_starting_phase(self, phase):
+        # the block that starts at itr 1,000 starts at this phase
+        first = 399 - phase
+        run = _synthetic_cycle_run(3, 6, first, 2_000, seed=phase)
+        assert (999 - first) % 6 == phase
+        self.check(run, 3)
+
+    def test_partial_last_period(self):
+        self.check(_synthetic_cycle_run(2, 4, 7, 7 + 4 * 300 + 3), 2)
+
+    def test_period_two_with_one_receiver(self):
+        self.check(_synthetic_cycle_run(1, 2, 3, 5_000), 1)
+
+    def test_rows_of_different_lengths(self):
+        # receivers 10 and 11 take two digits, so the phases differ in length
+        self.check(_synthetic_cycle_run(11, 22, 30, 3_000), 11)
+
+    def test_long_period(self):
+        # a period longer than a block: one period per block
+        self.check(_synthetic_cycle_run(3, 1_500, 20, 4_000), 3)
+
+    @pytest.mark.parametrize("power", [8, 9, 12])
+    def test_itr_wider_than_eight_digits(self, power):
+        # rows around itr 10**power, past the 8 digits of a row template's
+        # fast path; only these rows are written
+        run = _synthetic_cycle_run(2, 4, 5, 5)
+        cycle = run.rows[5:9]
+        first, total = 10**power - 1_500 - 3, 10**power + 700
+        i = np.arange(first, total)
+        expected = cycle[(i - first) % 4]
+        expected[:, 0] = i + 1
+        handle = io.StringIO()
+        _write_cycle_rows(handle, cycle, first, total)
+        assert handle.getvalue().encode() == _csv_rows_reference(expected, 2)
