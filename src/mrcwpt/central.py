@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import SwitchState, SystemConfig, grid_powers, resonant_powers
+from .circuit import SwitchState, SystemConfig, grid_slabs, resonant_powers
 from .errors import NumericalError, ValidationError
 
 _EPS = float(np.finfo(float).eps)
@@ -372,20 +372,25 @@ def brute_force_oracle(prob: ChargingProblem, grid_resolution: int) -> OracleRes
         raise ValidationError("grid_resolution must be at least 2")
     reqs = prob.requirements
 
-    axes, p_tx, p = grid_powers(sys, sw, grid_resolution)
-
-    feasible = np.ones(p_tx.shape, dtype=bool)
-    for k in conn:
-        if reqs[k] <= 0.0:
+    axes, slabs = grid_slabs(sys, sw, grid_resolution)
+    best = None
+    for span, p_tx, p in slabs:
+        feasible = np.ones(p_tx.shape, dtype=bool)
+        for k in conn:
+            if reqs[k] <= 0.0:
+                continue
+            feasible &= p[k] >= reqs[k] * (1.0 - 1e-12)
+        if not feasible.any():
             continue
-        feasible &= p[k] >= reqs[k] * (1.0 - 1e-12)
-
-    if not feasible.any():
+        masked = np.where(feasible, p_tx, np.inf).reshape(-1)
+        at = int(np.argmin(masked))
+        # strict: an equal minimum in a later slab lies later in grid order
+        if best is None or masked[at] < best_p_tx:
+            best, best_p_tx = span.start + at, float(masked[at])
+    if best is None:
         return OracleResult(x=None, p_tx=None, feasible=False)
-    masked = np.where(feasible, p_tx, np.inf)
-    flat = int(np.argmin(masked))
-    idx = np.unravel_index(flat, masked.shape)
+    idx = np.unravel_index(best, (grid_resolution,) * len(conn))
     x_best = [float(v) for v in sys.x_hi]
     for j, k in enumerate(conn):
         x_best[k] = float(axes[j][idx[j]])
-    return OracleResult(x=tuple(x_best), p_tx=float(masked[idx]), feasible=True)
+    return OracleResult(x=tuple(x_best), p_tx=best_p_tx, feasible=True)

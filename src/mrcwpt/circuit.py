@@ -15,7 +15,7 @@ that the time-sharing slots and the time-shared power region share.
 
 The resonant power formula is evaluated in one function,
 :func:`resonant_powers`, which serves the closed-form steady state, the
-derivatives, the time-sharing slots, the load grids of :func:`grid_powers`
+derivatives, the time-sharing slots, the load grids of :func:`grid_slabs`
 (shared by the power regions and the grid oracle), the centralized
 solver's final powers, the CLI's load sweeps and the distributed run's
 once-per-run final-state slack. Two copies are kept on purpose:
@@ -114,6 +114,24 @@ class SystemConfig:
         rx = tuple(c.tuned(w) if c.tuning_capacitance is not None else c for c in rx)
         return replace(self, w=w, transmitter=tx, receivers=rx)
 
+    def retunes_at(self, w: np.ndarray) -> np.ndarray:
+        """Mask of the frequencies ``w`` at which :meth:`with_frequency`
+        surely succeeds (it may also succeed elsewhere).
+
+        There w and, for every coil with a capacitor, l w^2 lie far inside
+        the normal float range (and then so does l w, as l is a float), so
+        each re-tuned capacitor is finite and > 0 and resonates its coil at
+        w to a few ulps, well inside the 1e-12 that validation allows.
+        Nothing else the validation reads depends on w.
+        """
+        ok = (w > 1e-100) & (w < 1e100)
+        with np.errstate(over="ignore", under="ignore"):
+            for coil in (self.transmitter, *self.receivers):
+                if coil.tuning_capacitance is not None:
+                    lw2 = coil.self_inductance * w * w
+                    ok &= (lw2 > 1e-250) & (lw2 < 1e250)
+        return ok
+
 
 @dataclass(frozen=True)
 class SwitchState:
@@ -204,7 +222,7 @@ def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> Swi
     return sw
 
 
-def resonant_powers(sys: SystemConfig, x, s):
+def resonant_powers(sys: SystemConfig, x, s, b=None):
     """Returns (p_tx, [p_1, ..., p_N], D) at resonance; inputs are not validated.
 
     With B_k = (w h_k)^2 and D = r_tx + sum_k s_k B_k / (r_k + x_k):
@@ -213,9 +231,14 @@ def resonant_powers(sys: SystemConfig, x, s):
     as floats or as numpy arrays that broadcast (a batch of slots, the
     sparse axes of a load grid). An open receiver adds 0 * B / (r + x) to
     D, so its load must still be finite with r + x nonzero.
+
+    ``b`` gives each B_k in place of the one at ``sys.w``: a frequency sweep
+    passes arrays of them, one per frequency, since the resonant closed form
+    reads no capacitance and takes w only through B_k.
     """
     half_v2 = 0.5 * abs(sys.v_tx) ** 2
-    b = [(sys.w * h) ** 2 for h in sys.h]
+    if b is None:
+        b = [(sys.w * h) ** 2 for h in sys.h]
     series = [coil.resistance + xk for coil, xk in zip(sys.receivers, x)]
     denom = sys.transmitter.resistance
     for k in range(sys.n_receivers):
@@ -228,23 +251,48 @@ def resonant_powers(sys: SystemConfig, x, s):
     return half_v2 / denom, p, denom
 
 
-def grid_powers(sys: SystemConfig, sw: SwitchState, grid_points: int):
-    """Returns (axes, p_tx, [p_1, ..., p_N]) on a log grid of the load box:
-    ``grid_points`` loads from x_lo to x_hi per connected receiver, arrays of
-    shape ``(grid_points,) * k`` over the k axes, every open receiver at its
-    x_hi with zero power. A power that is not finite raises NumericalError."""
+# most grid points one kernel call evaluates, unless one row along the first
+# load axis holds more: it bounds the kernel's temporaries whatever the grid
+_GRID_SLAB_POINTS = 2**14
+
+
+def grid_slabs(sys: SystemConfig, sw: SwitchState, grid_points: int):
+    """Returns (axes, slabs) for a log grid of the load box: ``grid_points``
+    loads from x_lo to x_hi per connected receiver, every open receiver at
+    its x_hi with zero power.
+
+    ``slabs`` yields (span, p_tx, [p_1, ..., p_N]) for consecutive rows of
+    the first load axis, in grid order: ``span`` is the slice of flat (C
+    order) grid indices the slab covers, and each array has the shape
+    ``(rows, grid_points, ...)`` over the k axes, at most
+    ``max(_GRID_SLAB_POINTS, grid_points**(k - 1))`` points. Every power is
+    bit for bit the one of a single call over the whole grid. A power that
+    is not finite raises NumericalError, from the slab it first shows in.
+    """
     conn = sw.connected
     axes = [np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in conn]
+    return axes, _slabs(sys, sw, axes)
+
+
+def _slabs(sys: SystemConfig, sw: SwitchState, axes):
+    conn = sw.connected
+    grid_points = len(axes[0])
+    row = grid_points ** (len(conn) - 1)  # grid points per row of the first axis
+    step = max(_GRID_SLAB_POINTS // row, 1)
     x = list(sys.x_hi)
-    for k, axis in zip(conn, np.meshgrid(*axes, indexing="ij", sparse=True)):
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    for k, axis in zip(conn[1:], sparse[1:]):
         x[k] = axis
-    # an overflow shows as a power that is not finite, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_tx, p, _ = resonant_powers(sys, x, sw.s)
-    for pk in p:
-        if not np.isfinite(pk).all():
-            raise NumericalError("the powers on the load grid overflow")
-    return axes, p_tx, p
+    for start in range(0, grid_points, step):
+        stop = min(start + step, grid_points)
+        x[conn[0]] = sparse[0][start:stop]
+        # an overflow shows as a power that is not finite, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_tx, p, _ = resonant_powers(sys, x, sw.s)
+        for pk in p:
+            if not np.isfinite(pk).all():
+                raise NumericalError("the powers on the load grid overflow")
+        yield slice(start * row, stop * row), p_tx, p
 
 
 def solo_peak_loads(sys: SystemConfig) -> list[float]:

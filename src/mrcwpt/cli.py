@@ -147,14 +147,35 @@ def _load_sweep(config, x, k, values) -> np.ndarray:
 
 
 def _frequency_sweep(config, x, values) -> np.ndarray:
-    """Sweep table rows (w, p_tx, p_1..p_N, p_sum, rho), one re-tuned
-    system per point: B_k = (w h_k)^2 takes w through a power, which numpy
-    does not round as the float ``**`` does."""
-    rows = []
-    for w in values.tolist():
-        state = solve_closed_form(config.with_frequency(w), None, x)
-        rows.append((w, state.p_tx, *state.p, state.p_sum, state.rho))
-    return np.array(rows)
+    """Sweep table rows (w, p_tx, p_1..p_N, p_sum, rho) from one
+    ``resonant_powers`` call over every frequency.
+
+    Each row is the per-point ``solve_closed_form`` of the re-tuned
+    ``config.with_frequency(w)`` bit for bit: w enters the resonant closed
+    form only through B_k = (w h_k)^2, formed here point by point with the
+    float ``**`` (numpy's power rounds some squares differently), and the
+    rest goes through +, * and /. The loads came from a scenario, so they
+    are valid. A point where the re-tuning or a B_k may fail, or whose
+    powers overflow, goes through ``with_frequency`` and
+    ``solve_closed_form``, which raise the error a point-by-point sweep
+    stops at.
+    """
+    ws = values.tolist()
+    with np.errstate(all="ignore"):
+        plain = config.retunes_at(values)
+        for h in config.h:
+            plain &= np.abs(values * h) < 1e150  # so (w h)**2 cannot overflow
+        safe = np.where(plain, values, 0.0).tolist()
+        b = [np.array([(w * h) ** 2 for w in safe]) for h in config.h]
+        p_tx, p, _ = resonant_powers(config, x, (1,) * len(x), b)
+        p_sum = sum(p)
+        rho = p_sum / p_tx
+        checked = ~(plain & np.isfinite(p_tx) & np.isfinite(p_sum))
+    table = np.column_stack([values, p_tx, *p, p_sum, rho])
+    for i in np.flatnonzero(checked).tolist():
+        state = solve_closed_form(config.with_frequency(ws[i]), None, x)
+        table[i] = (ws[i], state.p_tx, *state.p, state.p_sum, state.rho)
+    return table
 
 
 def _cmd_analyze(args) -> int:

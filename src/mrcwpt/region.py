@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csvfmt import RowFormat
-from .circuit import SwitchState, SystemConfig, enumerate_configs, grid_powers
+from .circuit import SwitchState, SystemConfig, enumerate_configs, grid_slabs
 from .errors import ValidationError
 
 DEFAULT_GRID_2D = 200
@@ -34,15 +34,21 @@ WITH_TS = "with-ts"
 # grows with the block (about 0.9 MiB for 4,096 rows of three powers)
 _CSV_CHUNK = 4096
 # most power values (sampled tuples times receivers) a region may hold:
-# 0.8 GB as float64, above every default-grid region up to N = 4
+# 0.8 GB as float64, above every default-grid region up to N = 4. The grid
+# is evaluated in bounded slabs straight into ``points``, so a region at the
+# cap costs about those 0.8 GB plus a few bytes per tuple for the pruning
+# masks
 _MAX_REGION_VALUES = 10**8
+# rows the staircase sweep turns into Python floats at a time
+_SWEEP_ROWS = 4096
 
 
 @dataclass(frozen=True)
 class PowerRegionSample:
     """A sampled power region.
 
-    ``points`` holds one achievable power tuple per row. ``boundary`` is
+    ``points`` holds one achievable power tuple per row, column-major
+    (each receiver's powers are contiguous). ``boundary`` is
     the outer frontier: the componentwise-maximal (Pareto) samples for the
     concurrent region, or the hull vertices for the time-shared region.
     Both see only the samples that no grid neighbour strictly dominates,
@@ -89,33 +95,53 @@ def _neighbour_undominated(powers: list) -> np.ndarray:
     """
     shape = powers[0].shape
     keep = np.ones(shape, dtype=bool)
+    # the comparison masks of every offset are views into these buffers
+    buffers = [np.empty(keep.size, dtype=bool) for _ in range(3)]
     for d in itertools.product((1, 0, -1), repeat=len(shape)):
         if next((step for step in d if step), 0) != 1:
             continue
         # views of the samples at i and at i + d, over every i where both exist
         here = tuple(slice(max(-step, 0), n - max(step, 0)) for step, n in zip(d, shape))
         there = tuple(slice(max(step, 0), n - max(-step, 0)) for step, n in zip(d, shape))
-        ge = np.ones(keep[here].shape, dtype=bool)
-        le = np.ones(keep[here].shape, dtype=bool)
-        for p in powers:
-            ge &= p[here] >= p[there]
-            le &= p[here] <= p[there]
+        part = keep[here]
+        ge, le, tmp = (b[: part.size].reshape(part.shape) for b in buffers)
+        np.greater_equal(powers[0][here], powers[0][there], out=ge)
+        np.less_equal(powers[0][here], powers[0][there], out=le)
+        for p in powers[1:]:
+            ge &= np.greater_equal(p[here], p[there], out=tmp)
+            le &= np.less_equal(p[here], p[there], out=tmp)
         # i strictly dominates i + d where ge and not le, and the reverse
-        keep[there] &= le | ~ge
-        keep[here] &= ge | ~le
+        # (the in-place operators write through the views into keep)
+        np.logical_not(ge, out=tmp)
+        tmp |= le
+        kept = keep[there]
+        kept &= tmp
+        np.logical_not(le, out=le)
+        le |= ge
+        kept = keep[here]
+        kept &= le
     return keep
 
 
-def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int, points: np.ndarray):
+def _fill_grid(sys: SystemConfig, sw: SwitchState, grid_points: int, points: np.ndarray):
     """Write the power tuples of every grid combination of the connected
-    loads into the rows of ``points``, in grid order, and return the
-    frontier candidates among them, in the same order: the tuples that no
-    grid neighbour strictly dominates."""
-    powers = grid_powers(sys, sw, grid_points)[2]
-    for k, pk in enumerate(powers):
-        points[:, k] = pk.reshape(-1)
-    # the open receivers' zero powers never decide a dominance
-    keep = _neighbour_undominated([powers[k] for k in sw.connected])
+    loads into the rows of the column-major ``points``, in grid order, one
+    bounded slab of the grid at a time."""
+    _, slabs = grid_slabs(sys, sw, grid_points)
+    for span, _, p in slabs:
+        for k, pk in enumerate(p):
+            points[span, k] = pk.reshape(-1)
+
+
+def _grid_samples(sys: SystemConfig, sw: SwitchState, grid_points: int, points: np.ndarray):
+    """Fill ``points`` as :func:`_fill_grid` does and return the frontier
+    candidates among its rows, in the same order: the tuples that no grid
+    neighbour strictly dominates."""
+    _fill_grid(sys, sw, grid_points, points)
+    # each column of the column-major rows is one contiguous grid; the open
+    # receivers' zero powers never decide a dominance
+    shape = (grid_points,) * len(sw.connected)
+    keep = _neighbour_undominated([points[:, k].reshape(shape) for k in sw.connected])
     return points[keep.reshape(-1)]
 
 
@@ -175,20 +201,23 @@ def _maxima_3d(pts: np.ndarray) -> np.ndarray:
     stair_y: list[float] = []
     stair_z: list[float] = []
     keep = np.zeros(len(pts), dtype=bool)
-    for i, (_, y, z) in zip(range(len(pts) - 1, -1, -1), pts[::-1].tolist()):
-        at = bisect.bisect_left(stair_y, y)
-        if at < len(stair_y) and stair_z[at] >= z:
-            continue  # dominated by an earlier point
-        keep[i] = True
-        # splice the new step in, dropping the steps it dominates
-        lo = at
-        while lo > 0 and stair_z[lo - 1] <= z:
-            lo -= 1
-        hi = at
-        while hi < len(stair_y) and stair_y[hi] == y and stair_z[hi] <= z:
-            hi += 1
-        stair_y[lo:hi] = [y]
-        stair_z[lo:hi] = [z]
+    for stop in range(len(pts), 0, -_SWEEP_ROWS):
+        start = max(stop - _SWEEP_ROWS, 0)
+        rows = pts[start:stop, 1:][::-1].tolist()
+        for i, (y, z) in zip(range(stop - 1, start - 1, -1), rows):
+            at = bisect.bisect_left(stair_y, y)
+            if at < len(stair_y) and stair_z[at] >= z:
+                continue  # dominated by an earlier point
+            keep[i] = True
+            # splice the new step in, dropping the steps it dominates
+            lo = at
+            while lo > 0 and stair_z[lo - 1] <= z:
+                lo -= 1
+            hi = at
+            while hi < len(stair_y) and stair_y[hi] == y and stair_z[hi] <= z:
+                hi += 1
+            stair_y[lo:hi] = [y]
+            stair_z[lo:hi] = [z]
     return keep
 
 
@@ -312,7 +341,7 @@ def sample_region_without_ts(
     if sw is None:
         sw = SwitchState.all_closed(sys.n_receivers)
     grid_points = _grid_points(sys, grid_points, len(sw.connected), with_ts=False)
-    points = np.empty((grid_points ** len(sw.connected), sys.n_receivers))
+    points = np.empty((grid_points ** len(sw.connected), sys.n_receivers), order="F")
     candidates = _grid_samples(sys, sw, grid_points, points)
     return PowerRegionSample(
         points=points,
@@ -335,7 +364,7 @@ def sample_region_with_ts(
     grid_points = _grid_points(sys, grid_points, n, with_ts=True)
 
     # the origin, then each configuration's samples, written in place
-    points = np.empty(((grid_points + 1) ** n, n))
+    points = np.empty(((grid_points + 1) ** n, n), order="F")
     points[0] = 0.0
     candidates = [points[:1]]
     start = 1
@@ -343,8 +372,7 @@ def sample_region_with_ts(
         block = points[start : start + grid_points ** len(sw.connected)]
         start += len(block)
         if n > 3:  # no hull is taken, so no frontier candidates are needed
-            for k, pk in enumerate(grid_powers(sys, sw, grid_points)[2]):
-                block[:, k] = pk.reshape(-1)
+            _fill_grid(sys, sw, grid_points, block)
         else:
             candidates.append(_grid_samples(sys, sw, grid_points, block))
     boundary = _hull_vertices(np.vstack(candidates)) if n <= 3 else np.zeros((0, n))

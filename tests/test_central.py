@@ -25,6 +25,7 @@ from mrcwpt import central
 from mrcwpt.errors import NumericalError
 
 import central_reference
+import grid_reference
 from conftest import bench_system, random_loads, random_switch, random_system
 from nnls_reference import reference_residual
 
@@ -538,6 +539,35 @@ class TestBruteForceOracle:
                 psi_roots += 1
                 assert sol.kkt_residual <= 1e-10
         assert psi_roots >= 50
+
+    def test_slab_argmin_is_the_whole_grid_argmin(self, bench3):
+        # the cases above, and a tie: receiver 1 is uncoupled, so p_tx does
+        # not change along its axis, the first axis of the slabs, and every
+        # slab holds the same minimum; the first in grid order must win
+        rng = np.random.default_rng(42)
+        cases = [(feasible_n2_problem(rng), 300) for _ in range(8)]
+        cases += [(ChargingProblem(sys=bench3, p_req_eff=(17.5, 17.5, p3)), 40)
+                  for p3 in (5.0, 15.0, 25.0, 35.0, 60.0)]
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            config = random_system(rng, n=n)
+            r = np.array([c.resistance for c in config.receivers])
+            config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
+            x = np.exp(rng.uniform(np.log(0.05 * r), np.log(20.0 * r)))
+            p = solve_closed_form(config, SwitchState.all_closed(n), tuple(x)).p
+            prob = ChargingProblem(sys=replace(config, p_req=tuple(0.7 * np.array(p))))
+            cases.append((prob, 300 if n <= 2 else 60))
+        tie = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(0.0, bench3.h[1]))
+        cases.append((ChargingProblem(sys=tie, p_req_eff=(0.0, 5.0)), 300))
+        for prob, g in cases:
+            oracle = brute_force_oracle(prob, g)
+            expected = grid_reference.brute_force_oracle(prob, g)
+            if expected is None:
+                assert not oracle.feasible
+            else:
+                assert (oracle.x, oracle.p_tx) == expected
+        assert oracle.x[0] == tie.x_lo[0]
 
     def test_dimension_guard(self):
         rng = np.random.default_rng(1)

@@ -172,6 +172,24 @@ class TestSweepOutput:
             assert run_cli("analyze", scenario, "--sweep", spec, "--out", str(out)) == EXIT_OK
             assert out.read_text() == _sweep_reference(scenario, spec), spec
 
+    @pytest.mark.parametrize("spec", ["w=5e99:3e100:5e99", "w=1e-101:1e-99:1e-100"])
+    def test_frequency_sweeps_past_the_plain_range(self, spec, tmp_path):
+        # the points past 1e100 or below 1e-100 are re-tuned one by one
+        out = tmp_path / "sweep.csv"
+        assert run_cli("analyze", "three_receivers", "--sweep", spec, "--out", str(out)) == EXIT_OK
+        assert out.read_text() == _sweep_reference("three_receivers", spec)
+
+    def test_frequency_sweep_raises_where_b_overflows(self):
+        # without capacitors nothing bounds w, and (w h)**2 overflows first
+        from mrcwpt import CoilElectrical, parse_scenario
+        from mrcwpt.cli import _frequency_sweep
+
+        config, options = parse_scenario("three_receivers")
+        untuned = replace(config, transmitter=CoilElectrical(1.0, 1e-5),
+                          receivers=(CoilElectrical(1.0, 1e-5),) * 3)
+        with pytest.raises(OverflowError):
+            _frequency_sweep(untuned, options.x_nominal, np.array([1e7, 1e300, -1.0]))
+
     def test_load_sweep_rows_are_the_closed_form_bits(self):
         # the CSV shows 12 digits; the table under it must be exact
         from conftest import random_loads, random_system
@@ -225,7 +243,13 @@ class TestSweepOutput:
         # the last point is past the float range, the second already overflows
         ("three_receivers", "x_1=1:1.7e308:1e308", EXIT_NUMERICAL,
          "numerical failure: the steady-state powers overflow at these loads"),
-    ], ids=["negative", "zero-series", "valid", "infinite", "overflow", "overflow-then-inf"])
+        # a frequency sweep stops where a capacitor cannot be re-tuned
+        ("three_receivers", "w=-1e7:1e7:5e6", EXIT_INVALID,
+         "error: angular frequency must be > 0"),
+        ("three_receivers", "w=1e150:1e160:1e159", EXIT_INVALID,
+         "error: self_inductance * w**2 is outside the float range"),
+    ], ids=["negative", "zero-series", "valid", "infinite", "overflow", "overflow-then-inf",
+            "w-negative", "w-past-tuning"])
     def test_bad_points_stop_the_sweep(self, scenario, spec, code, message,
                                        uncoupled_second, tmp_path, capsys):
         # one error line and no file; no numpy warning is raised (it would

@@ -25,11 +25,12 @@ from mrcwpt import (
     thresholds,
 )
 from mrcwpt import region
-from mrcwpt.circuit import enumerate_configs, grid_powers
+from mrcwpt.circuit import enumerate_configs
 from mrcwpt.cli import main
 from mrcwpt.region import PowerRegionSample
 
 from conftest import bench_system, random_system
+from grid_reference import grid_powers, region_candidates
 
 
 class TestHullPrimitives:
@@ -330,8 +331,7 @@ class TestTimeSharedCandidates:
         sample = sample_region_with_ts(config, 3)
         blocks = [np.zeros((1, 4))]
         for sw in enumerate_configs(4):
-            powers = grid_powers(config, sw, 3)[2]
-            blocks.append(np.stack([p.reshape(-1) for p in powers], axis=1))
+            blocks.append(region_candidates(config, sw, 3)[0])
         expected = np.vstack(blocks)
         assert sample.points.shape == (4**4, 4) == expected.shape
         assert sample.points.tobytes() == expected.tobytes()
