@@ -23,7 +23,8 @@ once-per-run final-state slack. Two copies are kept on purpose:
 independent cross-check, and ``distributed._Loads`` keeps a plain-float
 copy with cached per-receiver terms for the per-turn path alone, the
 probes of every simulated turn; ``distributed._rebuild_rows`` evaluates
-that copy's expressions over arrays to form a traced run's rows.
+that copy's expressions over arrays to form a traced run's rows from its
+turn log, one block of whole rounds at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coils import CoilElectrical, tune_capacitor
+from .coils import TUNING_RTOL, CoilElectrical, tune_capacitor
 from .errors import NoFiniteMaximizerError, NumericalError, ValidationError
 
 
@@ -86,7 +87,7 @@ class SystemConfig:
             c = coil.tuning_capacitance
             if c is not None:
                 natural = 1.0 / math.sqrt(coil.self_inductance * c)
-                if abs(natural - self.w) > 1e-12 * self.w:
+                if abs(natural - self.w) > TUNING_RTOL * self.w:
                     raise ValidationError(f"{label}: capacitor not tuned to w")
 
     @property

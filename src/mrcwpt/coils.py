@@ -29,6 +29,9 @@ THIN_WIRE_RATIO = 0.1
 # for the dipole coupling formula to be trusted
 DIPOLE_RANGE_FACTOR = 5.0
 
+# how far (relative) 1/sqrt(l*c) may miss w for a capacitor to count as tuned
+TUNING_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CoilGeometry:
@@ -131,8 +134,11 @@ def derive_coil_electrical(geom: CoilGeometry) -> CoilElectrical:
 def tune_capacitor(self_inductance: float, w: float) -> float:
     """Series capacitance that makes the coil's natural frequency equal ``w``.
 
-    The returned value satisfies 1/sqrt(l*c) == w, so the series reactance
-    w*l - 1/(w*c) vanishes at the operating frequency.
+    The returned value satisfies 1/sqrt(l*c) == w to within ``TUNING_RTOL``,
+    so the series reactance w*l - 1/(w*c) vanishes at the operating
+    frequency. Where no float capacitance does that, as when l*w**2 is
+    subnormal and keeps too few digits, or 1/(l*w**2) overflows, a
+    ``ValidationError`` is raised.
     """
     if not self_inductance > 0.0:
         raise ValidationError("self_inductance must be > 0")
@@ -141,7 +147,12 @@ def tune_capacitor(self_inductance: float, w: float) -> float:
     lw2 = self_inductance * w * w
     if not 0.0 < lw2 < math.inf:
         raise ValidationError("self_inductance * w**2 is outside the float range")
-    return 1.0 / lw2
+    c = 1.0 / lw2
+    # the check SystemConfig makes of a tuned coil
+    lc = self_inductance * c
+    if not (lc > 0.0 and abs(1.0 / math.sqrt(lc) - w) <= TUNING_RTOL * w):
+        raise ValidationError("no capacitance tunes self_inductance to w within float precision")
+    return c
 
 
 def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:

@@ -32,16 +32,18 @@ float equality, since loads are finite and positive), and stops simulating
 at the first round whose loads it has seen before: the rest of the run is
 the period between the two tiled, and the final loads are those at the
 matching phase of the cycle. The period, the first iteration of the cycle
-and the range of p_tx on it are reported on the result. Only the simulated
-trace rows are stored; the full trace is built from them when first read.
+and the range of p_tx on it are reported on the result.
 
 One turn sums the circuit's shared denominator once, in a fixed order, and
 decides its case on plain floats. A run and the cycle's replay both take
 this one turn on a single ``_Loads``, which checks the loads it starts
-from. A traced turn records only its case and the load it set: the loads
-are the whole state, so after the loop ``_rebuild_rows`` forms every
-simulated row's loads, powers, p_tx and feedback bits at once, with the
-turn's own float expressions on the loads before the update.
+from. A traced turn records only its case and the load it set, 9 bytes:
+the loads are the whole state, so that turn log is all a traced run keeps.
+``_rebuild_rows`` forms any stretch of whole rounds of rows from it (loads,
+powers, p_tx and feedback bits, with the turn's own float expressions on
+the loads before the update), starting from the loads the log holds for
+the round before. The trace CSV is written from one block of rows at a
+time, and the rows and the full trace are formed only when first read.
 
 ``run_distributed`` is the protocol's one entry point: it returns a
 ``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
@@ -53,7 +55,8 @@ import functools
 import math
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +68,22 @@ from .errors import ValidationError
 _REQ_TOL = 1e-9
 # absolute band for probe power comparisons, suppresses float flicker (W)
 _PROBE_TOL = 1e-12
-# trace rows encoded per write when exporting CSV: at N = 3 (13 values a
-# row) about as many values, and as much scratch memory, as a region block
+# trace rows formed and encoded per write when exporting CSV (whole rounds,
+# about this many): at N = 3 (13 values a row) about as many values, and as
+# much scratch memory, as a region block
+# 8,192-row blocks peaked above forming all rows at once: encoder scratch grows with the block
 _CSV_CHUNK = 1024
+
+
+class _TurnLog(NamedTuple):
+    """What a traced run records, 9 bytes a turn: the case of each turn
+    (uint8) and the load it set (float64), after the loads ``x0`` it
+    started from, with the run's ``loads`` for the system's constants."""
+
+    loads: _Loads
+    x0: list[float]
+    cases: np.ndarray
+    moved: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,12 @@ class DistributedRun:
     p_1..p_N measured before the update, p_tx, fb_1..fb_N).
     ``rows`` holds the rows that were simulated: all of them when no
     cycle is found, else those up to the end of the round that closed
-    the first repeat. ``trace`` is built from them on first read (the
-    cycle tiled over the rest of the budget) and then kept. Both have no
-    rows when the run was made with ``record_trace=False``.
+    the first repeat. The run keeps only its turn log, each simulated
+    turn's case and the load it set; ``rows`` is formed from the log on
+    first read, and ``trace`` from ``rows`` (the cycle tiled over the
+    rest of the budget), and both are then kept. ``trace_to_csv`` forms
+    the rows from the log a block at a time and reads neither. Both have
+    no rows when the run was made with ``record_trace=False``.
 
     ``feasible`` reports whether every requirement holds at the final
     state within one control step of power resolution: at a binding
@@ -104,10 +123,15 @@ class DistributedRun:
     iterations: int
     p_tx: float
     p: tuple[float, ...]
-    rows: np.ndarray
+    _log: _TurnLog = field(repr=False, compare=False)
     cycle_period: int | None = None
     cycle_start: int | None = None
     cycle_p_tx: tuple[float, float] | None = None
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The simulated rows, formed from the turn log in one block."""
+        return _rebuild_rows(self._log, 0, len(self._log.cases))
 
     @functools.cached_property
     def trace(self) -> np.ndarray:
@@ -309,35 +333,41 @@ def _cycle_start(seen: dict, mu: int, n_rx: int) -> int:
     return (mu - 1) * n_rx + k + 1
 
 
-def _rebuild_rows(loads: _Loads, x0: list[float], cases: bytearray, moved: array) -> np.ndarray:
-    """The trace rows of the turns that set ``moved`` from loads ``x0``.
+def _rebuild_rows(log: _TurnLog, a: int, b: int) -> np.ndarray:
+    """Trace rows ``a`` to ``b - 1`` (0-based) of the run that ``log``
+    recorded, formed from the start of the round that holds row ``a``.
 
     Row i is turn i of receiver k = i mod N, which set load k to
     ``moved[i]``; it measured at the loads before it, where load k holds
-    the value of k's previous turn (or x0). Each load's denominator term,
-    numerator and squared factor are formed once per value it took, with
-    ``_Loads._set``'s expressions: numpy's +, * and / round as the float
-    operations do, but its square does not always round as CPython's
-    ``**``, which the turn uses, so the squares go through ``**``. Every
-    denominator is summed from r_tx over the receivers in order, as a
-    turn sums it.
+    the value of k's previous turn: one round back in ``moved``, or x0.
+    Each load's denominator term, numerator and squared factor are formed
+    once per value it took, with ``_Loads._set``'s expressions: numpy's
+    +, * and / round as the float operations do, but its square does not
+    always round as CPython's ``**``, which the turn uses, so the squares
+    go through ``**``. Every denominator is summed from r_tx over the
+    receivers in order, as a turn sums it. A row's values therefore do
+    not depend on the block it is formed in.
     """
-    n_rx, count = loads.n, len(cases)
+    loads = log.loads
+    n_rx = loads.n
+    start = a - a % n_rx
+    x0 = log.x0 if start == 0 else log.moved[start - n_rx : start]
+    cases, moved = log.cases[start:b], log.moved[start:b]
+    count = len(cases)
     rows = np.empty((count, 3 + 3 * n_rx + 1))
-    rows[:, 0] = np.arange(1, count + 1)
+    rows[:, 0] = np.arange(start + 1, start + count + 1)
     rows[:, 1] = np.arange(count) % n_rx + 1
-    rows[:, 2] = np.frombuffer(cases, dtype=np.uint8)
-    moved = np.frombuffer(moved)
+    rows[:, 2] = cases
 
-    def rowwise(a, start):
-        # row i's entry a[(i + start) // N], from a repeated N times
-        return np.repeat(a, n_rx)[start : start + count]
+    def rowwise(v, shift):
+        # row i's entry v[(i + shift) // N], from v repeated N times
+        return np.repeat(v, n_rx)[shift : shift + count]
 
     denom = np.full(count, loads.r_tx)
     factors = []
     for k in range(n_rx):
-        # every value load k took, the initial one first: row i sets value
-        # (i - k) // N + 1 and measures at value (i - k - 1) // N + 1
+        # every value load k took, the one before the block first: row i
+        # sets value (i - k) // N + 1 and measures at value (i - k - 1) // N + 1
         values = np.concatenate(([x0[k]], moved[k::n_rx]))
         series = loads.r[k] + values
         rows[:, 3 + k] = rowwise(values, n_rx - k)
@@ -352,7 +382,7 @@ def _rebuild_rows(loads: _Loads, x0: list[float], cases: bytearray, moved: array
         np.multiply(rowwise(sq, n_rx - k - 1), d2, out=p)
         np.divide(rowwise(num, n_rx - k - 1), p, out=p)
         rows[:, 4 + 2 * n_rx + k] = p >= loads.req_lo[k]
-    return rows
+    return rows[a - start :]
 
 
 def run_distributed(
@@ -376,8 +406,7 @@ def run_distributed(
     loads = _Loads(sys, list(x0))
     x, turn, n_rx = loads.x, loads.turn, loads.n
 
-    # a traced turn keeps its case and the load it set, packed; the rows
-    # are formed from them after the loop
+    # a traced turn keeps its case and the load it set, packed: the turn log
     cases, moved = bytearray(), array("d")
     # the loads after each round, mapped to the first round that ended
     # there; packed, they take ~15% less memory than tuples at equal speed,
@@ -406,9 +435,6 @@ def run_distributed(
             loads.advance((itr_max - itr - 1) % period, dx)
             break
 
-    # the round-end loads are done with: free them before the rows are formed
-    del seen
-    rows = _rebuild_rows(loads, x0, cases, moved)
     denom = loads.denominator()
     p_tx, p = loads.half_v2 / denom, loads.powers(denom)
     slack = _power_resolution(sys, x, p, dx)
@@ -419,7 +445,7 @@ def run_distributed(
         iterations=itr_max,
         p_tx=p_tx,
         p=tuple(p),
-        rows=rows,
+        _log=_TurnLog(loads, x0, np.frombuffer(cases, dtype=np.uint8), np.frombuffer(moved)),
         **cycle_fields,
     )
 
@@ -428,8 +454,10 @@ def trace_to_csv(run: DistributedRun, path) -> None:
     """Write the iteration trace as CSV (one row per iteration), with one
     x, p and fb column per receiver of the run.
 
-    Reads the simulated ``rows`` only: rows on a detected cycle differ
-    only in ``itr``, so each of them is formatted once and reused.
+    Forms the simulated rows from the run's turn log a block at a time,
+    and neither ``rows`` nor ``trace``: rows on a detected cycle differ
+    only in ``itr``, so each of them is formed and formatted once and
+    reused.
     """
     try:
         with open(path, "w", newline="") as handle:
@@ -447,7 +475,20 @@ def _row_tail(n_receivers: int) -> str:
 
 
 def _write_trace_csv(run: DistributedRun, handle) -> None:
-    n_receivers = len(run.x)
+    log, n_rx = run._log, len(run.x)
+    total = run.iterations if len(log.cases) else 0
+    first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
+    # whole rounds a block, so that each starts from the loads of the round before
+    step = max(1, _CSV_CHUNK // n_rx) * n_rx
+    blocks = (_rebuild_rows(log, a, min(a + step, first)) for a in range(0, first, step))
+    cycle = _rebuild_rows(log, first, first + run.cycle_period) if first < total else None
+    _write_blocks(handle, n_rx, blocks, cycle, total)
+
+
+def _write_blocks(handle, n_receivers: int, blocks, cycle: np.ndarray | None, total: int) -> None:
+    """Write a trace CSV: the header, then the rows of each of ``blocks``
+    in turn; when ``cycle`` is given, the rows after the blocks' up to
+    row ``total`` repeat it, from its first row on."""
     header = (
         ["itr", "receiver", "case"]
         + [f"x_{k + 1}" for k in range(n_receivers)]
@@ -456,14 +497,13 @@ def _write_trace_csv(run: DistributedRun, handle) -> None:
         + [f"fb_{k + 1}" for k in range(n_receivers)]
     )
     encode = RowFormat("%d," + _row_tail(n_receivers))
-    rows = run.rows
-    total = run.iterations if len(rows) else 0
-    first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
     handle.write(",".join(header) + "\r\n")
-    for a in range(0, first, _CSV_CHUNK):
-        handle.write(encode(rows[a : min(a + _CSV_CHUNK, first)]))
-    if first < total:
-        _write_cycle_rows(handle, rows[first : first + run.cycle_period], first, total)
+    first = 0
+    for rows in blocks:
+        handle.write(encode(rows))
+        first += len(rows)
+    if cycle is not None:
+        _write_cycle_rows(handle, cycle, first, total)
 
 
 def _write_cycle_rows(handle, cycle: np.ndarray, first: int, total: int) -> None:

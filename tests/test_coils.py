@@ -97,6 +97,18 @@ class TestTuneCapacitor:
         with pytest.raises(ValidationError):
             tune_capacitor(1.0, -2.0)
 
+    @pytest.mark.parametrize("l, w", [
+        # l*w**2 subnormal: c = 1.34e308, which misses w by far more than 1e-12
+        (1.8366717e-317, 20127.700120247453),
+        # 1 / (l*w**2) overflows to inf
+        (1e-320, 1.0),
+    ], ids=["subnormal", "overflow"])
+    def test_rejects_what_no_capacitor_tunes(self, l, w):
+        with pytest.raises(ValidationError, match="tunes"):
+            tune_capacitor(l, w)
+        with pytest.raises(ValidationError, match="tunes"):
+            CoilElectrical(1.0, l).tuned(w)
+
 
 class TestMutualInductance:
     def test_coaxial_matches_direct_expression(self):

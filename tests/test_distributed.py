@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import struct
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from mrcwpt import (
 )
 from mrcwpt.circuit import solo_peak_loads
 from mrcwpt.distributed import (
-    DistributedRun,
+    _CSV_CHUNK,
     _Loads,
     _power_resolution,
+    _rebuild_rows,
+    _write_blocks,
     _write_cycle_rows,
-    _write_trace_csv,
 )
 
 from conftest import bench_system, random_loads, random_system
@@ -619,6 +622,39 @@ class TestTraceCsv:
         trace_to_csv(run, out)
         assert out.read_bytes() == _csv_writer_reference(run, 11)
 
+    def test_written_run_never_holds_its_rows(self, tmp_path):
+        # the CLI path: the writer forms the rows from the turn log a block
+        # at a time, so the 3.04 MB of this run's rows never exist at once
+        config, itr_max = _pinned_random_n5()
+        tracemalloc.start()
+        try:
+            run = run_distributed(config, dx=1e-3, itr_max=itr_max, record_trace=True)
+            trace_to_csv(run, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_nbytes = itr_max * (3 * config.n_receivers + 4) * 8
+        assert run.cycle_period is None
+        assert peak < rows_nbytes / 2, f"peak {peak} B against {rows_nbytes} B of rows"
+        assert "rows" not in vars(run) and "trace" not in vars(run)
+        # read afterwards, the rows are those pinned in TestPinnedRuns
+        assert hashlib.sha256(run.rows.astype("<f8").tobytes()).hexdigest() == (
+            "199fc80405887bf19f3f5f83041afef7870b79906d3f7d2ccb7ce802a601365f"
+        )
+
+    @pytest.mark.parametrize("n, seed", [(1, 16), (4, 123), (6, 100)])
+    def test_blocks_match_the_rows_formed_at_once(self, n, seed):
+        # a block starts from the loads its round's predecessor left in the
+        # log, so its rows do not depend on where it starts or ends; none of
+        # these runs repeats within its budget
+        config = random_system(np.random.default_rng([seed, n]), n=n)
+        count = 3 * _CSV_CHUNK
+        run = run_distributed(config, dx=1e-3, itr_max=count)
+        assert len(run.rows) == count
+        for a, b in [(0, 1), (n, 2 * n + 1), (n + 1, count), (count - 1, count),
+                     (_CSV_CHUNK - 1, 2 * _CSV_CHUNK + n // 2), (count, count)]:
+            assert np.array_equal(_rebuild_rows(run._log, a, b), run.rows[a:b])
+
     def test_write_failure_carries_path(self, bench3, tmp_path):
         run = run_distributed(bench3, dx=1e-3, itr_max=30)
         missing = tmp_path / "no" / "such" / "dir" / "trace.csv"
@@ -628,7 +664,8 @@ class TestTraceCsv:
 
 def _synthetic_cycle_run(n, period, first, total, seed=0):
     """A run of ``total`` iterations whose rows from 0-based row ``first``
-    on repeat a period of ``period`` rows; its values are drawn."""
+    on repeat a period of ``period`` rows; its values are drawn. ``trace``
+    is every row, tiled here with no code from the module."""
     rng = np.random.default_rng(seed)
     count = first + period
     rows = np.empty((count, 4 + 3 * n))
@@ -637,20 +674,20 @@ def _synthetic_cycle_run(n, period, first, total, seed=0):
     rows[:, 2] = rng.integers(1, 6, count)
     rows[:, 3 : 4 + 2 * n] = 10 ** rng.uniform(-14, 14, (count, 2 * n + 1))
     rows[:, 4 + 2 * n :] = rng.integers(0, 2, (count, n))
-    return DistributedRun(
-        x=tuple(rows[-1, 3 : 3 + n]), feasible=True, iterations=total, p_tx=1.0,
-        p=(1.0,) * n, rows=rows, cycle_period=period, cycle_start=first + 1,
-        cycle_p_tx=(0.0, 1.0),
-    )
+    trace = np.array([rows[i if i < first else first + (i - first) % period] for i in range(total)])
+    trace[:, 0] = np.arange(1, total + 1)
+    return SimpleNamespace(rows=rows, trace=trace, cycle_period=period, first=first, total=total)
 
 
 class TestCycleTiler:
-    """The cycle rows tiled as bytes, against csv.writer on synthetic runs."""
+    """The cycle rows tiled as bytes, against csv.writer on synthetic runs,
+    whose rows before the cycle go to the block writer as one block."""
 
     @staticmethod
     def check(run, n):
         handle = io.StringIO()
-        _write_trace_csv(run, handle)
+        cycle = run.rows[run.first : run.first + run.cycle_period]
+        _write_blocks(handle, n, [run.rows[: run.first]], cycle, run.total)
         assert handle.getvalue().encode() == _csv_writer_reference(run, n)
 
     def test_itr_gains_digits_inside_blocks(self):
