@@ -71,7 +71,7 @@ _PROBE_TOL = 1e-12
 # trace rows formed and encoded per write when exporting CSV (whole rounds,
 # about this many): at N = 3 (13 values a row) about as many values, and as
 # much scratch memory, as a region block
-# 8,192-row blocks peaked above forming all rows at once: encoder scratch grows with the block
+# 8,192-row blocks peaked above whole-run rows: the encoder scratch grows with the block
 _CSV_CHUNK = 1024
 
 
