@@ -71,7 +71,6 @@ from .timeshare import (
     optimize_schedule,
     schedule_to_csv,
     solve_config_subproblem,
-    solve_time_allocation,
 )
 
 __version__ = "0.1.0"

@@ -327,6 +327,8 @@ def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadySta
     # every power is >= 0, so a finite sum means every power is finite
     if not (math.isfinite(p_tx) and math.isfinite(p_sum)):
         raise NumericalError("the steady-state powers overflow at these loads")
+    if p_tx == 0.0:
+        raise NumericalError("the transmitter power underflows to 0 at these loads")
     return SteadyState(
         i_tx=i_tx,
         i=currents,

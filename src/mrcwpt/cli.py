@@ -131,7 +131,8 @@ def _load_sweep(config, x, k, values) -> np.ndarray:
     load enters only through +, * and /, which numpy rounds as the float
     operations do. The first point that is not a finite load > 0 or whose
     powers overflow is handed to ``solve_closed_form``, which raises the
-    error a point-by-point sweep stops at.
+    error a point-by-point sweep stops at. So is the first whose rho is not
+    finite (p_tx underflowed to 0).
     """
     loads = list(x)
     loads[k] = values
@@ -139,7 +140,8 @@ def _load_sweep(config, x, k, values) -> np.ndarray:
         p_tx, p, _ = resonant_powers(config, loads, (1,) * len(x))
         p_sum = sum(p)
         rho = p_sum / p_tx
-        bad = ~((values > 0.0) & np.isfinite(values) & np.isfinite(p_tx) & np.isfinite(p_sum))
+        bad = ~((values > 0.0) & np.isfinite(values) & np.isfinite(p_tx) & np.isfinite(p_sum)
+                & np.isfinite(rho))
     if bad.any():
         loads[k] = float(values[np.argmax(bad)])
         solve_closed_form(config, None, loads)
@@ -170,7 +172,7 @@ def _frequency_sweep(config, x, values) -> np.ndarray:
         p_tx, p, _ = resonant_powers(config, x, (1,) * len(x), b)
         p_sum = sum(p)
         rho = p_sum / p_tx
-        checked = ~(plain & np.isfinite(p_tx) & np.isfinite(p_sum))
+        checked = ~(plain & np.isfinite(p_tx) & np.isfinite(p_sum) & np.isfinite(rho))
     table = np.column_stack([values, p_tx, *p, p_sum, rho])
     for i in np.flatnonzero(checked).tolist():
         state = solve_closed_form(config.with_frequency(ws[i]), None, x)
@@ -319,7 +321,7 @@ def _cmd_region(args) -> int:
     if args.with_ts:
         sample = sample_region_with_ts(config, grid_points=options.grid_points)
     else:
-        sample = sample_region_without_ts(config, None, grid_points=options.grid_points)
+        sample = sample_region_without_ts(config, grid_points=options.grid_points)
     if args.out:
         region_to_csv(sample, args.out)
         print(f"points = {len(sample.points)}")

@@ -68,11 +68,10 @@ from .errors import ValidationError
 _REQ_TOL = 1e-9
 # absolute band for probe power comparisons, suppresses float flicker (W)
 _PROBE_TOL = 1e-12
-# trace rows formed and encoded per write when exporting CSV (whole rounds,
-# about this many): at N = 3 (13 values a row) about as many values, and as
-# much scratch memory, as a region block
-# 8,192-row blocks peaked above whole-run rows: the encoder scratch grows with the block
-_CSV_CHUNK = 1024
+# trace values (3N + 4 a row) formed and encoded per write when exporting
+# CSV, in whole rounds: 1,023 rows at N = 3, 700 at N = 5. The encoder's
+# scratch memory grows with the block, so it is sized in values, not rows
+_CSV_VALUES = 13_312
 
 
 class _TurnLog(NamedTuple):
@@ -479,7 +478,7 @@ def _write_trace_csv(run: DistributedRun, handle) -> None:
     total = run.iterations if len(log.cases) else 0
     first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
     # whole rounds a block, so that each starts from the loads of the round before
-    step = max(1, _CSV_CHUNK // n_rx) * n_rx
+    step = max(1, _CSV_VALUES // ((3 * n_rx + 4) * n_rx)) * n_rx
     blocks = (_rebuild_rows(log, a, min(a + step, first)) for a in range(0, first, step))
     cycle = _rebuild_rows(log, first, first + run.cycle_period) if first < total else None
     _write_blocks(handle, n_rx, blocks, cycle, total)
@@ -519,7 +518,7 @@ def _write_cycle_rows(handle, cycle: np.ndarray, first: int, total: int) -> None
     period = len(cycle)
     tail = RowFormat(_row_tail((cycle.shape[1] - 4) // 3))
     phases = tail(cycle[:, 1:]).encode("ascii").splitlines(keepends=True)
-    reps = max(1, _CSV_CHUNK // period)
+    reps = max(1, _CSV_VALUES // (cycle.shape[1] * period))
     a = first
     while a < total:
         digits = len(str(a + 1))

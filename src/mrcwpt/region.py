@@ -27,14 +27,11 @@ from .errors import ValidationError
 DEFAULT_GRID_2D = 200
 DEFAULT_GRID_3D = 60
 
-WITHOUT_TS = "without-ts"
-WITH_TS = "with-ts"
-
 # rows encoded per write when exporting CSV; the encoder's scratch memory
 # grows with the block (about 0.9 MiB for 4,096 rows of three powers)
 _CSV_CHUNK = 4096
 # most power values (sampled tuples times receivers) a region may hold:
-# 0.8 GB as float64, above every default-grid region up to N = 4. The grid
+# 0.8 GB as float64, above every default-grid region up to N = 14. The grid
 # is evaluated in bounded slabs straight into ``points``, so a region at the
 # cap costs about those 0.8 GB plus a few bytes per tuple for the pruning
 # masks
@@ -52,13 +49,13 @@ class PowerRegionSample:
     the outer frontier: the componentwise-maximal (Pareto) samples for the
     concurrent region, or the hull vertices for the time-shared region.
     Both see only the samples that no grid neighbour strictly dominates,
-    and equal the frontier and the hull of all ``points``.
+    and equal the frontier and the hull of all ``points``. ``grid_points``
+    is the grid the sampler used, per load: the default when it was given
+    None.
     """
 
     points: np.ndarray
-    mode: str
     grid_points: int
-    bounds: tuple[tuple[float, float], ...]
     boundary: np.ndarray
 
 
@@ -66,9 +63,11 @@ def _grid_points(sys: SystemConfig, grid_points: int | None, loads: int, with_ts
     """The grid size to sample ``loads`` loads on, the default for None,
     checked before anything is sampled: a grid of g points per load gives
     g**loads power tuples, (g + 1)**loads when every switch configuration
-    and the origin are pooled for time sharing."""
+    and the origin are pooled for time sharing. From three loads on, the
+    default keeps about DEFAULT_GRID_3D**3 tuples: the N-D Pareto filter is
+    quadratic in its candidates."""
     if grid_points is None:
-        grid_points = DEFAULT_GRID_2D if loads <= 2 else DEFAULT_GRID_3D
+        grid_points = DEFAULT_GRID_2D if loads <= 2 else int(DEFAULT_GRID_3D ** (3 / loads))
     if grid_points < 2:
         raise ValidationError("grid_points must be at least 2")
     count = (grid_points + with_ts) ** loads
@@ -326,29 +325,17 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
     return vertices
 
 
-def points_in_hull_nd(points, hull, tol: float = 1e-6) -> np.ndarray:
-    """Vectorized facet test against a scipy ConvexHull."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    normals = hull.equations[:, :-1]
-    offsets = hull.equations[:, -1]
-    return np.all(pts @ normals.T + offsets <= tol, axis=1)
-
-
 def sample_region_without_ts(
-    sys: SystemConfig, sw: SwitchState | None = None, grid_points: int | None = None
+    sys: SystemConfig, grid_points: int | None = None
 ) -> PowerRegionSample:
-    """Concurrent-transfer region: power tuples over a log grid of the load box."""
-    if sw is None:
-        sw = SwitchState.all_closed(sys.n_receivers)
-    grid_points = _grid_points(sys, grid_points, len(sw.connected), with_ts=False)
-    points = np.empty((grid_points ** len(sw.connected), sys.n_receivers), order="F")
-    candidates = _grid_samples(sys, sw, grid_points, points)
+    """Concurrent-transfer region: power tuples over a log grid of the load
+    box, every receiver connected."""
+    n = sys.n_receivers
+    grid_points = _grid_points(sys, grid_points, n, with_ts=False)
+    points = np.empty((grid_points**n, n), order="F")
+    candidates = _grid_samples(sys, SwitchState.all_closed(n), grid_points, points)
     return PowerRegionSample(
-        points=points,
-        mode=WITHOUT_TS,
-        grid_points=grid_points,
-        bounds=tuple((sys.x_lo[k], sys.x_hi[k]) for k in range(sys.n_receivers)),
-        boundary=pareto_boundary(candidates),
+        points=points, grid_points=grid_points, boundary=pareto_boundary(candidates)
     )
 
 
@@ -376,13 +363,7 @@ def sample_region_with_ts(
         else:
             candidates.append(_grid_samples(sys, sw, grid_points, block))
     boundary = _hull_vertices(np.vstack(candidates)) if n <= 3 else np.zeros((0, n))
-    return PowerRegionSample(
-        points=points,
-        mode=WITH_TS,
-        grid_points=grid_points,
-        bounds=tuple((sys.x_lo[k], sys.x_hi[k]) for k in range(n)),
-        boundary=boundary,
-    )
+    return PowerRegionSample(points=points, grid_points=grid_points, boundary=boundary)
 
 
 def region_to_csv(sample: PowerRegionSample, path) -> None:

@@ -4,11 +4,12 @@ The transmission horizon is split into slots, one per switch configuration
 (nonzero subset of connected receivers, in the order of
 :func:`~mrcwpt.circuit.enumerate_configs`), each with its own
 load-resistance vector. Delivered powers are time averages over the slots.
-The module provides average-power evaluation, the linear program over slot
-durations, the per-slot load subproblem, and the alternating optimization
-that ties them together. The alternation evaluates the slot matrix, every
-slot's instantaneous p_tx and p_n at its loads, once; an accepted slot
-solve then overwrites that slot's column with the powers it returns.
+The public entry points are average-power evaluation, the per-slot load
+subproblem, the alternating optimization and the schedule CSV writer. The
+alternation evaluates the slot matrix, every slot's instantaneous p_tx and
+p_n at its loads, once, and solves the linear program over slot durations
+on it (``_slot_lp``) each round; an accepted slot solve then overwrites
+that slot's column with the powers it returns.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .central import CentralSolution, ChargingProblem, SolveStatus, _infeasible,
 from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers, solo_peak_loads
 from .errors import InfeasibleProblemError, ValidationError
 from .lp import solve_lp
+
+# most alternation rounds (slot LP, then every slot's load subproblem) per schedule
+_MAX_OUTER = 50
 
 
 @dataclass(frozen=True)
@@ -87,28 +91,12 @@ def _config_coefficients(sys: SystemConfig, configs: tuple[SwitchState, ...], x_
 
 
 def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
-    """Slot durations minimizing the average p_tx of slot matrix (a, b)."""
-    active = [n for n in range(len(b)) if p_req[n] > 0.0]
-    sol = solve_lp(a / tau_total, tau_total, b[active], [p_req[n] * tau_total for n in active])
+    """Slot durations minimizing the average p_tx of slot matrix (a, b),
+    or None if no durations meet every requirement p_req (each > 0)."""
+    sol = solve_lp(a / tau_total, tau_total, b, [r * tau_total for r in p_req])
     if sol.status != "optimal":
         return None
     return np.asarray(sol.x)
-
-
-def solve_time_allocation(
-    sys: SystemConfig,
-    configs: tuple[SwitchState, ...],
-    x_per_config,
-    tau_total: float,
-    p_req,
-) -> np.ndarray | None:
-    """Optimal slot durations for fixed per-slot loads, or None if infeasible.
-
-    Minimizes the time-averaged transmitter power subject to each load's
-    average-power requirement and the horizon budget.
-    """
-    a, b = _config_coefficients(sys, configs, x_per_config)
-    return _slot_lp(a, b, tau_total, p_req)
 
 
 def solve_config_subproblem(
@@ -156,19 +144,16 @@ class ScheduleResult:
 
 
 def optimize_schedule(
-    sys: SystemConfig,
-    tau_total: float = 1.0,
-    dp_stop: float = 1e-3,
-    max_outer: int = 50,
+    sys: SystemConfig, tau_total: float = 1.0, dp_stop: float = 1e-3
 ) -> ScheduleResult:
     """Jointly optimize slot durations and per-slot loads.
 
     Starts from the no-time-sharing optimum in the all-closed slot, then
     alternates the duration LP with the per-configuration load subproblems
-    until the drawn-power improvement falls to ``dp_stop``. The objective
-    trace is nonincreasing: an update is only accepted when it does not
-    worsen the exact objective, and an infeasible subproblem leaves its
-    slot's loads unchanged.
+    until the drawn-power improvement falls to ``dp_stop``, for at most
+    ``_MAX_OUTER`` rounds. The objective trace is nonincreasing: an update
+    is only accepted when it does not worsen the exact objective, and an
+    infeasible subproblem leaves its slot's loads unchanged.
 
     Raises InfeasibleProblemError when even the no-time-sharing problem has
     no solution (time sharing can only enlarge the feasible set).
@@ -194,7 +179,7 @@ def optimize_schedule(
     trace = []
     failures = 0
     prev = float("inf")
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         lp_tau = _slot_lp(a, b, tau_total, p_req)
         if lp_tau is not None and _no_worse(
             float(a @ lp_tau) / tau_total, float(a @ tau) / tau_total

@@ -280,7 +280,7 @@ def test_criterion_9_region_containment_and_frequency_trend():
         gaps = {}
         for w in (14.2e6, 42.6e6, 127.8e6):
             config = bench_system(p_req=(5.0, 5.0), n=2, w=w)
-            without = sample_region_without_ts(config, None, 200)
+            without = sample_region_without_ts(config, 200)
             with_ts = sample_region_with_ts(config, 200)
             assert points_in_hull_2d(without.points, with_ts.boundary, 1e-6).all()
             area_without = hull_area_2d(hull_2d(without.points))

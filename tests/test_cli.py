@@ -432,7 +432,7 @@ class TestRegion:
         if flags:
             sample = sample_region_with_ts(retuned, options.grid_points)
         else:
-            sample = sample_region_without_ts(retuned, None, options.grid_points)
+            sample = sample_region_without_ts(retuned, options.grid_points)
         expected = tmp_path / "expected.csv"
         region_to_csv(sample, expected)
         assert out.read_bytes() == expected.read_bytes()
@@ -591,6 +591,19 @@ class TestNumericalFailure:
         path.write_text(serialize_scenario(
             config, ScenarioOptions(x_nominal=options.x_nominal, grid_points=5)))
         self.check_failure(run_cli("region", str(path)), capsys)
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "x_1=1:2:1"],
+                                       ["--sweep", "w=1e7:2e7:1e7"]],
+                             ids=["point", "load-sweep", "frequency-sweep"])
+    def test_source_power_underflow(self, sweep, tmp_path, capsys):
+        # at v_tx = 1e-300 every power underflows to 0, so rho = p_sum / p_tx
+        # has no value: the point and both sweeps stop, and no nan is printed
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "faint.scn"
+        path.write_text(serialize_scenario(replace(config, v_tx=1e-300 + 0j), options))
+        self.check_failure(run_cli("analyze", str(path), *sweep), capsys)
 
 
 def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):

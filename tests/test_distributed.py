@@ -24,7 +24,6 @@ from mrcwpt import (
 )
 from mrcwpt.circuit import solo_peak_loads
 from mrcwpt.distributed import (
-    _CSV_CHUNK,
     _Loads,
     _power_resolution,
     _rebuild_rows,
@@ -648,11 +647,12 @@ class TestTraceCsv:
         # log, so its rows do not depend on where it starts or ends; none of
         # these runs repeats within its budget
         config = random_system(np.random.default_rng([seed, n]), n=n)
-        count = 3 * _CSV_CHUNK
+        chunk = 1024
+        count = 3 * chunk
         run = run_distributed(config, dx=1e-3, itr_max=count)
         assert len(run.rows) == count
         for a, b in [(0, 1), (n, 2 * n + 1), (n + 1, count), (count - 1, count),
-                     (_CSV_CHUNK - 1, 2 * _CSV_CHUNK + n // 2), (count, count)]:
+                     (chunk - 1, 2 * chunk + n // 2), (count, count)]:
             assert np.array_equal(_rebuild_rows(run._log, a, b), run.rows[a:b])
 
     def test_write_failure_carries_path(self, bench3, tmp_path):

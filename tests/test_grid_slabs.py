@@ -104,7 +104,7 @@ class TestRegionSlabs:
         if with_ts:
             sample = sample_region_with_ts(config, g)
         else:
-            sample = sample_region_without_ts(config, None, g)
+            sample = sample_region_without_ts(config, g)
         assert sample.points.flags.f_contiguous
         points, boundary = _reference_region(config, g, with_ts)
         assert sample.points.shape == points.shape
@@ -121,7 +121,7 @@ class TestRegionSlabs:
             return prune(powers)
 
         monkeypatch.setattr(region, "_neighbour_undominated", spy)
-        sample = sample_region_without_ts(_system(3), None, 20)
+        sample = sample_region_without_ts(_system(3), 20)
         assert len(seen) == 1
         for k, column in enumerate(seen[0]):
             assert column.shape == (20, 20, 20)
@@ -136,7 +136,7 @@ class TestRegionSlabs:
         def sample(g):
             if with_ts:
                 return sample_region_with_ts(config, g)
-            return sample_region_without_ts(config, None, g)
+            return sample_region_without_ts(config, g)
 
         sample(4)  # imports the hull code outside the measurement
         tracemalloc.start()

@@ -172,7 +172,7 @@ class TestHullReference:
 class TestWithoutTs:
     def test_single_receiver_interval(self):
         config = bench_system(p_req=(5.0,), n=1)
-        sample = sample_region_without_ts(config, None, 400)
+        sample = sample_region_without_ts(config, 400)
         peak = thresholds(config, None, [2.5], 0).x_own_peak
         p_peak = solve_closed_form(config, None, [peak]).p[0]
         p_lo = solve_closed_form(config, None, [config.x_lo[0]]).p[0]
@@ -182,7 +182,7 @@ class TestWithoutTs:
         assert values.min() == pytest.approx(min(p_lo, p_hi), rel=1e-9)
 
     def test_two_receiver_lobe(self, bench2):
-        sample = sample_region_without_ts(bench2, None, 120)
+        sample = sample_region_without_ts(bench2, 120)
         assert sample.points.shape == (120 * 120, 2)
         assert np.all(sample.points >= 0.0)
         # the frontier contains the single-coordinate maxima
@@ -190,28 +190,22 @@ class TestWithoutTs:
         assert front[:, 0].max() == pytest.approx(sample.points[:, 0].max())
         assert front[:, 1].max() == pytest.approx(sample.points[:, 1].max())
 
-    def test_mask_selects_configuration(self, bench3):
-        sw = SwitchState.from_mask("110")
-        sample = sample_region_without_ts(bench3, sw, 40)
-        assert sample.points.shape == (1600, 3)
-        assert np.all(sample.points[:, 2] == 0.0)
-
     def test_uncoupled_receiver_collapses_axis(self):
         config = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(-9.21e-8, 0.0))
-        sample = sample_region_without_ts(config, None, 50)
+        sample = sample_region_without_ts(config, 50)
         assert np.all(sample.points[:, 1] == 0.0)
         assert sample.points[:, 0].max() > 0.0
 
     def test_refinement_is_superset(self, bench2):
-        coarse = sample_region_without_ts(bench2, None, 50)
-        fine = sample_region_without_ts(bench2, None, 99)  # midpoint refinement
+        coarse = sample_region_without_ts(bench2, 50)
+        fine = sample_region_without_ts(bench2, 99)  # midpoint refinement
         coarse_rows = {tuple(row) for row in coarse.points}
         fine_rows = {tuple(row) for row in fine.points}
         assert coarse_rows <= fine_rows
 
     def test_grid_guard(self, bench2):
         with pytest.raises(ValidationError):
-            sample_region_without_ts(bench2, None, 1)
+            sample_region_without_ts(bench2, 1)
 
 
 def _drawn_system(draw, n):
@@ -247,10 +241,12 @@ class TestNeighbourFilter:
     @given(concurrent_regions())
     def test_boundary_is_the_frontier_of_every_sample(self, drawn):
         config, sw, grid = drawn
-        sample = sample_region_without_ts(config, sw, grid)
-        full = pareto_boundary(sample.points)
-        assert sample.boundary.shape == full.shape
-        assert sample.boundary.tobytes() == full.tobytes()
+        sw = sw or SwitchState.all_closed(config.n_receivers)
+        points = np.empty((grid ** len(sw.connected), config.n_receivers), order="F")
+        boundary = pareto_boundary(region._grid_samples(config, sw, grid, points))
+        full = pareto_boundary(points)
+        assert boundary.shape == full.shape
+        assert boundary.tobytes() == full.tobytes()
 
     def test_equal_samples_are_kept(self):
         # receiver 2 uncoupled: every row repeats along its load axis
@@ -263,7 +259,7 @@ class TestNeighbourFilter:
     def test_bundled_frontier_sees_a_small_share(self, bench3):
         powers = grid_powers(bench3, SwitchState.all_closed(3), 60)[2]
         keep = region._neighbour_undominated(powers)
-        frontier = sample_region_without_ts(bench3, None, 60).boundary
+        frontier = sample_region_without_ts(bench3, 60).boundary
         assert len(frontier) <= keep.sum() < 0.06 * keep.size
 
 
@@ -347,7 +343,7 @@ class TestGridCap:
         for n in range(1, 5):
             config = random_system(rng, n=n)
             for with_ts in (False, True):
-                expected = region.DEFAULT_GRID_2D if n <= 2 else region.DEFAULT_GRID_3D
+                expected = {1: 200, 2: 200, 3: 60, 4: 21}[n]
                 assert region._grid_points(config, None, n, with_ts) == expected
 
     def test_cap_counts_tuples_times_receivers(self, bench3):
@@ -367,17 +363,17 @@ class TestGridCap:
     def test_samplers_refuse_before_sampling(self, bench3):
         # grids no array could hold, so a missing check fails at once
         with pytest.raises(ValidationError, match=f"{10**15} power tuples"):
-            sample_region_without_ts(bench3, None, 10**5)
+            sample_region_without_ts(bench3, 10**5)
         with pytest.raises(ValidationError, match=f"{(10**5 + 1) ** 3} power tuples"):
             sample_region_with_ts(bench3, 10**5)
-        # a masked region samples only its connected loads
+        # a grid over two connected loads counts only those
         with pytest.raises(ValidationError, match=f"{10**10} power tuples"):
-            sample_region_without_ts(bench3, SwitchState.from_mask("011"), 10**5)
+            region._grid_points(bench3, 10**5, 2, False)
 
 
 class TestWithTs:
     def test_containment_of_concurrent_region(self, bench2):
-        without = sample_region_without_ts(bench2, None, 60)
+        without = sample_region_without_ts(bench2, 60)
         with_ts = sample_region_with_ts(bench2, 60)
         assert points_in_hull_2d(without.points, with_ts.boundary, 1e-6).all()
 
@@ -401,21 +397,19 @@ class TestWithTs:
         assert with_ts.boundary[1, 0] == pytest.approx(with_ts.points.max())
 
     def test_three_receiver_hull(self, bench3):
-        from mrcwpt.region import _hull_nd, points_in_hull_nd
-
         sample = sample_region_with_ts(bench3, 12)
         assert sample.points.shape[1] == 3
         assert len(sample.boundary) > 3
-        hull = _hull_nd(sample.points)
-        inside = points_in_hull_nd(sample.points[::101], hull, 1e-6)
-        assert inside.all()
+        hull = region._hull_nd(sample.points)
+        facets = sample.points[::101] @ hull.equations[:, :-1].T + hull.equations[:, -1]
+        assert np.all(facets <= 1e-6)
 
     def test_frequency_dependence_of_gap(self):
         # the time-sharing advantage grows with operating frequency
         gaps = {}
         for w in (14.2e6, 127.8e6):
             config = bench_system(p_req=(5.0, 5.0), n=2, w=w)
-            without = sample_region_without_ts(config, None, 80)
+            without = sample_region_without_ts(config, 80)
             with_ts = sample_region_with_ts(config, 80)
             a_without = hull_area_2d(hull_2d(without.points))
             a_with = hull_area_2d(with_ts.boundary)
@@ -425,7 +419,7 @@ class TestWithTs:
 
 class TestCsv:
     def test_round_trip(self, bench2, tmp_path):
-        sample = sample_region_without_ts(bench2, None, 20)
+        sample = sample_region_without_ts(bench2, 20)
         path = tmp_path / "region.csv"
         region_to_csv(sample, path)
         points, boundary = read_region_csv(path)
@@ -438,9 +432,7 @@ class TestCsv:
     def test_empty_sample_writes_header_only(self, tmp_path):
         sample = PowerRegionSample(
             points=np.zeros((0, 2)),
-            mode="without-ts",
             grid_points=0,
-            bounds=((1.0, 100.0), (1.0, 100.0)),
             boundary=np.zeros((0, 2)),
         )
         path = tmp_path / "empty.csv"
@@ -448,7 +440,7 @@ class TestCsv:
         assert path.read_text().splitlines() == ["p_1,p_2,section"]
 
     def test_write_failure_carries_path(self, bench2, tmp_path):
-        sample = sample_region_without_ts(bench2, None, 5)
+        sample = sample_region_without_ts(bench2, 5)
         missing = tmp_path / "no" / "such" / "dir" / "region.csv"
         with pytest.raises(OSError, match="region.csv"):
             region_to_csv(sample, missing)
@@ -488,7 +480,7 @@ class TestCsvBytes:
         if with_ts:
             sample = sample_region_with_ts(config, 9)
         else:
-            sample = sample_region_without_ts(config, None, 9)
+            sample = sample_region_without_ts(config, 9)
         assert len(sample.boundary) > 0
         assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
 
@@ -497,20 +489,17 @@ class TestCsvBytes:
         points = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
         points[:5] = [[0.0, -0.0, 1.0], [5e-324, -1e308, 9.999999999995e-1],
                       [1e22, 123456789012345.0, -2.5], [0.1, 0.2, 0.3], [7, 8, 9]]
-        sample = PowerRegionSample(points=points, mode="without-ts", grid_points=0,
-                                   bounds=((1.0, 2.0),) * 3, boundary=points[::7])
+        sample = PowerRegionSample(points=points, grid_points=0, boundary=points[::7])
         assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
 
     def test_empty_boundary(self, bench3, tmp_path):
-        sample = sample_region_without_ts(bench3, None, 5)
-        sample = PowerRegionSample(points=sample.points, mode=sample.mode,
-                                   grid_points=5, bounds=sample.bounds,
+        sample = sample_region_without_ts(bench3, 5)
+        sample = PowerRegionSample(points=sample.points, grid_points=5,
                                    boundary=np.zeros((0, 3)))
         assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)
 
     def test_zero_row_sample(self, tmp_path):
-        sample = PowerRegionSample(points=np.zeros((0, 2)), mode="without-ts",
-                                   grid_points=0, bounds=((1.0, 100.0),) * 2,
+        sample = PowerRegionSample(points=np.zeros((0, 2)), grid_points=0,
                                    boundary=np.zeros((0, 2)))
         assert _written_bytes(sample, tmp_path) == b"p_1,p_2,section\r\n"
         assert _written_bytes(sample, tmp_path) == _region_csv_reference(sample)

@@ -22,8 +22,8 @@ from mrcwpt import (
     schedule_to_csv,
     solve_closed_form,
     solve_config_subproblem,
-    solve_time_allocation,
 )
+from mrcwpt import timeshare
 
 from conftest import bench_system, random_system
 
@@ -165,12 +165,18 @@ class TestAveragePowers:
                                 tau_total=1.0)
 
 
+def _slot_durations(config, configs, x, tau_total, p_req):
+    """The slot LP's durations for fixed per-slot loads, or None."""
+    return timeshare._slot_lp(*timeshare._config_coefficients(config, configs, x),
+                              tau_total, p_req)
+
+
 class TestTimeAllocationLp:
     def test_single_config_minimal_time(self):
         config = bench_system(p_req=(5.0,), n=1)
         configs = enumerate_configs(1)
         x = [[2.5]]
-        tau = solve_time_allocation(config, configs, x, 1.0, config.p_req)
+        tau = _slot_durations(config, configs, x, 1.0, config.p_req)
         state = solve_closed_form(config, configs[0], [2.5])
         # exactly enough time to deliver the required average power
         assert tau[0] == pytest.approx(5.0 / state.p[0], rel=1e-9)
@@ -179,7 +185,7 @@ class TestTimeAllocationLp:
         sol = optimize_loads(ChargingProblem(sys=bench3))
         configs = enumerate_configs(3)
         x = [list(sol.x) for _ in configs]
-        tau = solve_time_allocation(bench3, configs, x, 1.0, bench3.p_req)
+        tau = _slot_durations(bench3, configs, x, 1.0, bench3.p_req)
         assert tau is not None
         a = [solve_closed_form(bench3, sw, x[q]).p_tx for q, sw in enumerate(configs)]
         assert float(np.dot(a, tau)) <= sol.p_tx * (1.0 + 1e-9)
@@ -187,9 +193,7 @@ class TestTimeAllocationLp:
     def test_unreachable_requirement_infeasible(self, bench3):
         configs = enumerate_configs(3)
         x = [[2.5] * 3 for _ in configs]
-        tau = solve_time_allocation(
-            bench3, configs, x, 1.0, (200.0, 17.5, 30.0)
-        )
+        tau = _slot_durations(bench3, configs, x, 1.0, (200.0, 17.5, 30.0))
         assert tau is None
 
 
@@ -354,12 +358,11 @@ class TestOptimizeSchedule:
         for k in range(3):
             assert avg.p[k] >= config.p_req[k] * (1 - 1e-6)
 
-    def test_every_iterate_is_feasible(self, bench3):
+    def test_every_iterate_is_feasible(self, bench3, monkeypatch):
         # truncating the outer loop at any depth leaves a valid schedule
         for outer in (1, 2, 3):
-            result = optimize_schedule(
-                bench3, tau_total=1.0, dp_stop=1e-15, max_outer=outer
-            )
+            monkeypatch.setattr(timeshare, "_MAX_OUTER", outer)
+            result = optimize_schedule(bench3, tau_total=1.0, dp_stop=1e-15)
             avg = average_powers(bench3, result.schedule)
             for k in range(3):
                 assert avg.p[k] >= bench3.p_req[k] * (1 - 1e-6)
@@ -368,8 +371,6 @@ class TestOptimizeSchedule:
     def test_slot_matrix_evaluated_once(self, bench3, monkeypatch):
         # one slot-matrix evaluation and one schedule per call; the loop
         # still solves every slot with time through solve_config_subproblem
-        from mrcwpt import timeshare
-
         calls = {"coefficients": 0, "schedules": 0, "subproblems": 0}
 
         def counted(name, fn):
