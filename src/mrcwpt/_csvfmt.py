@@ -53,6 +53,9 @@ _EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-11, 35)), dtyp
 # an integer of d digits is >= exactly d - 1 of these
 _INT_STEPS = 10 ** np.arange(1, 8)
 _FLOAT_WIDTH = len("0.00000000000e+00")
+# values RowFormat.write encodes per call: the scratch memory is about six
+# times a block's float bytes, under 1 MiB here
+_BLOCK_VALUES = 13_312
 
 
 def _float_words(v: np.ndarray):
@@ -134,6 +137,13 @@ class RowFormat:
             cursor = ends[i]
         out.append(data[cursor:])
         return b"".join(out).decode("ascii")
+
+    def write(self, stream, rows: np.ndarray) -> None:
+        """Write the text of ``rows`` to ``stream``, encoded ``_BLOCK_VALUES``
+        values (one row at least) a call: where blocks split changes no byte."""
+        step = max(1, _BLOCK_VALUES // len(self._is_int))
+        for a in range(0, len(rows), step):
+            stream.write(self(rows[a : a + step]))
 
     def _render(self, rows: np.ndarray):
         """Every row as bytes, each field at the block's width for it:

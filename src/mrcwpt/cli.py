@@ -14,9 +14,10 @@ failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import sys as _sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,8 +53,6 @@ EXIT_NUMERICAL = 3
 
 # most points one sweep may ask for; the largest sweep in the README has 1,991
 _SWEEP_MAX_POINTS = 10**7
-# sweep rows formatted per block: about as much scratch memory as a region block
-_SWEEP_BLOCK = 1024
 
 
 def fmt(value: float) -> str:
@@ -110,17 +109,14 @@ def _receiver_index(name: str, prefix: str, n: int) -> int:
     return int(tail) - 1
 
 
+def _output(out_path):
+    """The file ``out_path`` opened for writing, or stdout when it is None."""
+    return open(out_path, "w") if out_path else contextlib.nullcontext(_sys.stdout)
+
+
 def _emit(lines, out_path):
-    _write_text(["\n".join(lines) + "\n"], out_path)
-
-
-def _write_text(parts, out_path):
-    """Write the text pieces ``parts`` to ``out_path``, or to stdout."""
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.writelines(parts)
-    else:
-        _sys.stdout.writelines(parts)
+    with _output(out_path) as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _load_sweep(config, x, k, values) -> np.ndarray:
@@ -194,10 +190,9 @@ def _cmd_analyze(args) -> int:
         else:
             raise ValidationError(f"unknown sweep variable '{name}'")
         header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
-        encode = RowFormat(",".join(["%.11e"] * (n + 4)) + "\n")
-        blocks = (encode(table[a : a + _SWEEP_BLOCK])
-                  for a in range(0, len(table), _SWEEP_BLOCK))
-        _write_text(itertools.chain([",".join(header) + "\n"], blocks), args.out)
+        with _output(args.out) as handle:
+            handle.write(",".join(header) + "\n")
+            RowFormat(",".join(["%.11e"] * (n + 4)) + "\n").write(handle, table)
         return EXIT_OK
 
     state = solve_closed_form(config, None, x)
@@ -296,8 +291,6 @@ def _cmd_timeshare(args) -> int:
 
 def _restrict_receivers(config, mask: str):
     """System containing only the masked-in receivers (others removed)."""
-    from dataclasses import replace
-
     sw = SwitchState.from_mask(mask)
     if len(sw.s) != config.n_receivers:
         raise ValidationError("mask length does not match the receiver count")

@@ -42,8 +42,8 @@ the loads are the whole state, so that turn log is all a traced run keeps.
 ``_rebuild_rows`` forms any stretch of whole rounds of rows from it (loads,
 powers, p_tx and feedback bits, with the turn's own float expressions on
 the loads before the update), starting from the loads the log holds for
-the round before. The trace CSV is written from one block of rows at a
-time, and the rows and the full trace are formed only when first read.
+the round before. The trace CSV is written in encoder-sized blocks of whole
+rounds, and the rows and the full trace are formed only when first read.
 
 ``run_distributed`` is the protocol's one entry point: it returns a
 ``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
@@ -60,6 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _csvfmt
 from ._csvfmt import RowFormat, _put_int
 from .circuit import SystemConfig, resonant_powers, solo_peak_loads
 from .errors import ValidationError
@@ -68,10 +69,6 @@ from .errors import ValidationError
 _REQ_TOL = 1e-9
 # absolute band for probe power comparisons, suppresses float flicker (W)
 _PROBE_TOL = 1e-12
-# trace values (3N + 4 a row) formed and encoded per write when exporting
-# CSV, in whole rounds: 1,023 rows at N = 3, 700 at N = 5. The encoder's
-# scratch memory grows with the block, so it is sized in values, not rows
-_CSV_VALUES = 13_312
 
 
 class _TurnLog(NamedTuple):
@@ -98,8 +95,8 @@ class DistributedRun:
     turn's case and the load it set; ``rows`` is formed from the log on
     first read, and ``trace`` from ``rows`` (the cycle tiled over the
     rest of the budget), and both are then kept. ``trace_to_csv`` forms
-    the rows from the log a block at a time and reads neither. Both have
-    no rows when the run was made with ``record_trace=False``.
+    the rows from the log in encoder-sized blocks and reads neither. Both
+    have no rows when the run was made with ``record_trace=False``.
 
     ``feasible`` reports whether every requirement holds at the final
     state within one control step of power resolution: at a binding
@@ -478,7 +475,7 @@ def _write_trace_csv(run: DistributedRun, handle) -> None:
     total = run.iterations if len(log.cases) else 0
     first = total if run.cycle_start is None else min(run.cycle_start - 1, total)
     # whole rounds a block, so that each starts from the loads of the round before
-    step = max(1, _CSV_VALUES // ((3 * n_rx + 4) * n_rx)) * n_rx
+    step = max(1, _csvfmt._BLOCK_VALUES // ((3 * n_rx + 4) * n_rx)) * n_rx
     blocks = (_rebuild_rows(log, a, min(a + step, first)) for a in range(0, first, step))
     cycle = _rebuild_rows(log, first, first + run.cycle_period) if first < total else None
     _write_blocks(handle, n_rx, blocks, cycle, total)
@@ -499,7 +496,7 @@ def _write_blocks(handle, n_receivers: int, blocks, cycle: np.ndarray | None, to
     handle.write(",".join(header) + "\r\n")
     first = 0
     for rows in blocks:
-        handle.write(encode(rows))
+        encode.write(handle, rows)
         first += len(rows)
     if cycle is not None:
         _write_cycle_rows(handle, cycle, first, total)
@@ -518,7 +515,7 @@ def _write_cycle_rows(handle, cycle: np.ndarray, first: int, total: int) -> None
     period = len(cycle)
     tail = RowFormat(_row_tail((cycle.shape[1] - 4) // 3))
     phases = tail(cycle[:, 1:]).encode("ascii").splitlines(keepends=True)
-    reps = max(1, _CSV_VALUES // (cycle.shape[1] * period))
+    reps = max(1, _csvfmt._BLOCK_VALUES // (cycle.shape[1] * period))
     a = first
     while a < total:
         digits = len(str(a + 1))

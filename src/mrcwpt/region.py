@@ -27,9 +27,6 @@ from .errors import ValidationError
 DEFAULT_GRID_2D = 200
 DEFAULT_GRID_3D = 60
 
-# rows encoded per write when exporting CSV; the encoder's scratch memory
-# grows with the block (about 0.9 MiB for 4,096 rows of three powers)
-_CSV_CHUNK = 4096
 # most power values (sampled tuples times receivers) a region may hold:
 # 0.8 GB as float64, above every default-grid region up to N = 14. The grid
 # is evaluated in bounded slabs straight into ``points``, so a region at the
@@ -66,12 +63,16 @@ def _grid_points(sys: SystemConfig, grid_points: int | None, loads: int, with_ts
     and the origin are pooled for time sharing. From three loads on, the
     default keeps about DEFAULT_GRID_3D**3 tuples: the N-D Pareto filter is
     quadratic in its candidates."""
-    if grid_points is None:
+    default = grid_points is None
+    if default:
         grid_points = DEFAULT_GRID_2D if loads <= 2 else int(DEFAULT_GRID_3D ** (3 / loads))
+    count = (grid_points + with_ts) ** loads
+    too_many = count * sys.n_receivers > _MAX_REGION_VALUES
+    if default and (grid_points < 2 or too_many):
+        raise ValidationError(f"no default grid fits a region of {sys.n_receivers} receivers")
     if grid_points < 2:
         raise ValidationError("grid_points must be at least 2")
-    count = (grid_points + with_ts) ** loads
-    if count * sys.n_receivers > _MAX_REGION_VALUES:
+    if too_many:
         raise ValidationError(
             f"grid_points = {grid_points} gives {count} power tuples of "
             f"{sys.n_receivers} receivers, more than {_MAX_REGION_VALUES} values"
@@ -381,9 +382,7 @@ def write_region_csv(sample: PowerRegionSample, stream) -> None:
     stream.write(",".join([f"p_{k + 1}" for k in range(n)] + ["section"]) + "\r\n")
     for section, rows in (("points", sample.points), ("boundary", sample.boundary)):
         # the text csv.writer makes of these rows: nothing needs quoting
-        encode = RowFormat(",".join(["%.11e"] * n) + f",{section}\r\n")
-        for a in range(0, len(rows), _CSV_CHUNK):
-            stream.write(encode(rows[a : a + _CSV_CHUNK]))
+        RowFormat(",".join(["%.11e"] * n) + f",{section}\r\n").write(stream, rows)
 
 
 def read_region_csv(path):

@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 
 from .circuit import SystemConfig
-from .coils import CoilGeometry, derive_coil_electrical, mutual_inductance
+from .coils import CoilElectrical, CoilGeometry, derive_coil_electrical, mutual_inductance
 from .errors import ScenarioError, ValidationError
 
 _ELECTRICAL_KEYS = {"r", "l"}
@@ -164,8 +164,6 @@ def _parse_coil(section: _Section, label: str, path):
             f"{label}: needs electrical (r, l) or geometry keys", path, section.line
         )
     if has_electrical:
-        from .coils import CoilElectrical
-
         r = _as_float(section, "r", path)
         l = _as_float(section, "l", path)
         try:

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mrcwpt import _csvfmt
 from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -153,7 +154,7 @@ class TestSweepOutput:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("scenario", ["two_receivers", "three_receivers"])
-    def test_seeded_sweeps_match_point_by_point(self, scenario, tmp_path):
+    def test_seeded_sweeps_match_point_by_point(self, scenario, monkeypatch, tmp_path):
         rng = np.random.default_rng(190 + len(scenario))
         n = 2 if scenario == "two_receivers" else 3
         specs = []
@@ -168,9 +169,13 @@ class TestSweepOutput:
             stop = start + step * int(rng.integers(1, 300))
             specs.append(f"w={start!r}:{stop!r}:{step!r}")
         for spec in specs:
-            out = tmp_path / "sweep.csv"
-            assert run_cli("analyze", scenario, "--sweep", spec, "--out", str(out)) == EXIT_OK
-            assert out.read_text() == _sweep_reference(scenario, spec), spec
+            expected = _sweep_reference(scenario, spec)
+            # the default blocks, then blocks of 7 values: one row a block
+            for budget in (_csvfmt._BLOCK_VALUES, 7):
+                monkeypatch.setattr(_csvfmt, "_BLOCK_VALUES", budget)
+                out = tmp_path / "sweep.csv"
+                assert run_cli("analyze", scenario, "--sweep", spec, "--out", str(out)) == EXIT_OK
+                assert out.read_text() == expected, (spec, budget)
 
     @pytest.mark.parametrize("spec", ["w=5e99:3e100:5e99", "w=1e-101:1e-99:1e-100"])
     def test_frequency_sweeps_past_the_plain_range(self, spec, tmp_path):

@@ -1,5 +1,6 @@
 """The block row encoder of the CSV writers against Python's own ``%``."""
 
+import io
 from decimal import Decimal
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrcwpt import _csvfmt
 from mrcwpt._csvfmt import RowFormat
 
 
@@ -140,6 +142,23 @@ def test_empty_block_and_literal_text():
     assert encode(np.zeros((0, 2))) == ""
     rows = [[1.5, 7], [0.25, 12]]
     assert encode(rows) == _percent(encode.template, rows)
+
+
+@pytest.mark.parametrize("budget", [1, 7, _csvfmt._BLOCK_VALUES])
+def test_write_in_blocks_is_the_whole_text(budget, monkeypatch):
+    monkeypatch.setattr(_csvfmt, "_BLOCK_VALUES", budget)
+    rng = np.random.default_rng(23)
+    n = 5_000
+    # counters that gain a digit, and a few rows left to ``%``
+    rows = np.column_stack([np.arange(9_990, 9_990 + n), rng.standard_normal(n),
+                            10.0 ** rng.uniform(-12, 12, n)])
+    encode = RowFormat("%d,%.11e,%.11e\r\n")
+    stream = io.StringIO()
+    encode.write(stream, rows)
+    assert stream.getvalue() == encode(rows)
+    empty = io.StringIO()
+    encode.write(empty, rows[:0])
+    assert empty.getvalue() == ""
 
 
 def test_other_conversions_are_rejected():

@@ -22,6 +22,7 @@ from mrcwpt import (
     thresholds,
     trace_to_csv,
 )
+from mrcwpt import _csvfmt
 from mrcwpt.circuit import solo_peak_loads
 from mrcwpt.distributed import (
     _Loads,
@@ -487,7 +488,7 @@ class TestCycleDetection:
             seen_cases.update(cases)
         assert seen_cases == {1, 2, 3, 4, 5}
 
-    def test_csv_matches_csv_writer(self, bench3, tmp_path):
+    def test_csv_matches_csv_writer(self, bench3, monkeypatch, tmp_path):
         rng = np.random.default_rng(2024)
         non_cycling = random_system(rng, n=4)
         cases = [
@@ -499,9 +500,14 @@ class TestCycleDetection:
         for config, itr_max in cases:
             run = run_distributed(config, dx=1e-3, itr_max=itr_max)
             cycled.append(run.cycle_period is not None)
-            out = tmp_path / "trace.csv"
-            trace_to_csv(run, out)
-            assert out.read_bytes() == _csv_writer_reference(run, config.n_receivers)
+            expected = _csv_writer_reference(run, config.n_receivers)
+            # the default blocks, then blocks of 7 values: one row a block,
+            # one round formed at a time and one period a cycle block
+            for budget in (_csvfmt._BLOCK_VALUES, 7):
+                monkeypatch.setattr(_csvfmt, "_BLOCK_VALUES", budget)
+                out = tmp_path / "trace.csv"
+                trace_to_csv(run, out)
+                assert out.read_bytes() == expected, budget
         assert cycled == [True, False, True]
 
 

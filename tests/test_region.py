@@ -24,7 +24,7 @@ from mrcwpt import (
     solve_closed_form,
     thresholds,
 )
-from mrcwpt import region
+from mrcwpt import _csvfmt, region
 from mrcwpt.circuit import enumerate_configs
 from mrcwpt.cli import main
 from mrcwpt.region import PowerRegionSample
@@ -346,6 +346,15 @@ class TestGridCap:
                 expected = {1: 200, 2: 200, 3: 60, 4: 21}[n]
                 assert region._grid_points(config, None, n, with_ts) == expected
 
+    @pytest.mark.parametrize("n, sampler", [(18, sample_region_without_ts),
+                                             (15, sample_region_with_ts)])
+    def test_no_default_grid_fits_many_receivers(self, n, sampler):
+        # the default is 1 point a load from 18 loads on, and 2 points a
+        # load time-shared at 15 give 3**15 * 15 values, past the cap
+        config = random_system(np.random.default_rng(n), n=n)
+        with pytest.raises(ValidationError, match=f"no default grid fits a region of {n} receivers"):
+            sampler(config)
+
     def test_cap_counts_tuples_times_receivers(self, bench3):
         # 321**3 * 3 = 99,228,483 values fit; 322**3 * 3 = 100,158,744 do not
         assert region._grid_points(bench3, 321, 3, False) == 321
@@ -470,8 +479,9 @@ class TestCsvBytes:
 
     @pytest.fixture(params=[None, 7], ids=["default-chunk", "chunk-7"])
     def csv_chunk(self, request, monkeypatch):
+        # 7 values: two rows of three powers a block
         if request.param is not None:
-            monkeypatch.setattr(region, "_CSV_CHUNK", request.param)
+            monkeypatch.setattr(_csvfmt, "_BLOCK_VALUES", request.param)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("with_ts", [False, True])
