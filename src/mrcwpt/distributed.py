@@ -34,16 +34,21 @@ the period between the two tiled, and the final loads are those at the
 matching phase of the cycle. The period, the first iteration of the cycle
 and the range of p_tx on it are reported on the result.
 
-One turn sums the circuit's shared denominator once, in a fixed order, and
-decides its case on plain floats. A run and the cycle's replay both take
-this one turn on a single ``_Loads``, which checks the loads it starts
-from. A traced turn records only its case and the load it set, 9 bytes:
-the loads are the whole state, so that turn log is all a traced run keeps.
-``_rebuild_rows`` forms any stretch of whole rounds of rows from it (loads,
-powers, p_tx and feedback bits, with the turn's own float expressions on
-the loads before the update), starting from the loads the log holds for
-the round before. The trace CSV is written in encoder-sized blocks of whole
-rounds, and the rows and the full trace are formed only when first read.
+A turn decides its case on plain floats and does not sum the circuit's
+shared denominator: ``_Loads`` sums it once, in a fixed order, and a turn
+that moves a load takes the new one from the probe it made at that load,
+or sums it afresh where no probe sat there, so each float equals a fresh
+sum's. A run, the cycle's replay and a single turn all go through one
+loop of turns on a single ``_Loads``, which checks the loads it starts
+from; a run's loop also stops at the first repeated round. A traced turn
+records only its case and the load it set, 9 bytes: the loads are the
+whole state, so that turn log is all a traced run keeps.
+``_rebuild_rows`` forms any stretch of whole rounds of rows from it
+(loads, powers, p_tx and feedback bits, with the turn's own float
+expressions on the loads before the update), starting from the loads the
+log holds for the round before. The trace CSV is written in encoder-sized
+blocks of whole rounds, and the rows and the full trace are formed only
+when first read.
 
 ``run_distributed`` is the protocol's one entry point: it returns a
 ``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
@@ -144,21 +149,25 @@ class DistributedRun:
 
 
 class _Loads:
-    """The loads of one run, with the system's constants as plain floats and
-    each receiver's denominator term cached.
+    """The loads of one run, with the system's constants as plain floats,
+    each receiver's denominator term cached and the denominator of the
+    loads kept.
 
     ``_Loads(sys, x)`` checks ``x``, one finite load > 0 per receiver, and
     keeps that list as the state. The turns copy circuit.resonant_powers on
     the cached terms: a shared call per probe doubled the iteration time,
     and the cache spares a probe every term before the probed receiver.
     ``term[k] = wh2_k / (r_k + x_k)`` is recomputed only when x_k moves.
-    Every denominator is summed from r_tx over the receivers in order, the
-    probe of receiver n reusing the prefix r_tx + term[0] + ... +
-    term[n - 1] and re-adding only the suffix, so each float equals that
-    of a fresh evaluation at the same loads: the state is ``x`` alone.
+    Every denominator is summed from r_tx over the receivers in order, so
+    each float equals that of a fresh evaluation at the same loads: the
+    state is ``x`` alone.
 
-    Each turn leaves the denominator it summed in ``denom``, from which
-    :meth:`advance` reads p_tx.
+    ``denom`` is the denominator D = r_tx + term[0] + ... + term[N - 1] of
+    the current loads. It is summed here and then carried by
+    :meth:`turns`, so it is always the float a fresh sum gives: a turn
+    measures at it, and a turn that moves its load leaves the D of the new
+    loads. :meth:`advance` reads each turn's p_tx, half_v2 / D, from the D
+    that turn starts from.
     """
 
     def __init__(self, sys: SystemConfig, x: list[float]):
@@ -178,112 +187,165 @@ class _Loads:
         self.req_lo = [req * (1.0 - _REQ_TOL) for req in self.p_req]
         self.req_hi = [req * (1.0 + _REQ_TOL) for req in self.p_req]
         self.x = x
-        self.term = [0.0] * self.n
-        self.num = [0.0] * self.n
-        self.sq = [0.0] * self.n
-        for k in range(self.n):
-            self._set(k, x[k])
-        self.denom = self.pn = math.nan
-
-    def _set(self, k: int, xk: float) -> None:
-        self.x[k] = xk
-        self.term[k] = self.wh2[k] / (self.r[k] + xk)
-        # numerator and squared factor of load k's power
-        self.num[k] = self.coef[k] * xk
-        self.sq[k] = (self.r[k] + xk) ** 2
+        self.term = [wh2 / (r + xk) for wh2, r, xk in zip(self.wh2, self.r, x)]
+        # numerator and squared factor of each load's power
+        self.num = [coef * xk for coef, xk in zip(self.coef, x)]
+        self.sq = [(r + xk) ** 2 for r, xk in zip(self.r, x)]
+        self.denom = self.denominator()
+        # the loads as bytes, 8 a load: equal bytes are equal loads, since
+        # loads are finite and > 0
+        self.pack = struct.Struct(f"{self.n}d").pack
 
     def powers(self, denom: float) -> list[float]:
         """Every load's power at the current loads, ``denom`` being their
-        denominator (a turn's ``denom``, or :meth:`denominator`)."""
+        denominator."""
         d2 = denom * denom
         return [num / (sq * d2) for num, sq in zip(self.num, self.sq)]
 
     def denominator(self) -> float:
         """The denominator at the current loads, r_tx + term[0] + ... +
-        term[N - 1] summed in order, as a turn sums it."""
+        term[N - 1] summed in order."""
         denom = self.r_tx
         for t in self.term:
             denom += t
         return denom
 
     def turn(self, n: int, dx: float) -> int:
-        """Apply one update for receiver n; returns the case (1-5).
+        """Apply one update for receiver n; returns the case (1-5)."""
+        cases = bytearray()
+        self.turns(n, 1, dx, cases, array("d"))
+        return cases[0]
 
-        The denominator is summed once. Load n's power decides whether its
-        requirement is unmet, met or at the equality band; the probes at
-        x_n + dx and x_n - dx (half x_n when that is not positive) place
-        x_n against its own-power peak, the lower probe only when the upper
-        one does not rise, and the peers' feedback bits are read only when
-        the case depends on them, each as p_k >= req_lo[k] like a traced
-        row's, so the case is the one a fully measured turn takes."""
-        term = self.term
-        prefix = self.r_tx
+    def turns(
+        self, n: int, count: int, dx: float, cases=None, moved=None, denoms=None, seen=None
+    ) -> int:
+        """Take ``count`` turns round-robin from receiver n's on; returns
+        how many were taken. Each turn appends its case to ``cases`` and
+        the load it set to ``moved`` when those are given, and the D it
+        measured at to ``denoms`` when that is given. With ``seen``, which
+        maps the packed loads after rounds 0, 1, ... up to the current one
+        to their round, the turns start a round: the loads after each round
+        are added to it, and the turns stop after the first round whose
+        loads it already holds.
+
+        Load n's power decides whether its requirement is unmet, met or at
+        the equality band; the probes at x_n + dx and x_n - dx (half x_n
+        when that is not positive) place x_n against its own-power peak,
+        the lower probe only when the upper one does not rise, and the
+        peers' feedback bits are read only when the case depends on them,
+        each as p_k >= req_lo[k] like a traced row's, so the case is the
+        one a fully measured turn takes.
+
+        A probe of load n sums the prefix r_tx + term[0] + ... +
+        term[n - 1], carried from turn to turn, then the probed term and
+        the terms after it. When the load a turn sets is the one a probe
+        sat at, that probe's term, squared factor and sum are those of the
+        new loads, and the turn adopts them; where the box clamped the load
+        or no probe sat there, it sums afresh. All turns run in this one
+        loop, with the constants in locals, and a run's repeat check sits
+        in it too: a call per turn cost most of what carrying D saves, and
+        a call per round still half of it on three receivers.
+        """
+        x, term, num, sq = self.x, self.term, self.num, self.sq
+        r, wh2, coef, p_req = self.r, self.wh2, self.coef, self.p_req
+        x_lo, x_hi, req_lo, req_hi = self.x_lo, self.x_hi, self.req_lo, self.req_hi
+        r_tx, n_rx, peers, pack = self.r_tx, self.n, range(self.n), self.pack
+        denom = self.denom
+        prefix = r_tx
         for t in term[:n]:
             prefix += t
-        denom = prefix
-        for t in term[n:]:
-            denom += t
-        num, sq = self.num, self.sq
-        pn = num[n] / (sq[n] * (denom * denom))
-        self.denom = denom
-        if pn < self.req_lo[n]:
-            unmet = True
-        elif pn > self.req_hi[n]:
-            unmet = False
+        for taken in range(1, count + 1):
+            if denoms is not None:
+                denoms.append(denom)
+            xn = x[n]
+            pn = num[n] / (sq[n] * (denom * denom))
+            if pn < req_lo[n]:
+                unmet = True
+            elif pn > req_hi[n]:
+                unmet = False
+            else:
+                unmet = None
+            case = 5
+            if unmet is not None:
+                # three-point probe of load n's own power, the other loads fixed
+                r_n, wh2_n, coef_n = r[n], wh2[n], coef[n]
+                suffix = term[n + 1 :]
+                p0 = num[n] / (sq[n] * denom * denom)
+                rise = p0 + _PROBE_TOL
+                x_up = xn + dx
+                t_up = wh2_n / (r_n + x_up)
+                d_up = prefix + t_up
+                for t in suffix:
+                    d_up += t
+                sq_up = (r_n + x_up) ** 2
+                up = coef_n * x_up / (sq_up * d_up * d_up)
+                below = up > rise
+                if not below:
+                    x_dn = xn - dx
+                    if x_dn <= 0.0:
+                        x_dn = 0.5 * xn
+                    t_dn = wh2_n / (r_n + x_dn)
+                    d_dn = prefix + t_dn
+                    for t in suffix:
+                        d_dn += t
+                    sq_dn = (r_n + x_dn) ** 2
+                    if coef_n * x_dn / (sq_dn * d_dn * d_dn) > rise:
+                        case = 2 if unmet else 4
+                    # else at the peak: hold
+                elif unmet:
+                    case = 1
+                else:
+                    case = 4
+                if case == 4:
+                    d2 = denom * denom
+                    for k in peers:
+                        if k != n and not num[k] / (sq[k] * d2) >= req_lo[k]:
+                            # a peer is unmet: help it only with more than
+                            # one own step of margin
+                            case = 3 if pn - p_req[n] > abs(up - p0) else 5
+                            break
+                if case != 5:
+                    if case == 1 or case == 3:
+                        # toward the peak, or helping a peer: up
+                        new = min(x_hi[n], x_up)
+                    else:
+                        new = max(x_lo[n], xn - dx)
+                    if new != xn:
+                        # a probe that sat at the new load formed its sums
+                        if new == x_up:
+                            t_new, sq_new, denom = t_up, sq_up, d_up
+                        elif not below and new == x_dn:
+                            t_new, sq_new, denom = t_dn, sq_dn, d_dn
+                        else:  # clamped by the box, or no probe sat there
+                            t_new = wh2_n / (r_n + new)
+                            sq_new = (r_n + new) ** 2
+                            denom = prefix + t_new
+                            for t in suffix:
+                                denom += t
+                        x[n], term[n], num[n], sq[n] = new, t_new, coef_n * new, sq_new
+            if cases is not None:
+                cases.append(case)
+                moved.append(x[n])
+            prefix += term[n]
+            n += 1
+            if n == n_rx:
+                n, prefix = 0, r_tx
+                if seen is not None:
+                    rnd = len(seen)
+                    if seen.setdefault(pack(*x), rnd) < rnd:
+                        break
         else:
-            return 5
-
-        # three-point probe of load n's own power, the other loads fixed
-        xn, r_n, wh2_n, coef_n = self.x[n], self.r[n], self.wh2[n], self.coef[n]
-        suffix = term[n + 1 :]
-        p0 = num[n] / (sq[n] * denom * denom)
-        rise = p0 + _PROBE_TOL
-        x_up = xn + dx
-        d = prefix + wh2_n / (r_n + x_up)
-        for t in suffix:
-            d += t
-        up = coef_n * x_up / ((r_n + x_up) ** 2 * d * d)
-        below = up > rise
-        if not below:
-            x_down = xn - dx
-            if x_down <= 0.0:
-                x_down = 0.5 * xn
-            d = prefix + wh2_n / (r_n + x_down)
-            for t in suffix:
-                d += t
-            if not coef_n * x_down / ((r_n + x_down) ** 2 * d * d) > rise:
-                return 5  # at the peak
-
-        if unmet:
-            # toward the peak
-            if below:
-                self._set(n, min(self.x_hi[n], x_up))
-                return 1
-            self._set(n, max(self.x_lo[n], xn - dx))
-            return 2
-        d2 = denom * denom
-        req_lo = self.req_lo
-        for k in range(self.n):
-            if k != n and not num[k] / (sq[k] * d2) >= req_lo[k]:
-                # a peer is unmet: help it only with more than one own
-                # step of margin
-                if pn - self.p_req[n] > abs(up - p0):
-                    self._set(n, min(self.x_hi[n], x_up))
-                    return 3
-                return 5
-        self._set(n, max(self.x_lo[n], xn - dx))
-        return 4
+            taken = count  # also when count is 0
+        self.denom = denom
+        return taken
 
     def advance(self, turns: int, dx: float) -> tuple[float, float]:
-        """Run ``turns`` turns from the start of a round; returns the least
-        and greatest p_tx measured."""
-        n_rx, half_v2 = self.n, self.half_v2
-        lo, hi = math.inf, -math.inf
-        for i in range(turns):
-            self.turn(i % n_rx, dx)
-            p_tx = half_v2 / self.denom
-            lo, hi = min(lo, p_tx), max(hi, p_tx)
-        return lo, hi
+        """Run ``turns`` (at least one) turns from the start of a round;
+        returns the least and greatest p_tx measured."""
+        denoms = []
+        self.turns(0, turns, dx, denoms=denoms)
+        p_tx = [self.half_v2 / d for d in denoms]
+        return min(p_tx), max(p_tx)
 
 
 def _power_resolution(
@@ -337,7 +399,7 @@ def _rebuild_rows(log: _TurnLog, a: int, b: int) -> np.ndarray:
     ``moved[i]``; it measured at the loads before it, where load k holds
     the value of k's previous turn: one round back in ``moved``, or x0.
     Each load's denominator term, numerator and squared factor are formed
-    once per value it took, with ``_Loads._set``'s expressions: numpy's
+    once per value it took, with the expressions ``_Loads`` uses: numpy's
     +, * and / round as the float operations do, but its square does not
     always round as CPython's ``**``, which the turn uses, so the squares
     go through ``**``. Every denominator is summed from r_tx over the
@@ -394,45 +456,36 @@ def run_distributed(
     the rest of the budget is filled from the cycle instead of simulated;
     trace and final state are those of simulating every iteration.
     """
-    if not dx > 0.0:
-        raise ValidationError("dx must be > 0")
+    if not 0.0 < dx < math.inf:
+        raise ValidationError("dx must be > 0 and finite")
     if itr_max < 1:
         raise ValidationError("itr_max must be >= 1")
     x0 = solo_peak_loads(sys)
     loads = _Loads(sys, list(x0))
-    x, turn, n_rx = loads.x, loads.turn, loads.n
+    x, n_rx = loads.x, loads.n
 
     # a traced turn keeps its case and the load it set, packed: the turn log
     cases, moved = bytearray(), array("d")
+    log = (cases, moved) if record_trace else ()
     # the loads after each round, mapped to the first round that ended
-    # there; packed, they take ~15% less memory than tuples at equal speed,
-    # and equal bytes are equal loads because loads are finite and > 0
-    pack = struct.Struct(f"{n_rx}d").pack
-    seen = {pack(*x): 0}
+    # there; packed, they take ~15% less memory than tuples at equal speed
+    seen = {loads.pack(*x): 0}
+    taken = loads.turns(0, itr_max, dx, *log, seen=seen)
+    # the turns stop early only at the end of a round whose loads recur
+    rnd, mid_round = divmod(taken, n_rx)
+    mu = rnd if mid_round else seen[loads.pack(*x)]
     cycle_fields = {}
-    for itr in range(itr_max):
-        n = itr % n_rx
-        case = turn(n, dx)
-        if record_trace:
-            cases.append(case)
-            moved.append(x[n])
-        if n < n_rx - 1:
-            continue
-        rnd = (itr + 1) // n_rx
-        mu = seen.setdefault(pack(*x), rnd)
-        if mu < rnd:
-            period = (rnd - mu) * n_rx
-            cycle_fields = {
-                "cycle_period": period,
-                "cycle_start": _cycle_start(seen, mu, n_rx),
-                # one period on from here, which returns to the same loads
-                "cycle_p_tx": loads.advance(period, dx),
-            }
-            loads.advance((itr_max - itr - 1) % period, dx)
-            break
+    if mu < rnd:
+        period = (rnd - mu) * n_rx
+        cycle_fields = {
+            "cycle_period": period,
+            "cycle_start": _cycle_start(seen, mu, n_rx),
+            # one period on from here, which returns to the same loads
+            "cycle_p_tx": loads.advance(period, dx),
+        }
+        loads.turns(0, (itr_max - taken) % period, dx)
 
-    denom = loads.denominator()
-    p_tx, p = loads.half_v2 / denom, loads.powers(denom)
+    p_tx, p = loads.half_v2 / loads.denom, loads.powers(loads.denom)
     slack = _power_resolution(sys, x, p, dx)
     feasible = all(p[k] >= sys.p_req[k] - slack[k] for k in range(n_rx))
     return DistributedRun(

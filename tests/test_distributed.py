@@ -5,6 +5,7 @@ import hashlib
 import io
 import struct
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from mrcwpt.distributed import (
 )
 
 from conftest import bench_system, random_loads, random_system
-from distributed_reference import feedback, measured
+from distributed_reference import ReferenceLoads, feedback, measured
 
 
 class TestInit:
@@ -99,6 +100,14 @@ class TestProbeDirection:
         for dx in (0.0, -1e-3, float("nan")):
             with pytest.raises(ValidationError, match="dx must be > 0"):
                 run_distributed(bench3, dx=dx, itr_max=10)
+
+    def test_requires_finite_step(self, bench3):
+        # inf passes a bare dx > 0 check: its probes sit at an infinite
+        # load, and the final-state slack divides inf by inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                run_distributed(bench3, dx=float("inf"), itr_max=10)
 
     @pytest.mark.parametrize("x", [
         [float("inf"), 5.0, 5.0], [5.0, float("nan"), 5.0], [5.0, 5.0],
@@ -312,10 +321,10 @@ class TestRun:
 
 
 def _step_loop(config, itr_max, dx=1e-3):
-    """Trace rows of a plain loop of turns on one ``_Loads``, each measured
+    """Trace rows of a plain loop of the reference turn, each measured
     before its turn, with no cycle detection, one row past the budget: that
     row's powers are the ones measured at the final loads."""
-    loads = _Loads(config, solo_peak_loads(config))
+    loads = ReferenceLoads(config, solo_peak_loads(config))
     n = config.n_receivers
     rows = np.empty((itr_max + 1, 3 + 3 * n + 1))
     for i in range(itr_max + 1):
@@ -511,6 +520,87 @@ class TestCycleDetection:
         assert cycled == [True, False, True]
 
 
+def _reference_cycle(config, rows):
+    """(cycle_period, cycle_start, cycle_p_tx) of a plain run's ``rows``:
+    the first end-of-round loads that recur, the first row from which every
+    row equals the one a period later (up to itr), and the least and
+    greatest p_tx on one period."""
+    n = config.n_receivers
+    x_ends = [tuple(solo_peak_loads(config))] + [tuple(row[3 : 3 + n]) for row in rows[n - 1 :: n]]
+    seen = {}
+    for rnd, loads in enumerate(x_ends):
+        mu = seen.setdefault(loads, rnd)
+        if mu < rnd:
+            period = (rnd - mu) * n
+            first = mu * n
+            while first > 0 and np.array_equal(rows[first - 1, 1:], rows[first - 1 + period, 1:]):
+                first -= 1
+            on_cycle = rows[first : first + period, 3 + 2 * n]
+            return period, first + 1, (on_cycle.min(), on_cycle.max())
+    return None, None, None
+
+
+class TestReferenceTurn:
+    """Runs against a plain loop of ``ReferenceLoads.turn``, which re-sums
+    every denominator and shares no code with the loop of turns that
+    carries it."""
+
+    def test_runs_match_the_reference_turn(self):
+        rng = np.random.default_rng(2024)
+        seen = dict.fromkeys(["x_lo", "x_hi", "half", "cycled", "open"], 0)
+        for n in range(1, 7):
+            for dx in (1e-3, 0.05, 5.0):
+                for tight in (False, True):
+                    config = random_system(rng, n=n)
+                    if tight:
+                        # boxes a fraction of a decade wide around the
+                        # solo peaks: turns clamp at both bounds
+                        wide = replace(config, x_lo=(1e-9,) * n, x_hi=(1e12,) * n)
+                        peak = np.array(solo_peak_loads(wide))
+                        config = replace(
+                            config,
+                            x_lo=tuple(peak / 10 ** rng.uniform(0.02, 0.3, n)),
+                            x_hi=tuple(peak * 10 ** rng.uniform(0.02, 0.3, n)),
+                        )
+                    rows = _step_loop(config, 2_003, dx)
+                    for itr_max in (1, 7, 2_003):
+                        self.check(config, dx, itr_max, rows)
+                    self.count(seen, config, dx, rows[:2_003])
+        # clamps at both bounds, lower probes at half the load, and runs
+        # that repeat and that do not
+        assert min(seen.values()) > 0, seen
+
+    @staticmethod
+    def check(config, dx, itr_max, rows):
+        n = config.n_receivers
+        x = tuple(rows[itr_max - 1, 3 : 3 + n])
+        p = list(rows[itr_max, 3 + n : 3 + 2 * n])
+        slack = _power_resolution(config, list(x), p, dx)
+        feasible = all(p[k] >= config.p_req[k] - slack[k] for k in range(n))
+        cycle = _reference_cycle(config, rows[:itr_max])
+        for record_trace in (True, False):
+            run = run_distributed(config, dx=dx, itr_max=itr_max, record_trace=record_trace)
+            expected = rows[:itr_max] if record_trace else rows[:0]
+            assert np.array_equal(run.trace, expected)
+            assert run.x == x and run.p == tuple(p)
+            assert run.p_tx == rows[itr_max, 3 + 2 * n]
+            assert run.feasible is feasible
+            assert _cycle_fields(run) == cycle
+
+    @staticmethod
+    def count(seen, config, dx, rows):
+        n = config.n_receivers
+        before = np.vstack([solo_peak_loads(config), rows[:-1, 3 : 3 + n]])
+        for i, row in enumerate(rows):
+            k, case = i % n, int(row[2])
+            xk = before[i, k]
+            seen["x_lo"] += int(case in (2, 4) and xk - dx < config.x_lo[k] < xk)
+            seen["x_hi"] += int(case in (1, 3) and xk < config.x_hi[k] < xk + dx)
+            seen["half"] += int(case == 2 and xk - dx <= 0.0)
+        cycled = _reference_cycle(config, rows)[0] is not None
+        seen["cycled" if cycled else "open"] += 1
+
+
 def _oracle_slack(config, x, dx):
     """The final-state slack of every receiver from the mesh equations: its
     larger own +-dx change (the lower load at least half the load) plus
@@ -562,9 +652,10 @@ def _pinned_random_n5():
 
 class TestPinnedRuns:
     """Whole runs pinned by sha256 digests recorded from an earlier
-    implementation of the turn. The step-loop references above share
-    ``_Loads.turn`` with ``run_distributed``, so only these catch a change
-    in the shared arithmetic: every float must stay bit-identical."""
+    implementation of the turn. The step-loop references above take the
+    turn from ``distributed_reference``, which keeps an earlier copy of
+    it; these digests also catch a change that moves both: every float
+    must stay bit-identical."""
 
     @pytest.mark.parametrize(
         "system, record_trace, shape, rows_sha, state_sha, feasible, cycle",
