@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import shutil
 import sys as _sys
 import warnings
 from dataclasses import replace
@@ -343,32 +345,38 @@ def _cmd_estimate_h(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="mrcwpt", description=__doc__)
+    # argparse makes a HelpFormatter per argument, each probing the terminal
+    # for its width; probe once, for the width HelpFormatter takes itself
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="mrcwpt", description=__doc__, formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
 
-    p = sub.add_parser("analyze", help="steady state, thresholds, sweeps")
+    p = add_parser("analyze", help="steady state, thresholds, sweeps")
     p.add_argument("scenario")
     p.add_argument("--sweep", help="x_<k>=a:b:step or w=a:b:step")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("optimize", help="centralized minimum-power control")
+    p = add_parser("optimize", help="centralized minimum-power control")
     p.add_argument("scenario")
     p.add_argument("--sweep", help="p_req_<k>=a:b:step")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("distributed", help="one-bit-feedback control simulation")
+    p = add_parser("distributed", help="one-bit-feedback control simulation")
     p.add_argument("scenario")
     p.add_argument("--out", help="write the iteration trace CSV here")
     p.set_defaults(func=_cmd_distributed)
 
-    p = sub.add_parser("timeshare", help="alternating time-slot optimization")
+    p = add_parser("timeshare", help="alternating time-slot optimization")
     p.add_argument("scenario")
     p.add_argument("--out", help="write the schedule CSV here")
     p.set_defaults(func=_cmd_timeshare)
 
-    p = sub.add_parser("region", help="achievable power region sampling")
+    p = add_parser("region", help="achievable power region sampling")
     p.add_argument("scenario")
     p.add_argument("--with-ts", action="store_true", help="time-shared region")
     p.add_argument("--mask", help="keep only these receivers, e.g. 110")
@@ -376,7 +384,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("estimate-h", help="coupling from a power measurement")
+    p = add_parser("estimate-h", help="coupling from a power measurement")
     p.add_argument("scenario")
     p.add_argument("--receiver", type=int, required=True)
     p.add_argument("--ptx", type=float, required=True,

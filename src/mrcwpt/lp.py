@@ -4,12 +4,25 @@ Solves  min c.x  s.t.  sum(x) <= budget,  a_ge x >= b_ge,  x >= 0,  the
 one program time sharing poses: x holds the slot durations, the first row
 is the horizon and each further row a load's average-power requirement.
 Bland's rule is used for both the entering and leaving choices, which
-guarantees termination on degenerate instances. Sized for a handful of
-rows and at most a few dozen columns.
+guarantees termination on degenerate instances (Bland 1977, Math. Oper.
+Res. 2:103-107). Sized for a handful of rows and at most a few dozen
+columns.
+
+The tableau is a list of rows of plain Python floats: at this size, array
+overhead would cost more than the arithmetic. A pivot divides the pivot
+row by its pivot and forms every other row with a nonzero entry in the
+pivot column as ``u - f * v``, the two roundings of an array's ``-=`` of a
+product, so the pivots and their bits are those of the numpy tableau the
+solver used before (kept in ``tests/lp_reference.py``). The artificial
+columns are dropped after phase one, where they end zeroed; phase two
+never reads them. The objective is still ``np.dot(c, x)``: with OpenBLAS
+that dot rounds differently from a plain Python sum.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,32 +40,33 @@ class LpSolution:
     objective: float | None
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    basis[row] = col
+def _pivot(rows, basis, r, col):
+    p = rows[r][col]
+    pivot_row = rows[r] = [u / p for u in rows[r]]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if i != r and abs(f) > 0.0:
+            rows[i] = [u - f * v for u, v in zip(row, pivot_row)]
+    basis[r] = col
 
 
-def _simplex(tableau, basis, n_cols):
+def _simplex(rows, basis, n_cols):
     """Run simplex on a tableau whose last row is the (negated) objective."""
-    m = tableau.shape[0] - 1
+    m = len(rows) - 1
+    below = -_PIVOT_TOL
     while True:
-        cost = tableau[-1, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if cost[j] < -_PIVOT_TOL:
-                entering = j
+        cost = rows[-1]
+        for entering in range(n_cols):
+            if cost[entering] < below:
                 break
-        if entering < 0:
+        else:
             return
         leaving = -1
-        best = np.inf
+        best = math.inf
         for i in range(m):
-            a = tableau[i, entering]
+            a = rows[i][entering]
             if a > _PIVOT_TOL:
-                ratio = tableau[i, -1] / a
+                ratio = rows[i][-1] / a
                 if ratio < best - 1e-15 or (
                     abs(ratio - best) <= 1e-15
                     and (leaving < 0 or basis[i] < basis[leaving])
@@ -61,12 +75,14 @@ def _simplex(tableau, basis, n_cols):
                     leaving = i
         if leaving < 0:
             raise ArithmeticError("linear program is unbounded")
-        _pivot(tableau, basis, leaving, entering)
+        _pivot(rows, basis, leaving, entering)
 
 
 def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
     """Minimize ``c @ x`` over ``x >= 0`` with ``sum(x) <= budget`` and
-    ``a_ge @ x >= b_ge``; ``budget`` and ``b_ge`` must be nonnegative.
+    ``a_ge @ x >= b_ge``; every input must be finite, ``budget`` and
+    ``b_ge`` nonnegative, and ``a_ge`` one row of ``len(c)`` per entry of
+    ``b_ge``.
 
     The tableau's rows are the horizon, then the requirement rows; its
     columns are x, one slack per row (+1 on the horizon, -1 on each
@@ -74,63 +90,70 @@ def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
     """
     c = np.asarray(c, dtype=float)
     budget = float(budget)
-    b_ge = np.asarray(b_ge, dtype=float).reshape(-1)
-    if not budget >= 0.0 or not np.all(b_ge >= 0.0):
-        raise ValidationError("budget and requirements must be >= 0")
+    b_ge = np.asarray(b_ge, dtype=float).reshape(-1).tolist()
+    if not (0.0 <= budget < math.inf and all(0.0 <= v < math.inf for v in b_ge)):
+        raise ValidationError("budget and requirements must be finite and >= 0")
+    cost_x = c.tolist()
+    if c.ndim != 1 or not all(map(math.isfinite, cost_x)):
+        raise ValidationError("objective coefficients must be a finite vector")
     n = len(c)
     k = len(b_ge)
+    try:
+        a_ge = np.asarray(a_ge, dtype=float)
+    except ValueError:
+        raise ValidationError(f"requirement matrix must be {k} x {n}") from None
+    if a_ge.shape != (k, n):
+        raise ValidationError(f"requirement matrix must be {k} x {n}, not {a_ge.shape}")
+    a_ge = a_ge.tolist()
+    if not all(map(math.isfinite, itertools.chain.from_iterable(a_ge))):
+        raise ValidationError("requirement matrix must be finite")
     m = k + 1
     total = n + m + k
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[0, : n + 1] = 1.0
-    tableau[0, -1] = budget
-    tableau[1:m, :n] = np.asarray(a_ge, dtype=float).reshape(k, n)
-    tableau[1:m, -1] = b_ge
+    rows = [[1.0] * (n + 1) + [0.0] * (total - n - 1) + [budget]]
+    for j, (coef, req) in enumerate(zip(a_ge, b_ge)):
+        row = coef + [0.0] * (total - n) + [req]
+        row[n + 1 + j] = -1.0
+        row[n + m + j] = 1.0
+        rows.append(row)
     # the horizon's slack starts basic, each requirement's artificial too
     basis = [n] + [n + m + j for j in range(k)]
-    for j in range(k):
-        tableau[1 + j, n + 1 + j] = -1.0
-        tableau[1 + j, n + m + j] = 1.0
 
     if k:
         # phase one: minimize the sum of artificials
-        rhs_max = max(1.0, budget, float(b_ge.max()))
-        tableau[-1, n + m : total] = 1.0
-        for i in range(1, m):
-            tableau[-1] -= tableau[i]
-        _simplex(tableau, basis, total)
-        phase1 = -tableau[-1, -1]
+        rhs_max = max(1.0, budget, max(b_ge))
+        cost = [0.0] * (n + m) + [1.0] * k + [0.0]
+        for row in rows[1:]:
+            cost = [u - v for u, v in zip(cost, row)]
+        rows.append(cost)
+        _simplex(rows, basis, total)
+        phase1 = -rows[-1][-1]
         if phase1 > _FEAS_TOL * rhs_max:
             return LpSolution(status="infeasible", x=None, objective=None)
         # drive any artificial still basic out of the basis
         for i in range(m):
             if basis[i] >= n + m:
-                pivot_col = -1
+                row = rows[i]
                 for j in range(n + m):
-                    if abs(tableau[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
+                    if abs(row[j]) > _PIVOT_TOL:
+                        _pivot(rows, basis, i, j)
                         break
-                if pivot_col >= 0:
-                    _pivot(tableau, basis, i, pivot_col)
-        tableau[:, n + m : total] = 0.0
+        rows = [row[: n + m] + row[-1:] for row in rows[:m]]
 
     # phase two: restore the real objective expressed in the current basis
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = c
+    cost = cost_x + [0.0] * (m + 1)
     for i in range(m):
-        if basis[i] < n + m and abs(tableau[-1, basis[i]]) > 0.0:
-            tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-    _simplex(tableau, basis, n + m)
+        if basis[i] < n + m:
+            f = cost[basis[i]]
+            if abs(f) > 0.0:
+                cost = [u - f * v for u, v in zip(cost, rows[i])]
+    rows.append(cost)
+    _simplex(rows, basis, n + m)
 
     # every right-hand side stays >= 0 in exact arithmetic; roundoff on
     # degenerate vertices can leave one a few ulps below zero
-    x = np.zeros(n + m)
+    x = [0.0] * (n + m)
     for i in range(m):
         if basis[i] < n + m:
-            x[basis[i]] = max(tableau[i, -1], 0.0)
-    solution = x[:n]
-    return LpSolution(
-        status="optimal",
-        x=tuple(float(v) for v in solution),
-        objective=float(c @ solution),
-    )
+            x[basis[i]] = max(rows[i][-1], 0.0)
+    x = x[:n]
+    return LpSolution(status="optimal", x=tuple(x), objective=float(np.dot(c, x)))

@@ -127,6 +127,15 @@ def solve_config_subproblem(
     return optimize_loads(prob)
 
 
+def _left_sum(values) -> float:
+    """Sum left to right with one rounding per addition (from Python 3.12
+    the builtin ``sum`` of floats compensates, which moves the last bits)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _no_worse(new: float, old: float) -> bool:
     """Whether a proposed drawn power may replace the current one."""
     return new <= old * (1.0 + 1e-12) + 1e-15
@@ -154,6 +163,13 @@ def optimize_schedule(
     ``_MAX_OUTER`` rounds. The objective trace is nonincreasing: an update
     is only accepted when it does not worsen the exact objective, and an
     infeasible subproblem leaves its slot's loads unchanged.
+
+    Each round forms every slot's share of each load's average power,
+    ``b[n][j] * tau_j / tau_total``, once, as plain floats; a slot's
+    subproblem sees the sum of its row's other shares, taken left to right,
+    and an accepted solve rewrites that slot's shares. A slot of at most
+    1e-12 of the horizon is not re-solved, but its shares still count in
+    the other slots' sums.
 
     Raises InfeasibleProblemError when even the no-time-sharing problem has
     no solution (time sharing can only enlarge the feasible set).
@@ -186,14 +202,15 @@ def optimize_schedule(
         ):
             tau = lp_tau
 
+        # share[n][j]: the average power load n collects in slot j
+        durations = tau.tolist()
+        share = [[p * t / tau_total for p, t in zip(row, durations)] for row in b.tolist()]
         for q, sw in enumerate(configs):
-            if tau[q] <= 1e-12 * tau_total:
+            if durations[q] <= 1e-12 * tau_total:
                 continue
             # average power each load collects from the other slots
-            others = b * tau / tau_total
-            others[:, q] = 0.0
-            p_others = [float(sum(row)) for row in others]
-            sol = solve_config_subproblem(sys, sw, float(tau[q]), tau_total, p_others, p_req)
+            p_others = [_left_sum(row[:q] + row[q + 1:]) for row in share]
+            sol = solve_config_subproblem(sys, sw, durations[q], tau_total, p_others, p_req)
             if sol.status is SolveStatus.INFEASIBLE:
                 failures += 1
             elif _no_worse(sol.p_tx, a[q]):
@@ -201,6 +218,8 @@ def optimize_schedule(
                 x[q] = sol.x
                 a[q] = sol.p_tx
                 b[:, q] = sol.p
+                for row, p in zip(share, sol.p):
+                    row[q] = p * durations[q] / tau_total
 
         p_itr = float(a @ tau) / tau_total
         trace.append(p_itr)

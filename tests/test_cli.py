@@ -2,6 +2,7 @@
 
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrcwpt import _csvfmt
+from mrcwpt import _csvfmt, cli
 from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -525,6 +526,55 @@ class TestEstimateH:
             "estimate-h", "three_receivers",
             "--receiver", "1", "--ptx", "1e6", "--direction", "1",
         ) == EXIT_INVALID
+
+
+_COMMANDS = ("analyze", "optimize", "distributed", "timeshare", "region", "estimate-h")
+
+
+class TestHelpText:
+    """The parser probes the terminal once and hands that width to every
+    help formatter; its text must be what argparse's own formatter, which
+    probes for itself, prints."""
+
+    @staticmethod
+    def _printed(capsys):
+        printed = []
+        for argv in ([["--help"], ["--bogus"]] + [[c, "--help"] for c in _COMMANDS]
+                     + [[c, "--bogus"] for c in _COMMANDS]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            printed.append((argv, code, captured.out, captured.err))
+        return printed
+
+    def test_same_text_as_the_default_formatter(self, monkeypatch, capsys):
+        class DefaultFormatterParser(cli._Parser):
+            def __init__(self, *args, formatter_class=None, **kwargs):
+                super().__init__(*args, **kwargs)
+
+        by_width = []
+        for columns in ("50", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            printed = self._printed(capsys)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_Parser", DefaultFormatterParser)
+                assert self._printed(capsys) == printed
+            by_width.append(printed)
+        assert by_width[0] != by_width[1]
+
+    def test_one_terminal_probe_per_call(self, monkeypatch, capsys):
+        probes = []
+        probe = shutil.get_terminal_size
+
+        def counted(*args, **kwargs):
+            probes.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counted)
+        assert run_cli("optimize", "three_receivers") == EXIT_OK
+        assert len(probes) == 1
 
 
 class TestExitCodes:

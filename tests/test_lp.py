@@ -1,12 +1,15 @@
 """Simplex solver checked against brute-force vertex enumeration."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from mrcwpt.errors import ValidationError
 from mrcwpt.lp import solve_lp
+
+import lp_reference
 
 
 def vertex_oracle(c, budget, a_ge, b_ge):
@@ -118,3 +121,70 @@ def test_infeasible_budget():
 def test_negative_budget_or_requirement_rejected(budget, b_ge):
     with pytest.raises(ValidationError, match=">= 0"):
         solve_lp([1.0], budget, [[1.0]], b_ge)
+
+
+@pytest.mark.parametrize(
+    "c, budget, a_ge, b_ge",
+    [
+        ([float("nan"), 1.0], 1.0, [[1.0, 1.0]], [0.5]),
+        ([float("inf"), 1.0], 1.0, [[1.0, 1.0]], [0.5]),
+        ([1.0, 1.0], 1.0, [[float("nan"), 1.0]], [0.5]),
+        ([1.0, 1.0], 1.0, [[1.0, -float("inf")]], [0.5]),
+        ([1.0, 1.0], 1.0, [[1.0, 1.0]], [float("inf")]),
+        ([1.0, 1.0], float("inf"), [[1.0, 1.0]], [0.5]),
+    ],
+    ids=["nan-cost", "inf-cost", "nan-matrix", "inf-matrix", "inf-requirement", "inf-budget"],
+)
+def test_non_finite_input_rejected(c, budget, a_ge, b_ge):
+    with pytest.raises(ValidationError, match="finite"):
+        solve_lp(c, budget, a_ge, b_ge)
+
+
+@pytest.mark.parametrize(
+    "a_ge",
+    [[[1.0, 1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [[1.0, 1.0], [1.0]], np.zeros((0, 2))],
+    ids=["extra-column", "extra-row", "flat", "ragged", "no-rows"],
+)
+def test_requirement_matrix_of_the_wrong_shape_rejected(a_ge):
+    with pytest.raises(ValidationError, match="1 x 2"):
+        solve_lp([1.0, 1.0], 1.0, a_ge, [0.5])
+
+
+def _bits(sol):
+    """status, x and objective as little-endian doubles."""
+    x = None if sol.x is None else struct.pack(f"<{len(sol.x)}d", *sol.x)
+    objective = None if sol.objective is None else struct.pack("<d", sol.objective)
+    return sol.status, x, objective
+
+
+def test_same_bits_as_the_numpy_tableau():
+    # the random and the degenerate draws above, through the plain-float
+    # solver and the numpy tableau it replaced (tests/lp_reference.py)
+    rng = np.random.default_rng(25)
+    statuses = set()
+    for _ in range(1500):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(0, 4))
+        c = rng.uniform(0.1, 2, n)
+        budget = rng.uniform(0.5, 3)
+        a_ge = rng.uniform(0, 2, (k, n))
+        b_ge = rng.uniform(0.1, 1.5, k) * budget
+        sol = solve_lp(c, budget, a_ge, b_ge)
+        assert _bits(sol) == _bits(lp_reference.solve_lp(c, budget, a_ge, b_ge))
+        statuses.add(sol.status)
+    for _ in range(1500):
+        n = int(rng.integers(2, 16))
+        m_ge = int(rng.integers(1, 5))
+        cost = rng.uniform(0.1, 2.0, n)
+        powers = rng.uniform(0.0, 2.0, (m_ge, n)) * (rng.uniform(size=(m_ge, n)) < 0.7)
+        if rng.uniform() < 0.5:
+            src, dst = rng.choice(n, 2, replace=False)
+            scale = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.5, 2.0)
+            cost[dst] = scale * cost[src]
+            powers[:, dst] = scale * powers[:, src]
+        mix = np.zeros(n)
+        mix[rng.choice(n, 2, replace=False)] = rng.dirichlet([1.0, 1.0])
+        req = powers @ mix
+        assert _bits(solve_lp(cost, 1.0, powers, req)) == _bits(
+            lp_reference.solve_lp(cost, 1.0, powers, req))
+    assert statuses == {"optimal", "infeasible"}

@@ -1,8 +1,10 @@
 """Time-sharing: configurations, averages, the duration LP, alternating loop."""
 
 import hashlib
+import runpy
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,14 @@ from mrcwpt import (
     optimize_schedule,
     parse_scenario,
     schedule_to_csv,
+    serialize_scenario,
     solve_closed_form,
     solve_config_subproblem,
 )
 from mrcwpt import timeshare
 
+import lp_reference
+import timeshare_reference
 from conftest import bench_system, random_system
 
 
@@ -460,3 +465,61 @@ class TestPinnedSchedules:
         assert result.subproblem_failures == failures
         assert result.p_tx == result.p_tx_trace[-1]
         assert hashlib.sha256(struct.pack(f"<{len(values)}d", *values)).hexdigest() == sha
+
+
+def _schedule_bits(result):
+    """tau, x and p_tx_trace as little-endian doubles, with the counts."""
+    sched = result.schedule
+    values = [*sched.tau, *(v for row in sched.x for v in row), *result.p_tx_trace]
+    return (struct.pack(f"<{len(values)}d", *values), result.iterations,
+            result.subproblem_failures)
+
+
+def _benchmark_schedule_system(name, folder):
+    """One of the six systems the benchmark's ``schedule`` workload solves,
+    read back from its scenario file as the benchmark reads it."""
+    if name == "two":
+        config, options = parse_scenario("two_receivers")
+    elif name.startswith("three_p"):
+        config, options = parse_scenario("three_receivers")
+        config = replace(config, p_req=config.p_req[:2] + (float(name[7:]),))
+    else:
+        workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "workloads.py"))
+        gen = workloads["generated_system"](workloads["SYSTEMS_SEED"], 4, int(name[-1]))
+        config, options = gen.config, gen.options
+    path = folder / f"{name}.scn"
+    path.write_text(serialize_scenario(config, options), encoding="utf-8")
+    return parse_scenario(str(path))[0]
+
+
+class TestScheduleMatchesReference:
+    """The alternation bit for bit against the numpy loop it replaced
+    (``tests/timeshare_reference.py``), and against itself with its slot LP
+    swapped for the numpy tableau (``tests/lp_reference.py``)."""
+
+    @staticmethod
+    def _check(config, monkeypatch):
+        result = optimize_schedule(config, tau_total=1.0, dp_stop=1e-3)
+        with monkeypatch.context() as patch:
+            patch.setattr(timeshare, "solve_lp", lp_reference.solve_lp)
+            on_reference_lp = optimize_schedule(config, tau_total=1.0, dp_stop=1e-3)
+        reference = timeshare_reference.optimize_schedule(config, tau_total=1.0, dp_stop=1e-3)
+        assert _schedule_bits(result) == _schedule_bits(on_reference_lp)
+        assert _schedule_bits(result) == _schedule_bits(reference)
+        return result
+
+    @pytest.mark.parametrize(
+        "name", ["two", "three_p5", "three_p20", "three_p37", "gen_n4_0", "gen_n4_1"])
+    def test_benchmark_systems(self, name, tmp_path, monkeypatch):
+        result = self._check(_benchmark_schedule_system(name, tmp_path), monkeypatch)
+        if name == "three_p37":
+            # slots too short to re-solve, which still count in the others' sums
+            assert sum(0.0 < t <= 1e-12 for t in result.schedule.tau) == 2
+
+    def test_random_systems(self, monkeypatch):
+        failures = 0
+        for seed in range(40):
+            result = self._check(_feasible_random_system(1000 + seed, 1 + seed % 4), monkeypatch)
+            failures += result.subproblem_failures
+        # the draw holds infeasible slot subproblems, which leave their slots alone
+        assert failures > 0

@@ -1,0 +1,115 @@
+"""The time-sharing alternation as it was with numpy slot shares, kept as
+the reference for ``mrcwpt.timeshare.optimize_schedule``.
+
+``optimize_schedule`` below is the loop from before the slot shares moved
+to plain floats: every live slot forms ``b * tau / tau_total`` as an
+array, zeroes its own column and sums each row with the builtin ``sum``
+over numpy scalars, which adds left to right on every Python version.
+Its slot LP is the numpy tableau of ``lp_reference``. The load subproblem,
+the slot matrix and the acceptance test are the package's own, which the
+change to plain floats left alone.
+"""
+
+import numpy as np
+
+from mrcwpt.central import ChargingProblem, SolveStatus, optimize_loads
+from mrcwpt.circuit import SystemConfig, enumerate_configs, solo_peak_loads
+from mrcwpt.errors import InfeasibleProblemError, ValidationError
+from mrcwpt.timeshare import (
+    _MAX_OUTER,
+    ScheduleResult,
+    TimeSharingSchedule,
+    _config_coefficients,
+    _no_worse,
+    solve_config_subproblem,
+)
+
+from lp_reference import solve_lp
+
+
+def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
+    """Slot durations minimizing the average p_tx of slot matrix (a, b),
+    or None if no durations meet every requirement p_req (each > 0)."""
+    sol = solve_lp(a / tau_total, tau_total, b, [r * tau_total for r in p_req])
+    if sol.status != "optimal":
+        return None
+    return np.asarray(sol.x)
+
+
+def optimize_schedule(
+    sys: SystemConfig, tau_total: float = 1.0, dp_stop: float = 1e-3
+) -> ScheduleResult:
+    """Jointly optimize slot durations and per-slot loads.
+
+    Starts from the no-time-sharing optimum in the all-closed slot, then
+    alternates the duration LP with the per-configuration load subproblems
+    until the drawn-power improvement falls to ``dp_stop``, for at most
+    ``_MAX_OUTER`` rounds. The objective trace is nonincreasing: an update
+    is only accepted when it does not worsen the exact objective, and an
+    infeasible subproblem leaves its slot's loads unchanged.
+
+    Raises InfeasibleProblemError when even the no-time-sharing problem has
+    no solution (time sharing can only enlarge the feasible set).
+    """
+    if not tau_total > 0.0:
+        raise ValidationError("tau_total must be > 0")
+    if not dp_stop > 0.0:
+        raise ValidationError("dp_stop must be > 0")
+    base = optimize_loads(ChargingProblem(sys=sys))
+    if base.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleProblemError(
+            "the concurrent (no time sharing) problem is infeasible"
+        )
+
+    configs = enumerate_configs(sys.n_receivers)
+    x = [base.x] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
+    # the slot matrix: a[q] is slot q's p_tx and b[n, q] its p_n, at x[q]
+    a, b = _config_coefficients(sys, configs, x)
+    tau = np.zeros(len(configs))
+    tau[0] = tau_total
+    p_req = sys.p_req
+
+    trace = []
+    failures = 0
+    prev = float("inf")
+    for _ in range(_MAX_OUTER):
+        lp_tau = _slot_lp(a, b, tau_total, p_req)
+        if lp_tau is not None and _no_worse(
+            float(a @ lp_tau) / tau_total, float(a @ tau) / tau_total
+        ):
+            tau = lp_tau
+
+        for q, sw in enumerate(configs):
+            if tau[q] <= 1e-12 * tau_total:
+                continue
+            # average power each load collects from the other slots
+            others = b * tau / tau_total
+            others[:, q] = 0.0
+            p_others = [float(sum(row)) for row in others]
+            sol = solve_config_subproblem(sys, sw, float(tau[q]), tau_total, p_others, p_req)
+            if sol.status is SolveStatus.INFEASIBLE:
+                failures += 1
+            elif _no_worse(sol.p_tx, a[q]):
+                # the solution's powers are slot q's new column, bit for bit
+                x[q] = sol.x
+                a[q] = sol.p_tx
+                b[:, q] = sol.p
+
+        p_itr = float(a @ tau) / tau_total
+        trace.append(p_itr)
+        if prev - p_itr <= dp_stop:
+            break
+        prev = p_itr
+
+    return ScheduleResult(
+        schedule=TimeSharingSchedule(
+            configs=configs,
+            tau=tuple(float(t) for t in tau),
+            x=tuple(x),
+            tau_total=tau_total,
+        ),
+        p_tx=trace[-1],
+        p_tx_trace=tuple(trace),
+        iterations=len(trace),
+        subproblem_failures=failures,
+    )
