@@ -18,13 +18,13 @@ certificate and shadow prices; a brute-force grid oracle bounds the
 optimality gap in tests.
 
 The solve runs on plain Python floats: with one to a few receivers, array
-overhead would cost more than the arithmetic. Each weighted sum sum B_k v_k
-still goes through ``np.dot``, the dot product the array form of the
-reduction used (with OpenBLAS on x86-64 it accumulates by fused
-multiply-adds). A plain Python sum rounds differently: it moves answers in
-their last bits and, through time sharing, changes which slot subproblems
-succeed. ``tests/central_reference.py`` keeps the array form, and the tests
-require the same bits from both.
+overhead would cost more than the arithmetic. Every sum is added left to
+right (``_sums``), so an answer has the same bits on every machine and
+Python version. A BLAS dot product would round by the kernel OpenBLAS picks
+for the CPU, and its last bits decide, through time sharing, which slot
+subproblems succeed. ``tests/central_reference.py`` keeps the array form
+with the same order of summation, and the tests require the same bits from
+both.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._sums import left_dot, left_sum
 from .circuit import SwitchState, SystemConfig, grid_slabs, resonant_powers
 from .errors import NumericalError, ValidationError
 
@@ -119,36 +120,50 @@ def _certificate(b, r, g_lo, g_hi, preq, half_v2, r_tx, g):
     carries all of S, the only choice when a receiver off its box has no lam
     term; or lam_k = (1 - 2 D S) / e_k on every active requirement, which
     gives S = T / w with w = 1 + 2 D T and T = sum preq_k / e_k
-    (Sherman-Morrison). Where w = 0 to rounding no constraint qualification
-    holds: the multipliers are the Fritz John ones (no objective term,
-    2 D S = 1) and lam is +inf. The residual is the worst stationarity row
-    over max B or complementarity product over D. Takes lists of floats,
-    one entry per receiver. Returns the residual and lam.
+    (Sherman-Morrison). Where w = 0 no constraint qualification holds: the
+    multipliers are the Fritz John ones (no objective term, 2 D S = 1) and
+    lam is +inf. On a lower root, e_k = -half_v2 s_k, so w = -phi'(D): w
+    vanishes where phi touches zero at its minimum, the tangency at which
+    the feasible set shrinks to a point. Brent's root there is only as close
+    as phi's rounding delta allows, which leaves |w| up to
+    sqrt(2 phi'' delta), about sqrt(eps) rather than eps. With
+    delta = 16 m eps D (the m products and sums, and each a_k's few
+    roundings) and phi'' = 2 sum (preq_k / |e_k|) (half_v2 / e_k)^2 over the
+    active rows, w counts as 0 within that band plus 16 m eps for its own
+    rounding. The residual is the worst stationarity row over max B or
+    complementarity product over D. Takes lists of floats, one entry per
+    receiver. Returns the residual and lam.
     """
     m = len(g)
-    d = r_tx + sum(bk * gk for bk, gk in zip(b, g))
-    e = [half_v2 * (2.0 * r[k] * g[k] - 1.0) for k in range(m)]
-    slack = [half_v2 * b[k] * (g[k] - r[k] * g[k] ** 2) / d**2 - preq[k] for k in range(m)]
-    gap = [min(g_hi[k] - g[k], g[k] - g_lo[k]) for k in range(m)]
-    # +1 on the top of the box, -1 on its bottom, 0 off it
-    side = [0 if gap[k] > 1e-9 * (g_hi[k] - g_lo[k]) else 1 if 2.0 * g[k] > g_hi[k] + g_lo[k]
-            else -1 for k in range(m)]
-    held = [k for k in range(m) if preq[k] > 0.0 and slack[k] <= 1e-9 * preq[k]]
+    d = r_tx + left_dot(b, g)
+    d2 = d**2
+    e, slack, gap, side, held = [], [], [], [], []
+    for k, (bk, rk, lo, hi, pk, gk) in enumerate(zip(b, r, g_lo, g_hi, preq, g)):
+        sk = half_v2 * bk * (gk - rk * gk ** 2) / d2 - pk
+        gap_k = min(hi - gk, gk - lo)
+        e.append(half_v2 * (2.0 * rk * gk - 1.0))
+        slack.append(sk)
+        gap.append(gap_k)
+        # +1 on the top of the box, -1 on its bottom, 0 off it
+        side.append(0 if gap_k > 1e-9 * (hi - lo) else 1 if 2.0 * gk > hi + lo else -1)
+        if pk > 0.0 and sk <= 1e-9 * pk:
+            held.append(k)
     scale = max(b, default=0.0) or 1.0
 
     def scored(lam, objective):
-        s = sum(lam[k] * preq[k] for k in range(m))
+        base = 2.0 * d * left_dot(lam, preq) - objective
         worst = 0.0
-        for k in range(m):
-            q = b[k] * (2.0 * d * s - objective + lam[k] * e[k])
-            mu = side[k] * max(-side[k] * q, 0.0)
-            worst = max(worst, abs(q + mu) / scale, lam[k] * d * abs(slack[k]),
-                        abs(mu) * gap[k] / d)
+        for bk, lk, ek, sk, gk, sd in zip(b, lam, e, slack, gap, side):
+            q = bk * (base + lk * ek)
+            mu = sd * max(-sd * q, 0.0)
+            worst = max(worst, abs(q + mu) / scale, lk * d * abs(sk), abs(mu) * gk / d)
         return worst, lam, objective
 
     rows = [k for k in held if e[k]]
-    w = 1.0 + 2.0 * d * sum(preq[k] / e[k] for k in rows)
-    objective = 0.0 if abs(w) <= 16 * m * _EPS else 1.0
+    w = 1.0 + 2.0 * d * left_sum(preq[k] / e[k] for k in rows)
+    curvature = 2.0 * left_sum(preq[k] / abs(e[k]) * (half_v2 / e[k]) ** 2 for k in rows)
+    tangent = abs(w) <= 16 * m * _EPS + math.sqrt(32 * m * _EPS * d * curvature)
+    objective = 0.0 if tangent else 1.0
     lam = [0.0] * m
     for k in rows:
         lam[k] = max((1.0 / w if objective else -1.0) / e[k], 0.0)
@@ -167,11 +182,6 @@ def _infeasible() -> CentralSolution:
         x=(), p_tx=float("nan"), p=(), status=SolveStatus.INFEASIBLE,
         kkt_residual=float("nan"), shadow_prices=(),
     )
-
-
-def _dot(u, v) -> float:
-    """sum u_k v_k, formed by numpy's dot (see the module docstring)."""
-    return float(np.dot(u, v))
 
 
 def _brentq(f, lo: float, hi: float) -> float:
@@ -238,6 +248,8 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     Every argument but ``r_tx`` is a list of floats, one per receiver.
     """
     terms = list(zip(c, r, g_lo, g_hi))
+    lower = list(zip(b_coef, c, r, g_lo))
+    upper = list(zip(b_coef, c, r, g_hi))
 
     def intervals(d):  # [a, b] per receiver, and the discriminant's root s
         a, b, s = [], [], []
@@ -249,17 +261,28 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
             s.append(sk)
         return a, b, s
 
+    # psi and phi each form only the interval end they sum, as intervals() does
     def psi(d):
-        return r_tx + _dot(b_coef, intervals(d)[1]) - d
+        total = 0.0
+        for bk, ck, rk, hi in upper:
+            sk = math.sqrt(max(1.0 - 4.0 * rk * (ck * d * d), 0.0))
+            total += bk * min(hi, (1.0 + sk) / (2.0 * rk))
+        return r_tx + total - d
 
     def phi(d):
-        return r_tx + _dot(b_coef, intervals(d)[0]) - d
+        total = 0.0
+        for bk, ck, rk, lo in lower:
+            k = ck * d * d
+            total += bk * max(lo, 2.0 * k / (1.0 + math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))))
+        return r_tx + total - d
 
     def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
         a, _, s = intervals(d)
-        moving = [j for j in range(len(a)) if a[j] > g_lo[j]]
-        slope = [2.0 * c[j] * d / s[j] if s[j] > 0.0 else math.inf for j in moving]
-        return _dot([b_coef[j] for j in moving], slope) - 1.0
+        total = 0.0
+        for j in range(len(a)):
+            if a[j] > g_lo[j]:
+                total += b_coef[j] * (2.0 * c[j] * d / s[j] if s[j] > 0.0 else math.inf)
+        return total - 1.0
 
     # each interval closes where g - r g^2 peaks over the box
     caps = []
@@ -267,8 +290,8 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
         g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
         caps.append(g_peak * (1.0 - rk * g_peak) / ck if ck > 0.0 else math.inf)
     cap = min(caps)
-    d_lo = r_tx + _dot(b_coef, g_lo)
-    d_top = min(r_tx + _dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
+    d_lo = r_tx + left_dot(b_coef, g_lo)
+    d_top = min(r_tx + left_dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
     # even the smallest D is past a cap: some interval is already empty
     if d_top < d_lo or psi(d_lo) < 0.0:
         return None
@@ -286,8 +309,8 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
             return None
         d_top = _brentq(phi, d_min, d_top)
     a, b, _ = intervals(d_top)
-    spread = _dot(b_coef, [bk - ak for ak, bk in zip(a, b)])
-    t = (d_top - r_tx - _dot(b_coef, a)) / spread if spread > 0.0 else 0.0
+    spread = left_dot(b_coef, [bk - ak for ak, bk in zip(a, b)])
+    t = (d_top - r_tx - left_dot(b_coef, a)) / spread if spread > 0.0 else 0.0
     t = min(max(t, 0.0), 1.0)
     return [min(max(ak + t * (bk - ak), lo), hi)
             for ak, bk, lo, hi in zip(a, b, g_lo, g_hi)]
@@ -305,19 +328,22 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     conn = list(sw.connected)
     reqs = prob.requirements
 
-    r = [float(sys.receivers[k].resistance) for k in conn]
-    b_coef = [float((sys.w * sys.h[k]) ** 2) for k in conn]
-    g_lo = [1.0 / (rk + float(sys.x_hi[k])) for rk, k in zip(r, conn)]
-    g_hi = [1.0 / (rk + float(sys.x_lo[k])) for rk, k in zip(r, conn)]
-    preq = [float(max(reqs[k], 0.0)) for k in conn]
     half_v2 = 0.5 * abs(sys.v_tx) ** 2
     r_tx = sys.transmitter.resistance
-
-    # a requirement on a receiver with zero coupling (or no source) can never be met
-    if any(p > 0.0 and half_v2 * bk == 0.0 for p, bk in zip(preq, b_coef)):
-        return _infeasible()
-
-    c = [p / (half_v2 * bk) if p > 0.0 else 0.0 for p, bk in zip(preq, b_coef)]
+    r, b_coef, g_lo, g_hi, preq, c = [], [], [], [], [], []
+    for k in conn:
+        rk = float(sys.receivers[k].resistance)
+        bk = float((sys.w * sys.h[k]) ** 2)
+        pk = float(max(reqs[k], 0.0))
+        # a requirement on a receiver with zero coupling (or no source) can never be met
+        if pk > 0.0 and half_v2 * bk == 0.0:
+            return _infeasible()
+        r.append(rk)
+        b_coef.append(bk)
+        g_lo.append(1.0 / (rk + float(sys.x_hi[k])))
+        g_hi.append(1.0 / (rk + float(sys.x_lo[k])))
+        preq.append(pk)
+        c.append(pk / (half_v2 * bk) if pk > 0.0 else 0.0)
     g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
     if g_opt is None:
         return _infeasible()
@@ -331,7 +357,7 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
 
     # the loads are finite and in the box: only the powers need checking
     p_tx, p, _ = resonant_powers(sys, x_opt, sw.s)
-    if not (math.isfinite(p_tx) and math.isfinite(sum(p))):
+    if not (math.isfinite(p_tx) and math.isfinite(left_sum(p))):
         raise NumericalError("the steady-state powers overflow at these loads")
     for k in conn:
         if reqs[k] > 0.0 and p[k] < reqs[k] - 1e-6 * max(reqs[k], 1.0):

@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._sums import left_sum
 from .coils import TUNING_RTOL, CoilElectrical, tune_capacitor
 from .errors import NoFiniteMaximizerError, NumericalError, ValidationError
 
@@ -323,7 +324,7 @@ def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadySta
         if sw.s[k] else 0j
         for k in range(sys.n_receivers)
     )
-    p_sum = sum(powers)
+    p_sum = left_sum(powers)
     # every power is >= 0, so a finite sum means every power is finite
     if not (math.isfinite(p_tx) and math.isfinite(p_sum)):
         raise NumericalError("the steady-state powers overflow at these loads")
@@ -405,7 +406,7 @@ def solve_linear_oracle(
             currents.append(0j)
             powers.append(0.0)
     p_tx = 0.5 * (sys.v_tx * np.conj(i_tx)).real
-    p_sum = float(sum(powers))
+    p_sum = float(left_sum(powers))
     return SteadyState(
         i_tx=complex(i_tx),
         i=tuple(complex(c) for c in currents),

@@ -15,8 +15,8 @@ pivot column as ``u - f * v``, the two roundings of an array's ``-=`` of a
 product, so the pivots and their bits are those of the numpy tableau the
 solver used before (kept in ``tests/lp_reference.py``). The artificial
 columns are dropped after phase one, where they end zeroed; phase two
-never reads them. The objective is still ``np.dot(c, x)``: with OpenBLAS
-that dot rounds differently from a plain Python sum.
+never reads them. The objective c.x is added left to right, so its bits do
+not depend on the BLAS kernel of the machine.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sums import left_dot
 from .errors import ValidationError
 
 _PIVOT_TOL = 1e-11
@@ -156,4 +157,4 @@ def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
         if basis[i] < n + m:
             x[basis[i]] = max(rows[i][-1], 0.0)
     x = x[:n]
-    return LpSolution(status="optimal", x=tuple(x), objective=float(np.dot(c, x)))
+    return LpSolution(status="optimal", x=tuple(x), objective=left_dot(cost_x, x))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sums import left_dot, left_sum
 from .central import CentralSolution, ChargingProblem, SolveStatus, _infeasible, optimize_loads
 from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers, solo_peak_loads
 from .errors import InfeasibleProblemError, ValidationError
@@ -55,7 +56,7 @@ class TimeSharingSchedule:
             raise ValidationError("tau_total must be > 0")
         if any(t < 0.0 for t in self.tau):
             raise ValidationError("slot durations must be nonnegative")
-        if sum(self.tau) > self.tau_total * (1.0 + 1e-12):
+        if left_sum(self.tau) > self.tau_total * (1.0 + 1e-12):
             raise ValidationError("slot durations exceed the horizon")
 
 
@@ -72,10 +73,9 @@ def average_powers(sys: SystemConfig, sched: TimeSharingSchedule) -> AveragePowe
     source is switched off, drawing no power.
     """
     a, b = _config_coefficients(sys, sched.configs, sched.x)
-    weight = np.asarray(sched.tau) / sched.tau_total
-    # the builtin sum adds slot by slot in slot order; numpy's pairwise sum would not
-    p = sum((weight * b).T)
-    return AveragePowers(p_tx=float(sum(weight * a)), p=tuple(float(v) for v in p))
+    weight = [t / sched.tau_total for t in sched.tau]
+    return AveragePowers(p_tx=left_dot(weight, a.tolist()),
+                         p=tuple(left_dot(weight, row) for row in b.tolist()))
 
 
 def _config_coefficients(sys: SystemConfig, configs: tuple[SwitchState, ...], x_per_config):
@@ -90,13 +90,14 @@ def _config_coefficients(sys: SystemConfig, configs: tuple[SwitchState, ...], x_
     return a, np.array(p)
 
 
-def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
+def _slot_lp(a, b, tau_total: float, p_req) -> list[float] | None:
     """Slot durations minimizing the average p_tx of slot matrix (a, b),
-    or None if no durations meet every requirement p_req (each > 0)."""
-    sol = solve_lp(a / tau_total, tau_total, b, [r * tau_total for r in p_req])
+    or None if no durations meet every requirement p_req (each > 0).
+    ``a`` is a list of floats and ``b`` a list of rows of them."""
+    sol = solve_lp([v / tau_total for v in a], tau_total, b, [r * tau_total for r in p_req])
     if sol.status != "optimal":
         return None
-    return np.asarray(sol.x)
+    return list(sol.x)
 
 
 def solve_config_subproblem(
@@ -127,15 +128,6 @@ def solve_config_subproblem(
     return optimize_loads(prob)
 
 
-def _left_sum(values) -> float:
-    """Sum left to right with one rounding per addition (from Python 3.12
-    the builtin ``sum`` of floats compensates, which moves the last bits)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _no_worse(new: float, old: float) -> bool:
     """Whether a proposed drawn power may replace the current one."""
     return new <= old * (1.0 + 1e-12) + 1e-15
@@ -164,12 +156,13 @@ def optimize_schedule(
     is only accepted when it does not worsen the exact objective, and an
     infeasible subproblem leaves its slot's loads unchanged.
 
-    Each round forms every slot's share of each load's average power,
-    ``b[n][j] * tau_j / tau_total``, once, as plain floats; a slot's
-    subproblem sees the sum of its row's other shares, taken left to right,
-    and an accepted solve rewrites that slot's shares. A slot of at most
-    1e-12 of the horizon is not re-solved, but its shares still count in
-    the other slots' sums.
+    The slot matrix and the durations are plain floats for the whole run,
+    and every sum over slots is taken left to right. Each round forms every
+    slot's share of each load's average power, ``b[n][j] * tau_j /
+    tau_total``, once; a slot's subproblem sees the sum of its row's other
+    shares, and an accepted solve rewrites that slot's shares. A slot of at
+    most 1e-12 of the horizon is not re-solved, but its shares still count
+    in the other slots' sums.
 
     Raises InfeasibleProblemError when even the no-time-sharing problem has
     no solution (time sharing can only enlarge the feasible set).
@@ -186,10 +179,9 @@ def optimize_schedule(
 
     configs = enumerate_configs(sys.n_receivers)
     x = [base.x] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
-    # the slot matrix: a[q] is slot q's p_tx and b[n, q] its p_n, at x[q]
-    a, b = _config_coefficients(sys, configs, x)
-    tau = np.zeros(len(configs))
-    tau[0] = tau_total
+    # the slot matrix: a[q] is slot q's p_tx and b[n][q] its p_n, at x[q]
+    a, b = (v.tolist() for v in _config_coefficients(sys, configs, x))
+    tau = [tau_total] + [0.0] * (len(configs) - 1)
     p_req = sys.p_req
 
     trace = []
@@ -198,30 +190,29 @@ def optimize_schedule(
     for _ in range(_MAX_OUTER):
         lp_tau = _slot_lp(a, b, tau_total, p_req)
         if lp_tau is not None and _no_worse(
-            float(a @ lp_tau) / tau_total, float(a @ tau) / tau_total
+            left_dot(a, lp_tau) / tau_total, left_dot(a, tau) / tau_total
         ):
             tau = lp_tau
 
         # share[n][j]: the average power load n collects in slot j
-        durations = tau.tolist()
-        share = [[p * t / tau_total for p, t in zip(row, durations)] for row in b.tolist()]
+        share = [[p * t / tau_total for p, t in zip(row, tau)] for row in b]
         for q, sw in enumerate(configs):
-            if durations[q] <= 1e-12 * tau_total:
+            if tau[q] <= 1e-12 * tau_total:
                 continue
             # average power each load collects from the other slots
-            p_others = [_left_sum(row[:q] + row[q + 1:]) for row in share]
-            sol = solve_config_subproblem(sys, sw, durations[q], tau_total, p_others, p_req)
+            p_others = [left_sum(row[:q] + row[q + 1:]) for row in share]
+            sol = solve_config_subproblem(sys, sw, tau[q], tau_total, p_others, p_req)
             if sol.status is SolveStatus.INFEASIBLE:
                 failures += 1
             elif _no_worse(sol.p_tx, a[q]):
                 # the solution's powers are slot q's new column, bit for bit
                 x[q] = sol.x
-                a[q] = sol.p_tx
-                b[:, q] = sol.p
-                for row, p in zip(share, sol.p):
-                    row[q] = p * durations[q] / tau_total
+                a[q] = float(sol.p_tx)
+                for row, b_row, p in zip(share, b, map(float, sol.p)):
+                    b_row[q] = p
+                    row[q] = p * tau[q] / tau_total
 
-        p_itr = float(a @ tau) / tau_total
+        p_itr = left_dot(a, tau) / tau_total
         trace.append(p_itr)
         if prev - p_itr <= dp_stop:
             break
@@ -230,7 +221,7 @@ def optimize_schedule(
     return ScheduleResult(
         schedule=TimeSharingSchedule(
             configs=configs,
-            tau=tuple(float(t) for t in tau),
+            tau=tuple(tau),
             x=tuple(x),
             tau_total=tau_total,
         ),
@@ -251,6 +242,8 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
         + [f"p_{k + 1}" for k in range(n)]
     )
     a, b = _config_coefficients(sys, sched.configs, sched.x)
+    # a numpy scalar formats to the same text as a float, twice as slowly
+    a, b = a.tolist(), b.T.tolist()
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -259,7 +252,7 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
                 row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
                 row += [f"{v:.11e}" for v in sched.x[q]]
                 row.append(f"{a[q]:.11e}")
-                row += [f"{v:.11e}" for v in b[:, q]]
+                row += [f"{v:.11e}" for v in b[q]]
                 writer.writerow(row)
     except OSError as exc:
         raise OSError(f"cannot write schedule CSV to {path}: {exc}") from exc

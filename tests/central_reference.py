@@ -2,12 +2,22 @@
 oracle for ``mrcwpt.central._max_coupling``.
 
 This is the numpy/scipy implementation the solver used before it moved to
-plain floats and its own Brent root finder: vectorized interval ends,
-weighted sums by ``@`` and roots by ``scipy.optimize.brentq``. The tests
-require the plain-float solver to return exactly its conductances.
+plain floats and its own Brent root finder: vectorized interval ends and
+roots by ``scipy.optimize.brentq``. Its weighted sums add the products of
+the arrays left to right, the solver's order of summation (a BLAS ``@``
+would round by the CPU's kernel). The tests require the plain-float solver
+to return exactly its conductances.
 """
 
 import numpy as np
+
+
+def _left_dot(u, v):
+    """sum u_k v_k over two arrays, products added left to right."""
+    total = 0.0
+    for term in (u * v).tolist():
+        total += term
+    return total
 
 
 def max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
@@ -24,15 +34,15 @@ def max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
         return a, np.minimum(g_hi, (1.0 + s) / (2.0 * r)), s
 
     def psi(d):
-        return r_tx + float(b_coef @ intervals(d)[1]) - d
+        return r_tx + _left_dot(b_coef, intervals(d)[1]) - d
 
     def phi(d):
-        return r_tx + float(b_coef @ intervals(d)[0]) - d
+        return r_tx + _left_dot(b_coef, intervals(d)[0]) - d
 
     def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
         a, _, s = intervals(d)
         slope = np.divide(2.0 * c * d, s, out=np.full_like(s, np.inf), where=s > 0.0)
-        return float(b_coef[a > g_lo] @ slope[a > g_lo]) - 1.0
+        return _left_dot(b_coef[a > g_lo], slope[a > g_lo]) - 1.0
 
     def root(f, lo, hi):
         return brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
@@ -41,8 +51,8 @@ def max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     g_peak = np.clip(1.0 / (2.0 * r), g_lo, g_hi)
     caps = np.divide(g_peak * (1.0 - r * g_peak), c, out=np.full_like(c, np.inf),
                      where=c > 0.0)
-    d_lo = r_tx + float(b_coef @ g_lo)
-    d_top = min(r_tx + float(b_coef @ g_hi), float(np.sqrt(caps.min())))
+    d_lo = r_tx + _left_dot(b_coef, g_lo)
+    d_top = min(r_tx + _left_dot(b_coef, g_hi), float(np.sqrt(caps.min())))
     # even the smallest D is past a cap: some interval is already empty
     if d_top < d_lo or psi(d_lo) < 0.0:
         return None
@@ -60,8 +70,8 @@ def max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
             return None
         d_top = root(phi, d_min, d_top)
     a, b, _ = intervals(d_top)
-    spread = float(b_coef @ (b - a))
-    t = (d_top - r_tx - float(b_coef @ a)) / spread if spread > 0.0 else 0.0
+    spread = _left_dot(b_coef, b - a)
+    t = (d_top - r_tx - _left_dot(b_coef, a)) / spread if spread > 0.0 else 0.0
     return np.clip(a + min(max(t, 0.0), 1.0) * (b - a), g_lo, g_hi)
 
 

@@ -7,7 +7,9 @@ in place and subtracts ``f * pivot_row`` from every other row whose
 entry in the pivot column is nonzero, and the artificial columns stay in
 the tableau, zeroed, through phase two. The pivots, tolerances and
 roundings are those of the plain-float solver, but the two share no code,
-so the tests can require the same status, ``x`` and objective bits.
+so the tests can require the same status, ``x`` and objective bits. The
+objective adds the products c_j x_j left to right, the solver's order (a
+BLAS ``@`` would round by the CPU's kernel).
 """
 
 import numpy as np
@@ -121,8 +123,11 @@ def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
         if basis[i] < n + m:
             x[basis[i]] = max(tableau[i, -1], 0.0)
     solution = x[:n]
+    objective = 0.0
+    for term in (c * solution).tolist():
+        objective += term
     return LpSolution(
         status="optimal",
         x=tuple(float(v) for v in solution),
-        objective=float(c @ solution),
+        objective=objective,
     )

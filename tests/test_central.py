@@ -477,6 +477,23 @@ class TestCertificate:
         assert math.isfinite(sol.kkt_residual)
 
 
+    def test_prices_infinite_at_every_tangency(self):
+        # the boundary in other requirement directions: where every
+        # requirement is held there, the feasible set vanishes at a tangency
+        # of phi, which Brent's root leaves about sqrt(eps) away
+        rng = np.random.default_rng(3)
+        tangencies = 0
+        for _ in range(12):
+            config = bench_system(p_req=tuple(rng.uniform(1.0, 30.0, 3)))
+            scale = largest_feasible_scale(config)
+            reqs = tuple(scale * p for p in config.p_req)
+            sol = optimize_loads(ChargingProblem(sys=config, p_req_eff=reqs))
+            if sol.p == pytest.approx(reqs, rel=1e-9):
+                tangencies += 1
+                assert sol.shadow_prices == (math.inf,) * 3
+        assert tangencies >= 10
+
+
 class TestBruteForceOracle:
     def test_sandwiches_solver_on_random_problems(self):
         rng = np.random.default_rng(42)

@@ -439,18 +439,18 @@ class TestPinnedSchedules:
              "6e689de7d350c465648a680aa64de07d67b4d3f4b5856ec315ff210e9eb5f101"),
             (lambda: bench_system(p_req=(17.5, 17.5, 5.0)), 2, 0,
              "950c9fc27325dddd85f493b9e7458efc338b5d50adfed8bf478ab96a47383d5c"),
-            (lambda: bench_system(p_req=(17.5, 17.5, 20.0)), 2, 0,
-             "6ecab6963a8c610e1ca48b384e0321b953a9f48c62d8f38da1fe0f8d5e5f81a8"),
+            (lambda: bench_system(p_req=(17.5, 17.5, 20.0)), 2, 2,
+             "423975c78ce92b8f087232606347693483aa438f01c3699e4f5ab388a5c66088"),
             (lambda: bench_system(p_req=(17.5, 17.5, 37.0)), 2, 0,
-             "3885f4d60bc5c9ac7694f28c142716c270d31b6e373de0b22751a4c1ab323b3f"),
+             "b006041c5d4480a6084ddda061565a80bb671e4a3121e2613b3419e5a76fbf34"),
             (lambda: _feasible_random_system(1, 1), 2, 0,
              "b62e43713df3842c011092b2cfe7e228fee4ff9a9e7ef35e715efe44b2bbd2a1"),
             (lambda: _feasible_random_system(2, 2), 2, 4,
              "877d7ef255424dc0351e5db386ea1a143dbd8b00367658edd36d55b8f21212ca"),
             (lambda: _feasible_random_system(3, 3), 2, 6,
-             "cc7e7b00daccd023696d1d967c7f806c34d228a9c2eeb3eb84e2bcaafce24141"),
-            (lambda: _feasible_random_system(4, 4), 2, 2,
-             "3ffdef9f042dd59f5d35bff8462c41f5422b8f6704233899d1c3e96991af39ab"),
+             "6f49de87244b62819cf12b24ee47129ad97ea742b73a5684d3b4fa4bac5f3d4b"),
+            (lambda: _feasible_random_system(4, 4), 2, 1,
+             "678138c2caf94c8dd4cec6bb21d50ac2d6b268983c7637021884f85f371a4d86"),
             (lambda: _feasible_random_system(6, 3), 2, 1,
              "26d12b7f448075df20c2b85a7aae8a58798950c558ae7ad3907b36259a6fdf4f"),
         ],

@@ -5,6 +5,8 @@ the reference for ``mrcwpt.timeshare.optimize_schedule``.
 to plain floats: every live slot forms ``b * tau / tau_total`` as an
 array, zeroes its own column and sums each row with the builtin ``sum``
 over numpy scalars, which adds left to right on every Python version.
+The drawn power a @ tau is the products of ``a * tau`` added left to
+right, the package's order (a BLAS ``@`` would round by the CPU's kernel).
 Its slot LP is the numpy tableau of ``lp_reference``. The load subproblem,
 the slot matrix and the acceptance test are the package's own, which the
 change to plain floats left alone.
@@ -25,6 +27,14 @@ from mrcwpt.timeshare import (
 )
 
 from lp_reference import solve_lp
+
+
+def _drawn(a, tau, tau_total):
+    """Average drawn power of the slot matrix's p_tx ``a`` over durations ``tau``."""
+    total = 0.0
+    for term in (a * tau).tolist():
+        total += term
+    return total / tau_total
 
 
 def _slot_lp(a, b, tau_total: float, p_req) -> np.ndarray | None:
@@ -75,7 +85,7 @@ def optimize_schedule(
     for _ in range(_MAX_OUTER):
         lp_tau = _slot_lp(a, b, tau_total, p_req)
         if lp_tau is not None and _no_worse(
-            float(a @ lp_tau) / tau_total, float(a @ tau) / tau_total
+            _drawn(a, lp_tau, tau_total), _drawn(a, tau, tau_total)
         ):
             tau = lp_tau
 
@@ -95,7 +105,7 @@ def optimize_schedule(
                 a[q] = sol.p_tx
                 b[:, q] = sol.p
 
-        p_itr = float(a @ tau) / tau_total
+        p_itr = _drawn(a, tau, tau_total)
         trace.append(p_itr)
         if prev - p_itr <= dp_stop:
             break
