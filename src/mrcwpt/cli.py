@@ -344,39 +344,33 @@ def _cmd_estimate_h(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> _Parser:
-    # argparse makes a HelpFormatter per argument, each probing the terminal
-    # for its width; probe once, for the width HelpFormatter takes itself
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = _Parser(prog="mrcwpt", description=__doc__, formatter_class=formatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_parser = functools.partial(sub.add_parser, formatter_class=formatter)
-
-    p = add_parser("analyze", help="steady state, thresholds, sweeps")
+def _analyze_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--sweep", help="x_<k>=a:b:step or w=a:b:step")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_analyze)
 
-    p = add_parser("optimize", help="centralized minimum-power control")
+
+def _optimize_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--sweep", help="p_req_<k>=a:b:step")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_optimize)
 
-    p = add_parser("distributed", help="one-bit-feedback control simulation")
+
+def _distributed_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--out", help="write the iteration trace CSV here")
     p.set_defaults(func=_cmd_distributed)
 
-    p = add_parser("timeshare", help="alternating time-slot optimization")
+
+def _timeshare_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--out", help="write the schedule CSV here")
     p.set_defaults(func=_cmd_timeshare)
 
-    p = add_parser("region", help="achievable power region sampling")
+
+def _region_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--with-ts", action="store_true", help="time-shared region")
     p.add_argument("--mask", help="keep only these receivers, e.g. 110")
@@ -384,7 +378,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_region)
 
-    p = add_parser("estimate-h", help="coupling from a power measurement")
+
+def _estimate_h_arguments(p) -> None:
     p.add_argument("scenario")
     p.add_argument("--receiver", type=int, required=True)
     p.add_argument("--ptx", type=float, required=True,
@@ -392,6 +387,60 @@ def _build_parser() -> _Parser:
     p.add_argument("--direction", type=int, choices=(0, 1), required=True,
                    help="1 when the observed current direction matches")
     p.set_defaults(func=_cmd_estimate_h)
+
+
+# name, help line and argument filler of each subcommand, in help order
+_SUBCOMMANDS = (
+    ("analyze", "steady state, thresholds, sweeps", _analyze_arguments),
+    ("optimize", "centralized minimum-power control", _optimize_arguments),
+    ("distributed", "one-bit-feedback control simulation", _distributed_arguments),
+    ("timeshare", "alternating time-slot optimization", _timeshare_arguments),
+    ("region", "achievable power region sampling", _region_arguments),
+    ("estimate-h", "coupling from a power measurement", _estimate_h_arguments),
+)
+
+
+class _DeferredParser:
+    """A subcommand's parser, built and filled on its first attribute read.
+
+    argparse reads a subparser only when it dispatches to it, so a call
+    builds the parser of the subcommand it names and no other. Every read
+    goes to the real parser, whatever attribute it is. ``_Parser`` is looked
+    up when the parser is built, not when this module is imported.
+    """
+
+    __slots__ = ("_fill", "_kwargs", "_parser")
+
+    def __init__(self, fill, **kwargs):
+        self._fill = fill
+        self._kwargs = kwargs
+        self._parser = None
+
+    def __getattr__(self, name):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            self._fill(self._parser)
+        return getattr(self._parser, name)
+
+
+def _build_parser() -> _Parser:
+    """The top-level parser, naming every subcommand with its help line.
+
+    Only the top level is built here. Each subcommand's parser is a
+    ``_DeferredParser``, built with its arguments when argparse first
+    reads it, so a call builds two parsers (one for ``--help`` or an
+    unknown command), not seven. The usage, help and "invalid choice"
+    text of the top level read only the names and help lines.
+    """
+    # argparse makes a HelpFormatter per argument, each probing the terminal
+    # for its width; probe once, for the width HelpFormatter takes itself
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(prog="mrcwpt", description=__doc__, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_DeferredParser)
+    for name, help_line, fill in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_line, formatter_class=formatter, fill=fill)
     return parser
 
 

@@ -13,6 +13,8 @@ import pytest
 from mrcwpt import _csvfmt, cli
 from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
+import cli_reference
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -531,6 +533,19 @@ class TestEstimateH:
 _COMMANDS = ("analyze", "optimize", "distributed", "timeshare", "region", "estimate-h")
 
 
+def _printed(argvs, capsys):
+    """(argv, exit code, stdout, stderr) of one CLI call per argv."""
+    printed = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        printed.append((argv, code, captured.out, captured.err))
+    return printed
+
+
 class TestHelpText:
     """The parser probes the terminal once and hands that width to every
     help formatter; its text must be what argparse's own formatter, which
@@ -538,16 +553,8 @@ class TestHelpText:
 
     @staticmethod
     def _printed(capsys):
-        printed = []
-        for argv in ([["--help"], ["--bogus"]] + [[c, "--help"] for c in _COMMANDS]
-                     + [[c, "--bogus"] for c in _COMMANDS]):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            printed.append((argv, code, captured.out, captured.err))
-        return printed
+        return _printed([["--help"], ["--bogus"]] + [[c, "--help"] for c in _COMMANDS]
+                        + [[c, "--bogus"] for c in _COMMANDS], capsys)
 
     def test_same_text_as_the_default_formatter(self, monkeypatch, capsys):
         class DefaultFormatterParser(cli._Parser):
@@ -575,6 +582,69 @@ class TestHelpText:
         monkeypatch.setattr(shutil, "get_terminal_size", counted)
         assert run_cli("optimize", "three_receivers") == EXIT_OK
         assert len(probes) == 1
+
+
+class TestDeferredSubparsers:
+    """Each subcommand's parser is built when a call names it, and only
+    then. What a call prints, its exit code and the namespace it parses are
+    those of the eager parser in ``cli_reference``."""
+
+    _ARGVS = ([["--help"], ["--bogus"], []]
+              + [[c, "--help"] for c in _COMMANDS]
+              + [[c, "--bogus"] for c in _COMMANDS]
+              + [[c] for c in _COMMANDS]  # no scenario
+              + [["estimate-h", "three_receivers", "--ptx", "1", "--direction", "1"],
+                 ["estimate-h", "three_receivers", "--receiver", "1", "--ptx", "1",
+                  "--direction", "2"],
+                 ["region", "three_receivers", "--w", "fast"],
+                 ["analyze", "three_receivers", "--sweep"]])
+
+    _VALID = (
+        ["analyze", "three_receivers", "--sweep", "x_1=1:2:0.5", "--out", "a.csv"],
+        ["optimize", "three_receivers", "--sweep", "p_req_3=1:40:1"],
+        ["distributed", "three_receivers", "--out", "trace.csv"],
+        ["timeshare", "two_receivers", "--out", "schedule.csv"],
+        ["region", "two_receivers", "--with-ts", "--mask", "11", "--w", "2e7"],
+        ["estimate-h", "three_receivers", "--receiver", "1", "--ptx", "100",
+         "--direction", "1"],
+    )
+
+    @pytest.mark.parametrize("columns", ["50", "200"])
+    def test_same_text_and_codes_as_the_eager_parser(self, monkeypatch, capsys, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        deferred = _printed(self._ARGVS, capsys)
+        monkeypatch.setattr(cli, "_build_parser", cli_reference._build_parser)
+        eager = _printed(self._ARGVS, capsys)
+        for got, want in zip(deferred, eager):
+            assert got == want
+        assert {code for _, code, _, _ in eager} == {0, EXIT_INVALID}
+
+    @pytest.mark.parametrize("argv", _VALID, ids=_COMMANDS)
+    def test_same_namespace_as_the_eager_parser(self, argv):
+        got = cli._build_parser().parse_args(argv)
+        assert got == cli_reference._build_parser().parse_args(argv)
+        assert got.command == argv[0]
+
+    @pytest.mark.parametrize("argv, built", [
+        (["optimize", "three_receivers"], ["mrcwpt", "mrcwpt optimize"]),
+        (["region", "--help"], ["mrcwpt", "mrcwpt region"]),
+        (["--help"], ["mrcwpt"]),
+        (["frobnicate"], ["mrcwpt"]),
+    ], ids=["optimize", "region-help", "help", "unknown-command"])
+    def test_builds_only_the_named_subparser(self, monkeypatch, capsys, argv, built):
+        progs = []
+
+        class CountedParser(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                progs.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", CountedParser)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        assert progs == built
 
 
 class TestExitCodes:
