@@ -15,7 +15,9 @@ interval, g = a + t (b - a), a choice independent of the receiver order.
 The KKT multipliers of the returned point follow in closed form from the
 same reduction (the Jacobian is diagonal plus rank one), which yields its
 certificate and shadow prices; a brute-force grid oracle bounds the
-optimality gap in tests.
+optimality gap in tests. The certificate is computed on its first read,
+not in the solve: time sharing's slot solves never read theirs. One that
+fails, such as a float square that overflows, raises where it is read.
 
 The solve runs on plain Python floats: with one to a few receivers, array
 overhead would cost more than the arithmetic. Every sum is added left to
@@ -82,6 +84,38 @@ class ChargingProblem:
         return self.p_req_eff if self.p_req_eff is not None else self.sys.p_req
 
 
+class _Deferred:
+    """A certificate not computed yet: ``compute()`` returns
+    (kkt_residual, shadow_prices)."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute):
+        self.compute = compute
+
+
+class _Certificate:
+    """A certificate field of CentralSolution. It holds the value the
+    constructor was given; a ``_Deferred`` given to both certificate fields
+    is computed on the first read of either, and both values are kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sol, owner=None):
+        if sol is None:
+            raise AttributeError(self.name)  # no class-level default: the field stays required
+        value = sol.__dict__[self.name]
+        if type(value) is _Deferred:
+            kkt, prices = value.compute()
+            sol.__dict__.update(kkt_residual=kkt, shadow_prices=prices)
+            value = sol.__dict__[self.name]
+        return value
+
+    def __set__(self, sol, value):
+        sol.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CentralSolution:
     """Result of a centralized solve.
@@ -96,14 +130,25 @@ class CentralSolution:
     or has slack, and +inf for the active requirements where no constraint
     qualification holds (the feasible set is about to vanish); there
     ``kkt_residual`` is that of the Fritz John multipliers.
+
+    The certificate (``kkt_residual`` and ``shadow_prices``) of a solution
+    from ``optimize_loads`` is computed on the first read of either field and
+    kept, so a caller that never reads it, such as a time-sharing slot solve,
+    never pays for it. ``repr``, ``==``, hashing, ``dataclasses.replace``,
+    copies and pickles read it. A certificate that fails, such as a float
+    square that overflows, raises where it is first read, not in the solve.
+    The constructor is unchanged: it takes all six fields as values.
     """
 
     x: tuple[float, ...]
     p_tx: float
     p: tuple[float, ...]
     status: SolveStatus
-    kkt_residual: float
-    shadow_prices: tuple[float, ...]
+    kkt_residual: float = _Certificate()
+    shadow_prices: tuple[float, ...] = _Certificate()
+
+    def __getstate__(self):  # a pickle or copy holds the certificate, not its recipe
+        return {name: getattr(self, name) for name in self.__dict__}
 
 
 def _certificate(b, r, g_lo, g_hi, preq, half_v2, r_tx, g):
@@ -347,13 +392,10 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
     if g_opt is None:
         return _infeasible()
-    kkt, lam = _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g_opt)
 
     x_opt = [float(v) for v in sys.x_hi]
-    prices = [0.0] * sys.n_receivers
     for j, k in enumerate(conn):
         x_opt[k] = min(max(1.0 / g_opt[j] - r[j], sys.x_lo[k]), sys.x_hi[k])
-        prices[k] = half_v2 * lam[j]
 
     # the loads are finite and in the box: only the powers need checking
     p_tx, p, _ = resonant_powers(sys, x_opt, sw.s)
@@ -364,13 +406,22 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
             raise NumericalError(
                 f"receiver {k + 1}: optimizer returned an infeasible point"
             )
+
+    def certificate():
+        kkt, lam = _certificate(b_coef, r, g_lo, g_hi, preq, half_v2, r_tx, g_opt)
+        prices = [0.0] * sys.n_receivers
+        for j, k in enumerate(conn):
+            prices[k] = half_v2 * lam[j]
+        return kkt, tuple(prices)
+
+    deferred = _Deferred(certificate)
     return CentralSolution(
         x=tuple(x_opt),
         p_tx=p_tx,
         p=tuple(p),
         status=SolveStatus.OPTIMAL,
-        kkt_residual=kkt,
-        shadow_prices=tuple(prices),
+        kkt_residual=deferred,
+        shadow_prices=deferred,
     )
 
 

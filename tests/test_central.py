@@ -1,6 +1,9 @@
 """Centralized charging control: transforms, solver optimality, feasibility."""
 
+import copy
 import math
+import pickle
+import struct
 import time
 from dataclasses import replace
 
@@ -13,6 +16,7 @@ from mrcwpt import (
     ChargingProblem,
     SolveStatus,
     SwitchState,
+    SystemConfig,
     ValidationError,
     brute_force_oracle,
     optimize_loads,
@@ -24,6 +28,7 @@ from mrcwpt import (
 from mrcwpt import central
 from mrcwpt.errors import NumericalError
 
+import central_eager_reference
 import central_reference
 import grid_reference
 from conftest import bench_system, random_loads, random_switch, random_system
@@ -492,6 +497,145 @@ class TestCertificate:
                 tangencies += 1
                 assert sol.shadow_prices == (math.inf,) * 3
         assert tangencies >= 10
+
+
+@st.composite
+def switched_problems(draw):
+    """A charging_problems draw with 1 to 4 receivers (feasible and
+    infeasible alike) and a random switch state."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config, _ = feasible_random_system(rng, draw(st.integers(1, 4)))
+    scale = draw(st.floats(0.25, 3.75))
+    config = replace(config, p_req=tuple(scale * p for p in config.p_req))
+    n = config.n_receivers
+    s = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any))
+    return ChargingProblem(sys=config, sw=SwitchState(s=tuple(s)))
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _same_as_eager(late, eager):
+    """``late``, whose certificate is first read here, against the solve of
+    ``tests/central_eager_reference.py``, which computed it in the solve."""
+    assert _bits(late.shadow_prices) == _bits(eager.shadow_prices)
+    assert _bits([late.kkt_residual]) == _bits([eager.kkt_residual])
+    # repr spells every float exactly (and nan as nan)
+    assert repr(late) == repr(eager)
+    if late.status is SolveStatus.OPTIMAL:  # an infeasible one holds nan, unequal to itself
+        assert late == eager and eager == late
+        assert hash(late) == hash(eager)
+
+
+class TestDeferredCertificate:
+    """optimize_loads computes the certificate on its first read: read after
+    other solves, it has the bits of the one computed inside the solve."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(switched_problems(), min_size=1, max_size=6))
+    def test_read_later_is_the_certificate_of_the_solve(self, probs):
+        late = [optimize_loads(prob) for prob in probs]
+        eager = [central_eager_reference.optimize_loads(prob) for prob in probs]
+        for a, b in zip(late, eager):
+            _same_as_eager(a, b)
+
+    def test_read_later_at_every_tangency(self):
+        # the draws of TestCertificate.test_prices_infinite_at_every_tangency
+        rng = np.random.default_rng(3)
+        probs = []
+        for _ in range(12):
+            config = bench_system(p_req=tuple(rng.uniform(1.0, 30.0, 3)))
+            scale = largest_feasible_scale(config)
+            probs.append(ChargingProblem(
+                sys=config, p_req_eff=tuple(scale * p for p in config.p_req)))
+        late = [optimize_loads(prob) for prob in probs]
+        eager = [central_eager_reference.optimize_loads(prob) for prob in probs]
+        for a, b in zip(late, eager):
+            _same_as_eager(a, b)
+        assert sum(sol.shadow_prices == (math.inf,) * 3 for sol in late) >= 10
+
+    def test_copies_of_an_unread_solution_carry_its_certificate(self, bench3):
+        prob = ChargingProblem(sys=bench3)
+        eager = central_eager_reference.optimize_loads(prob)
+        _same_as_eager(pickle.loads(pickle.dumps(optimize_loads(prob))), eager)
+        _same_as_eager(copy.copy(optimize_loads(prob)), eager)
+        _same_as_eager(copy.deepcopy(optimize_loads(prob)), eager)
+        moved = replace(optimize_loads(prob), p_tx=1.0)
+        assert (moved.kkt_residual, moved.shadow_prices) == (eager.kkt_residual, eager.shadow_prices)
+
+    def test_a_failing_certificate_raises_where_it_is_read(self, bench3, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(central, "_certificate", overflow)
+            sol = optimize_loads(ChargingProblem(sys=bench3))
+            assert sol.status is SolveStatus.OPTIMAL
+            with pytest.raises(OverflowError):
+                sol.kkt_residual
+            with pytest.raises(OverflowError):
+                repr(sol)
+        # a failed read keeps nothing: the next read computes it again
+        _same_as_eager(sol, central_eager_reference.optimize_loads(ChargingProblem(sys=bench3)))
+
+
+def _built(config, **changes):
+    """A new SystemConfig from ``config``'s field values and ``changes``,
+    built by the constructor without touching ``config`` again."""
+    values = dict(v_tx=config.v_tx, w=config.w, transmitter=config.transmitter,
+                  receivers=config.receivers, h=config.h, x_lo=config.x_lo,
+                  x_hi=config.x_hi, p_req=config.p_req)
+    return SystemConfig(**{**values, **changes})
+
+
+class TestSolvedConfigCopies:
+    """A copy of a solved config, whatever field it changes, solves as a
+    freshly built equal config: a solve leaves nothing on a config that a
+    copy could carry stale."""
+
+    @staticmethod
+    def _solutions(config, sw):
+        return (repr(optimize_loads(ChargingProblem(sys=config))),
+                repr(optimize_loads(ChargingProblem(sys=config, sw=sw))))
+
+    def test_copies_of_solved_configs_solve_as_fresh_ones(self):
+        rng = np.random.default_rng(28)
+        for n in (1, 2, 3, 4, 2, 3):
+            config, _ = feasible_random_system(rng, n)
+            config = replace(config, p_req=tuple(0.5 * p for p in config.p_req)).tuned()
+            sw = random_switch(rng, n)
+            before = self._solutions(config, sw)
+            # a box whose lower ends cut off the loads solved so far
+            x_lo = tuple(1.2 * v for v in optimize_loads(ChargingProblem(sys=config)).x)
+            x_hi = tuple(max(hi, 2.0 * lo) for lo, hi in zip(x_lo, config.x_hi))
+            w = 1.1 * config.w
+            cases = [
+                (replace(config, h=tuple(0.95 * v for v in config.h)),
+                 _built(config, h=tuple(0.95 * v for v in config.h))),
+                (replace(config, x_lo=x_lo, x_hi=x_hi), _built(config, x_lo=x_lo, x_hi=x_hi)),
+                (replace(config, receivers=tuple(
+                    replace(c, resistance=1.5 * c.resistance) for c in config.receivers)),
+                 _built(config, receivers=tuple(
+                     replace(c, resistance=1.5 * c.resistance) for c in config.receivers))),
+                (config.with_frequency(w),
+                 _built(config, w=w, transmitter=config.transmitter.tuned(w),
+                        receivers=tuple(c.tuned(w) for c in config.receivers))),
+            ]
+            for changed, fresh in cases:
+                assert self._solutions(changed, sw) == self._solutions(fresh, sw)
+                assert self._solutions(changed, sw)[0] != before[0]
+            copied = pickle.loads(pickle.dumps(config))
+            assert self._solutions(copied, sw) == self._solutions(_built(config), sw) == before
+
+    def test_equal_configs_compare_and_hash_equal_solved_or_not(self, bench3):
+        fresh = bench_system()
+        assert fresh == bench3 and hash(fresh) == hash(bench3)
+        optimize_loads(ChargingProblem(sys=bench3))
+        assert fresh == bench3 and bench3 == fresh and hash(fresh) == hash(bench3)
+        optimize_loads(ChargingProblem(sys=fresh))
+        assert fresh == bench3 and hash(fresh) == hash(bench3)
+        assert pickle.loads(pickle.dumps(bench3)) == bench_system()
 
 
 class TestBruteForceOracle:

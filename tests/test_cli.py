@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mrcwpt import _csvfmt, cli
+from mrcwpt import _csvfmt, central, cli
 from mrcwpt.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 import cli_reference
@@ -331,6 +331,27 @@ class TestOptimize:
         path.write_text(serialize_scenario(bad, options))
         assert run_cli("optimize", str(path)) == EXIT_INFEASIBLE
         del config_text
+
+    @pytest.mark.parametrize("argv, certificates", [
+        (["optimize", "three_receivers"], 1),
+        (["optimize", "three_receivers", "--sweep", "p_req_3=1:40:1"], 0),
+        (["timeshare", "three_receivers"], 0),
+    ], ids=["optimize", "optimize-sweep", "timeshare"])
+    def test_certificates_computed_only_where_printed(
+            self, argv, certificates, monkeypatch, capsys):
+        # the single solve prints kkt_residual; sweep rows and schedules print
+        # no certificate, so their solves never compute one
+        calls = []
+        real = central._certificate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(central, "_certificate", counted)
+        assert run_cli(*argv) == EXIT_OK
+        assert len(calls) == certificates
+        assert ("kkt_residual = " in capsys.readouterr().out) == bool(certificates)
 
 
 class TestDistributed:

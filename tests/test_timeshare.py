@@ -26,7 +26,7 @@ from mrcwpt import (
     solve_closed_form,
     solve_config_subproblem,
 )
-from mrcwpt import timeshare
+from mrcwpt import central, timeshare
 
 import lp_reference
 import timeshare_reference
@@ -523,3 +523,36 @@ class TestScheduleMatchesReference:
             failures += result.subproblem_failures
         # the draw holds infeasible slot subproblems, which leave their slots alone
         assert failures > 0
+
+
+def _counting_certificates(monkeypatch):
+    """Replace ``central._certificate`` with a counting copy; returns the count."""
+    calls = []
+    real = central._certificate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(central, "_certificate", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name", ["two", "three_p5", "three_p20", "three_p37", "gen_n4_0", "gen_n4_1"])
+def test_schedules_compute_no_certificate(name, tmp_path, monkeypatch):
+    # no slot solve's certificate is read, so none is computed, yet every
+    # slot solve still goes through solve_config_subproblem and optimize_loads
+    config = _benchmark_schedule_system(name, tmp_path)
+    calls = _counting_certificates(monkeypatch)
+    solves = []
+    real = timeshare.optimize_loads
+
+    def counted_solve(prob):
+        solves.append(prob)
+        return real(prob)
+
+    monkeypatch.setattr(timeshare, "optimize_loads", counted_solve)
+    result = optimize_schedule(config, tau_total=1.0, dp_stop=1e-3)
+    assert calls == []
+    assert len(solves) > result.iterations
