@@ -84,20 +84,11 @@ class ChargingProblem:
         return self.p_req_eff if self.p_req_eff is not None else self.sys.p_req
 
 
-class _Deferred:
-    """A certificate not computed yet: ``compute()`` returns
-    (kkt_residual, shadow_prices)."""
-
-    __slots__ = ("compute",)
-
-    def __init__(self, compute):
-        self.compute = compute
-
-
 class _Certificate:
     """A certificate field of CentralSolution. It holds the value the
-    constructor was given; a ``_Deferred`` given to both certificate fields
-    is computed on the first read of either, and both values are kept."""
+    constructor was given. A callable, which ``optimize_loads`` gives to
+    both certificate fields, returns (kkt_residual, shadow_prices): it is
+    called on the first read of either field, and both values are kept."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -106,8 +97,8 @@ class _Certificate:
         if sol is None:
             raise AttributeError(self.name)  # no class-level default: the field stays required
         value = sol.__dict__[self.name]
-        if type(value) is _Deferred:
-            kkt, prices = value.compute()
+        if callable(value):
+            kkt, prices = value()
             sol.__dict__.update(kkt_residual=kkt, shadow_prices=prices)
             value = sol.__dict__[self.name]
         return value
@@ -414,14 +405,13 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
             prices[k] = half_v2 * lam[j]
         return kkt, tuple(prices)
 
-    deferred = _Deferred(certificate)
     return CentralSolution(
         x=tuple(x_opt),
         p_tx=p_tx,
         p=tuple(p),
         status=SolveStatus.OPTIMAL,
-        kkt_residual=deferred,
-        shadow_prices=deferred,
+        kkt_residual=certificate,
+        shadow_prices=certificate,
     )
 
 

@@ -24,7 +24,8 @@ independent cross-check, and ``distributed._Loads`` keeps a plain-float
 copy with cached per-receiver terms for the per-turn path alone, the
 probes of every simulated turn; ``distributed._rebuild_rows`` evaluates
 that copy's expressions over arrays to form a traced run's rows from its
-turn log, one block of whole rounds at a time.
+turn log, one block of whole rounds at a time, and the p_tx range of a
+repeating run's cycle from one period replayed with a turn log.
 """
 
 from __future__ import annotations

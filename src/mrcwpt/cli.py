@@ -251,7 +251,7 @@ def _cmd_optimize(args) -> int:
 
     sol = optimize_loads(ChargingProblem(sys=config))
     if sol.status is SolveStatus.INFEASIBLE:
-        print("status = infeasible")
+        _emit(["status = infeasible"], args.out)
         return EXIT_INFEASIBLE
     lines = ["status = optimal", f"p_tx = {fmt(sol.p_tx)}",
              f"kkt_residual = {fmt(sol.kkt_residual)}"]

@@ -48,7 +48,9 @@ whole state, so that turn log is all a traced run keeps.
 expressions on the loads before the update), starting from the loads the
 log holds for the round before. The trace CSV is written in encoder-sized
 blocks of whole rounds, and the rows and the full trace are formed only
-when first read.
+when first read. A run that repeats replays one period with a turn log,
+traced or not, and takes the cycle's p_tx range from the p_tx column of
+that period's rows.
 
 ``run_distributed`` is the protocol's one entry point: it returns a
 ``DistributedRun``, and ``trace_to_csv`` writes that run's trace.
@@ -166,8 +168,7 @@ class _Loads:
     the current loads. It is summed here and then carried by
     :meth:`turns`, so it is always the float a fresh sum gives: a turn
     measures at it, and a turn that moves its load leaves the D of the new
-    loads. :meth:`advance` reads each turn's p_tx, half_v2 / D, from the D
-    that turn starts from.
+    loads. A run reads its final p_tx and powers at it.
     """
 
     def __init__(self, sys: SystemConfig, x: list[float]):
@@ -217,16 +218,16 @@ class _Loads:
         return cases[0]
 
     def turns(
-        self, n: int, count: int, dx: float, cases=None, moved=None, denoms=None, seen=None
+        self, n: int, count: int, dx: float, cases=None, moved=None, seen=None
     ) -> int:
         """Take ``count`` turns round-robin from receiver n's on; returns
         how many were taken. Each turn appends its case to ``cases`` and
-        the load it set to ``moved`` when those are given, and the D it
-        measured at to ``denoms`` when that is given. With ``seen``, which
-        maps the packed loads after rounds 0, 1, ... up to the current one
-        to their round, the turns start a round: the loads after each round
-        are added to it, and the turns stop after the first round whose
-        loads it already holds.
+        the load it set to ``moved`` when those are given: the turn log of
+        a traced run, and of the one period a repeating run replays. With
+        ``seen``, which maps the packed loads after rounds 0, 1, ... up to
+        the current one to their round, the turns start a round: the loads
+        after each round are added to it, and the turns stop after the
+        first round whose loads it already holds.
 
         Load n's power decides whether its requirement is unmet, met or at
         the equality band; the probes at x_n + dx and x_n - dx (half x_n
@@ -255,8 +256,6 @@ class _Loads:
         for t in term[:n]:
             prefix += t
         for taken in range(1, count + 1):
-            if denoms is not None:
-                denoms.append(denom)
             xn = x[n]
             pn = num[n] / (sq[n] * (denom * denom))
             if pn < req_lo[n]:
@@ -338,14 +337,6 @@ class _Loads:
             taken = count  # also when count is 0
         self.denom = denom
         return taken
-
-    def advance(self, turns: int, dx: float) -> tuple[float, float]:
-        """Run ``turns`` (at least one) turns from the start of a round;
-        returns the least and greatest p_tx measured."""
-        denoms = []
-        self.turns(0, turns, dx, denoms=denoms)
-        p_tx = [self.half_v2 / d for d in denoms]
-        return min(p_tx), max(p_tx)
 
 
 def _power_resolution(
@@ -477,11 +468,17 @@ def run_distributed(
     cycle_fields = {}
     if mu < rnd:
         period = (rnd - mu) * n_rx
+        # one period on from here, which returns to the same loads, logged
+        # as a traced run logs its turns: its rows give the cycle's p_tx
+        x_cycle, cases_cycle, moved_cycle = list(x), bytearray(), array("d")
+        loads.turns(0, period, dx, cases_cycle, moved_cycle)
+        cycle = _TurnLog(loads, x_cycle, np.frombuffer(cases_cycle, dtype=np.uint8),
+                         np.frombuffer(moved_cycle))
+        p_tx_cycle = _rebuild_rows(cycle, 0, period)[:, 3 + 2 * n_rx]
         cycle_fields = {
             "cycle_period": period,
             "cycle_start": _cycle_start(seen, mu, n_rx),
-            # one period on from here, which returns to the same loads
-            "cycle_p_tx": loads.advance(period, dx),
+            "cycle_p_tx": (float(p_tx_cycle.min()), float(p_tx_cycle.max())),
         }
         loads.turns(0, (itr_max - taken) % period, dx)
 

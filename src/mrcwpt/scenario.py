@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .circuit import SystemConfig
@@ -337,8 +336,15 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
 
 
 def parse_scenario(path) -> tuple[SystemConfig, ScenarioOptions]:
-    """Parse a scenario file; bare names resolve against the bundled set."""
-    resolved = resolve_scenario_path(path)
+    """Parse a scenario file. A path that exists is read as given; one
+    that does not is looked up in the bundled set only when it is a bare
+    name, with no suffix and no '/'."""
+    resolved = Path(path)
+    if not resolved.exists():
+        bare = resolved.suffix == "" and "/" not in str(path)
+        resolved = bundled_scenario_path(str(path)) if bare else None
+        if resolved is None:
+            raise ScenarioError("scenario file not found", path)
     try:
         text = resolved.read_text(encoding="utf-8")
     except OSError as exc:
@@ -346,28 +352,13 @@ def parse_scenario(path) -> tuple[SystemConfig, ScenarioOptions]:
     return parse_scenario_text(text, path=str(resolved))
 
 
-def resolve_scenario_path(path) -> Path:
-    """Existing path as-is; otherwise try the bundled scenario directory."""
-    p = Path(path)
-    if p.exists():
-        return p
-    if p.suffix == "" and "/" not in str(path):
-        bundled = bundled_scenario_path(str(path))
-        if bundled is not None:
-            return bundled
-    raise ScenarioError("scenario file not found", path)
-
-
 def bundled_scenario_path(name: str) -> Path | None:
     """Path of a scenario shipped with the package, or None."""
-    root = resources.files("mrcwpt") / "scenarios"
-    candidate = root / f"{name}.scn"
+    candidate = Path(__file__).with_name("scenarios") / f"{name}.scn"
     try:
-        if candidate.is_file():
-            return Path(str(candidate))
-    except (OSError, TypeError):
+        return candidate if candidate.is_file() else None
+    except OSError:  # such as a name too long for the file system
         return None
-    return None
 
 
 def serialize_scenario(config: SystemConfig, options: ScenarioOptions) -> str:

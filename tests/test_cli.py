@@ -332,6 +332,25 @@ class TestOptimize:
         assert run_cli("optimize", str(path)) == EXIT_INFEASIBLE
         del config_text
 
+    def test_infeasible_report_replaces_the_out_file(self, tmp_path, capsys):
+        # 40 W is past receiver 3's reach; an earlier optimal report at the
+        # --out path must not survive beside exit 2
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "hard.scn"
+        path.write_text(serialize_scenario(replace(config, p_req=(17.5, 17.5, 40.0)), options))
+        out = tmp_path / "report.txt"
+        assert run_cli("optimize", "three_receivers", "--out", str(out)) == EXIT_OK
+        assert out.read_text().startswith("status = optimal\n")
+        capsys.readouterr()
+        assert run_cli("optimize", str(path), "--out", str(out)) == EXIT_INFEASIBLE
+        assert out.read_text() == "status = infeasible\n"
+        assert capsys.readouterr().out == ""
+        # without --out the report goes to stdout, as before
+        assert run_cli("optimize", str(path)) == EXIT_INFEASIBLE
+        assert capsys.readouterr().out == "status = infeasible\n"
+
     @pytest.mark.parametrize("argv, certificates", [
         (["optimize", "three_receivers"], 1),
         (["optimize", "three_receivers", "--sweep", "p_req_3=1:40:1"], 0),

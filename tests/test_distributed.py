@@ -23,7 +23,7 @@ from mrcwpt import (
     thresholds,
     trace_to_csv,
 )
-from mrcwpt import _csvfmt
+from mrcwpt import _csvfmt, distributed
 from mrcwpt.circuit import solo_peak_loads
 from mrcwpt.distributed import (
     _Loads,
@@ -453,6 +453,34 @@ class TestCycleDetection:
             for name in ("x", "p", "p_tx", "feasible", "iterations"):
                 assert getattr(bare, name) == getattr(full, name)
             assert _cycle_fields(bare) == _cycle_fields(full)
+
+    def test_untraced_run_forms_one_period_of_rows(self, bench3, monkeypatch, tmp_path):
+        # the cycle's p_tx range comes from one period of rows; nothing
+        # else is formed until the rows or the CSV are asked for
+        formed = []
+        real = distributed._rebuild_rows
+
+        def counting(log, a, b):
+            rows = real(log, a, b)
+            formed.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(distributed, "_rebuild_rows", counting)
+        config = replace(bench3, p_req=(17.5, 17.5, 10.0))
+        bare = run_distributed(config, dx=1e-3, itr_max=50_000, record_trace=False)
+        assert bare.cycle_period == 6 and formed == [6]
+        formed.clear()
+        full = run_distributed(config, dx=1e-3, itr_max=50_000)
+        assert full.cycle_period == 6 and formed == [6]
+        assert _cycle_fields(full) == _cycle_fields(bare)
+        rows = full.rows
+        assert formed == [6, len(rows)]
+        trace_to_csv(full, tmp_path / "trace.csv")
+        assert len(formed) > 2
+        # a run stopped before the repeat closes forms no rows at all
+        formed.clear()
+        run_distributed(config, dx=1e-3, itr_max=7_394, record_trace=False)
+        assert formed == []
 
     def test_rows_end_at_the_first_repeat(self, bench3):
         run = run_distributed(replace(bench3, p_req=(17.5, 17.5, 30.0)), dx=1e-3)

@@ -246,9 +246,16 @@ class TestErrors:
         assert str(err.value).startswith(f"{tmp_path}: cannot read scenario: ")
         assert (err.value.path, err.value.line, err.value.column) == (tmp_path, None, None)
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, monkeypatch):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "absent.scn")
+        # only a bare name (no suffix, no '/') is looked up in the bundle;
+        # a name too long for the file system is not found either
+        monkeypatch.chdir(tmp_path)
+        for name in ("three_receivers.scn", "./three_receivers", "a" * 252):
+            with pytest.raises(ScenarioError, match="scenario file not found") as err:
+                parse_scenario(name)
+            assert err.value.path == name
 
     def test_error_carries_location(self):
         bad = MINIMAL.replace("w = 1e7", "w = banana")
@@ -275,9 +282,17 @@ class TestRoundTrip:
         assert config1 == config2
 
 
-def test_bundled_path_resolution():
+def test_bundled_path_resolution(tmp_path, monkeypatch):
     assert bundled_scenario_path("three_receivers") is not None
     assert bundled_scenario_path("nonexistent") is None
+    # a path that exists wins over the bundle, even a bare name or a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three_receivers").write_text(MINIMAL)
+    config, _ = parse_scenario("three_receivers")
+    assert config == parse_scenario_text(MINIMAL)[0]
+    (tmp_path / "two_receivers").mkdir()
+    with pytest.raises(ScenarioError, match="cannot read scenario"):
+        parse_scenario("two_receivers")
 
 
 # values that have broken parsers: non-finite and overflowing numbers,
