@@ -275,6 +275,17 @@ def _brentq(f, lo: float, hi: float) -> float:
     raise NumericalError("root finding did not converge in 100 iterations")
 
 
+def _least_cap(terms) -> float:
+    """The least D^2 at which a receiver's interval closes: where c D^2
+    reaches the peak of g - r g^2 over the box. ``terms`` holds
+    (c, r, g_lo, g_hi) per receiver; inf when no c is positive."""
+    caps = []
+    for ck, rk, lo, hi in terms:
+        g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
+        caps.append(g_peak * (1.0 - rk * g_peak) / ck if ck > 0.0 else math.inf)
+    return min(caps)
+
+
 def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     """Conductances at the largest attainable D, or None if there is none.
 
@@ -320,12 +331,7 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
                 total += b_coef[j] * (2.0 * c[j] * d / s[j] if s[j] > 0.0 else math.inf)
         return total - 1.0
 
-    # each interval closes where g - r g^2 peaks over the box
-    caps = []
-    for ck, rk, lo, hi in terms:
-        g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
-        caps.append(g_peak * (1.0 - rk * g_peak) / ck if ck > 0.0 else math.inf)
-    cap = min(caps)
+    cap = _least_cap(terms)
     d_lo = r_tx + left_dot(b_coef, g_lo)
     d_top = min(r_tx + left_dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
     # even the smallest D is past a cap: some interval is already empty
@@ -352,6 +358,85 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
             for ak, bk, lo, hi in zip(a, b, g_lo, g_hi)]
 
 
+def _constants(sys: SystemConfig, conn, reqs):
+    """(half_v2, r, B, g_lo, g_hi, p_req, c) of the receivers ``conn`` under
+    the requirements ``reqs``, each but half_v2 a list of floats, or None
+    when a requirement sits on a receiver with zero coupling (or no
+    source), which can never be met."""
+    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    r, b_coef, g_lo, g_hi, preq, c = [], [], [], [], [], []
+    for k in conn:
+        rk = float(sys.receivers[k].resistance)
+        bk = float((sys.w * sys.h[k]) ** 2)
+        pk = float(max(reqs[k], 0.0))
+        if pk > 0.0 and half_v2 * bk == 0.0:
+            return None
+        r.append(rk)
+        b_coef.append(bk)
+        g_lo.append(1.0 / (rk + float(sys.x_hi[k])))
+        g_hi.append(1.0 / (rk + float(sys.x_lo[k])))
+        preq.append(pk)
+        c.append(pk / (half_v2 * bk) if pk > 0.0 else 0.0)
+    return half_v2, r, b_coef, g_lo, g_hi, preq, c
+
+
+def _tangent_scale(prob: ChargingProblem) -> float:
+    """The scale s >= 1 of all of ``prob``'s requirements at which
+    p_tx(s p_req) / s is least, or 1.0 when no requirement is positive or
+    one can never be met.
+
+    p_tx = |v|^2 / (2 D), so the scale maximizes s D. With u = s D^2 the
+    requirements hold at g_n >= a_n(u), the lower end ``_max_coupling``
+    forms at k = c_n u, so the best s D is the largest u / Phi(u) with
+    Phi(u) = r_tx + sum B max(g_lo, a(u)), over the u up to the least cap,
+    where every interval is still open. Phi is convex, so
+    h(u) = Phi(u) - u Phi'(u) decreases from Phi(0) > 0: the best u is its
+    root, or the cap if h is still positive there, and s = u / Phi(u)^2.
+    h is smooth between the kinks where an a_n leaves g_lo and jumps down
+    at each, where the best u often lies: the kinks are found in closed
+    form, and Brent's method runs only on the piece where h falls to zero.
+    A best s below 1 leaves s = 1, the concurrent optimum: the pairs
+    (u, D) that some s >= 1 admits form a convex set, and u / D is
+    monotone along every segment of it.
+    """
+    consts = _constants(prob.sys, prob.switch.connected, prob.requirements)
+    if consts is None:
+        return 1.0
+    _, r, b_coef, g_lo, g_hi, _, c = consts
+    r_tx = prob.sys.transmitter.resistance
+    u_end = _least_cap(list(zip(c, r, g_lo, g_hi)))
+    if u_end == math.inf:
+        return 1.0
+    lower = list(zip(b_coef, c, r, g_lo))
+    # a_n leaves g_lo where its lower root reaches it: Phi' jumps up there
+    kinks = [lo * (1.0 - rk * lo) / ck if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
+             for _, ck, rk, lo in lower]
+
+    def h(u, rising):  # Phi(u) - u Phi'(u), a_n' = c_n / s_n where rising[n]
+        total = slope = 0.0
+        for (bk, ck, rk, lo), up in zip(lower, rising):
+            k = ck * u  # the lower root as _max_coupling writes it
+            sk = math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))
+            total += bk * max(lo, 2.0 * k / (1.0 + sk))
+            if up:
+                slope += bk * ck / sk if sk > 0.0 else math.inf
+        return r_tx + total - u * slope
+
+    # between kinks h is smooth; the first piece on which it falls to zero
+    # holds the best u, at its start if h jumps past zero there
+    start = 0.0
+    for end in sorted({k for k in kinks if k < u_end} | {u_end}):
+        rising = [k <= start for k in kinks]
+        if h(end, rising) < 0.0:
+            u = start if h(start, rising) <= 0.0 else _brentq(lambda v: h(v, rising), start, end)
+            break
+        start = end
+    else:
+        u = u_end
+    phi = h(u, [False] * len(lower))
+    return max(u / (phi * phi), 1.0)
+
+
 def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     """Minimum-transmitter-power load resistances for one configuration.
 
@@ -363,23 +448,11 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     sw = prob.switch
     conn = list(sw.connected)
     reqs = prob.requirements
-
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    consts = _constants(sys, conn, reqs)
+    if consts is None:
+        return _infeasible()
+    half_v2, r, b_coef, g_lo, g_hi, preq, c = consts
     r_tx = sys.transmitter.resistance
-    r, b_coef, g_lo, g_hi, preq, c = [], [], [], [], [], []
-    for k in conn:
-        rk = float(sys.receivers[k].resistance)
-        bk = float((sys.w * sys.h[k]) ** 2)
-        pk = float(max(reqs[k], 0.0))
-        # a requirement on a receiver with zero coupling (or no source) can never be met
-        if pk > 0.0 and half_v2 * bk == 0.0:
-            return _infeasible()
-        r.append(rk)
-        b_coef.append(bk)
-        g_lo.append(1.0 / (rk + float(sys.x_hi[k])))
-        g_hi.append(1.0 / (rk + float(sys.x_lo[k])))
-        preq.append(pk)
-        c.append(pk / (half_v2 * bk) if pk > 0.0 else 0.0)
     g_opt = _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
     if g_opt is None:
         return _infeasible()

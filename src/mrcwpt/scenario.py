@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -338,9 +339,10 @@ def parse_scenario_text(text: str, path="<string>") -> tuple[SystemConfig, Scena
 def parse_scenario(path) -> tuple[SystemConfig, ScenarioOptions]:
     """Parse a scenario file. A path that exists is read as given; one
     that does not is looked up in the bundled set only when it is a bare
-    name, with no suffix and no '/'."""
+    name, with no suffix and no '/'. A path the file system cannot look
+    up, such as one with a name too long for it, does not exist."""
     resolved = Path(path)
-    if not resolved.exists():
+    if not os.path.exists(resolved):  # Path.exists raises on such a path before 3.12
         bare = resolved.suffix == "" and "/" not in str(path)
         resolved = bundled_scenario_path(str(path)) if bare else None
         if resolved is None:

@@ -6,10 +6,14 @@ The transmission horizon is split into slots, one per switch configuration
 load-resistance vector. Delivered powers are time averages over the slots.
 The public entry points are average-power evaluation, the per-slot load
 subproblem, the alternating optimization and the schedule CSV writer. The
-alternation evaluates the slot matrix, every slot's instantaneous p_tx and
-p_n at its loads, once, and solves the linear program over slot durations
-on it (``_slot_lp``) each round; an accepted slot solve then overwrites
-that slot's column with the powers it returns.
+alternation starts from the scaled slot (``_scaled_slot``): all receivers
+connected, at the loads that meet s* p_req, for the shortest time in which
+they meet p_req, where s* >= 1 minimizes p_tx(s p_req) / s. Time sharing
+lowers the drawn power by just this: a slot that delivers more for less of
+the horizon. The alternation evaluates the slot matrix, every slot's
+instantaneous p_tx and p_n at its loads, once, and solves the linear
+program over slot durations on it (``_slot_lp``) each round; an accepted
+slot solve then overwrites that slot's column with the powers it returns.
 """
 
 from __future__ import annotations
@@ -20,13 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._sums import left_dot, left_sum
-from .central import CentralSolution, ChargingProblem, SolveStatus, _infeasible, optimize_loads
+from .central import (
+    CentralSolution,
+    ChargingProblem,
+    SolveStatus,
+    _infeasible,
+    _tangent_scale,
+    optimize_loads,
+)
 from .circuit import SwitchState, SystemConfig, enumerate_configs, resonant_powers, solo_peak_loads
 from .errors import InfeasibleProblemError, ValidationError
 from .lp import solve_lp
 
 # most alternation rounds (slot LP, then every slot's load subproblem) per schedule
 _MAX_OUTER = 50
+# most solves of the scaled slot, each backing its scale off toward 1
+_MAX_SCALED_SOLVES = 4
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,33 @@ def _no_worse(new: float, old: float) -> bool:
     return new <= old * (1.0 + 1e-12) + 1e-15
 
 
+def _scaled_slot(sys: SystemConfig, base: CentralSolution, tau_total: float):
+    """Loads and duration of the all-closed slot that starts the alternation.
+
+    The slot meets s* p_req at the loads ``optimize_loads`` gives, s* from
+    ``central._tangent_scale``, and lasts the shortest time in which its own
+    powers meet every requirement, about tau_total / s*. s* can sit where a
+    receiver's interval closes, and a solve there may round to infeasible:
+    then s backs off by 1e-12 of itself, and by a thousand times more on
+    each further try, for at most ``_MAX_SCALED_SOLVES`` solves. When none
+    succeeds, or s* is 1, the slot is ``base``, the concurrent optimum, over
+    the whole horizon.
+    """
+    p_req = sys.p_req
+    s = _tangent_scale(ChargingProblem(sys=sys))
+    backoff = 1e-12
+    for _ in range(_MAX_SCALED_SOLVES):
+        if s <= 1.0:
+            break
+        sol = optimize_loads(ChargingProblem(sys=sys, p_req_eff=tuple(s * r for r in p_req)))
+        if sol.status is SolveStatus.OPTIMAL:
+            share = max(float(r / p) for r, p in zip(p_req, sol.p) if r > 0.0)
+            return sol.x, min(share, 1.0) * tau_total
+        s *= 1.0 - backoff
+        backoff *= 1e3
+    return base.x, tau_total
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     """Outcome of the alternating optimization."""
@@ -149,12 +189,16 @@ def optimize_schedule(
 ) -> ScheduleResult:
     """Jointly optimize slot durations and per-slot loads.
 
-    Starts from the no-time-sharing optimum in the all-closed slot, then
-    alternates the duration LP with the per-configuration load subproblems
-    until the drawn-power improvement falls to ``dp_stop``, for at most
-    ``_MAX_OUTER`` rounds. The objective trace is nonincreasing: an update
-    is only accepted when it does not worsen the exact objective, and an
-    infeasible subproblem leaves its slot's loads unchanged.
+    Starts from the scaled slot: all receivers connected at the loads that
+    meet s* p_req, for the shortest time in which those loads meet p_req
+    (about tau_total / s*), where s* >= 1 minimizes p_tx(s p_req) / s; the
+    rest of the horizon is idle. Where s* is 1 that is the no-time-sharing
+    optimum over the whole horizon. It then alternates the duration LP with
+    the per-configuration load subproblems until the drawn-power
+    improvement falls to ``dp_stop``, for at most ``_MAX_OUTER`` rounds.
+    The objective trace is nonincreasing: an update is only accepted when
+    it does not worsen the exact objective, and an infeasible subproblem
+    leaves its slot's loads unchanged.
 
     The slot matrix and the durations are plain floats for the whole run,
     and every sum over slots is taken left to right. Each round forms every
@@ -164,8 +208,10 @@ def optimize_schedule(
     most 1e-12 of the horizon is not re-solved, but its shares still count
     in the other slots' sums.
 
-    Raises InfeasibleProblemError when even the no-time-sharing problem has
-    no solution (time sharing can only enlarge the feasible set).
+    Raises InfeasibleProblemError when the no-time-sharing problem has no
+    solution. That exit is not a proof that no schedule exists: time
+    sharing can meet some requirements that no single load vector meets,
+    and no phase one over configurations is tried first.
     """
     if not tau_total > 0.0:
         raise ValidationError("tau_total must be > 0")
@@ -178,10 +224,11 @@ def optimize_schedule(
         )
 
     configs = enumerate_configs(sys.n_receivers)
-    x = [base.x] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
+    x0, tau0 = _scaled_slot(sys, base, tau_total)
+    x = [x0] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
     # the slot matrix: a[q] is slot q's p_tx and b[n][q] its p_n, at x[q]
     a, b = (v.tolist() for v in _config_coefficients(sys, configs, x))
-    tau = [tau_total] + [0.0] * (len(configs) - 1)
+    tau = [tau0] + [0.0] * (len(configs) - 1)
     p_req = sys.p_req
 
     trace = []

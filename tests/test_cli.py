@@ -310,6 +310,13 @@ class TestOptimize:
         assert all(v != "nan" for v in rows[1][2:])
         assert rows[2][2:] == rows[3][2:] == ["nan"] * 4
 
+    def test_scenario_name_too_long_exits_1(self, capsys):
+        name = "a" * 300
+        assert run_cli("optimize", name) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {name}: scenario file not found"]
+        assert captured.out == ""
+
     def test_sweep_over_loads_rejected(self, capsys):
         assert run_cli("optimize", "three_receivers", "--sweep", "x_1=1:2:1") \
             == EXIT_INVALID
@@ -402,7 +409,7 @@ class TestTimeshare:
 
     def test_infeasible_concurrent_problem_exits_2(self, tmp_path, capsys):
         # receiver 3 cannot reach 45 W with all receivers connected, and
-        # time sharing starts from that concurrent optimum
+        # time sharing still asks for a feasible concurrent problem first
         from mrcwpt import parse_scenario, serialize_scenario
 
         config, options = parse_scenario("three_receivers")

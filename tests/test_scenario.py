@@ -257,6 +257,16 @@ class TestErrors:
                 parse_scenario(name)
             assert err.value.path == name
 
+    @pytest.mark.parametrize("name", ["a" * 300, "d/" + "a" * 300, "a" * 300 + ".scn"],
+                             ids=["bare", "in-a-folder", "with-suffix"])
+    def test_name_too_long_for_the_file_system(self, name, tmp_path, monkeypatch):
+        # past the usual 255-byte limit on a file name, looking the path up
+        # fails in the file system; that is a missing scenario too
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ScenarioError, match="scenario file not found") as err:
+            parse_scenario(name)
+        assert err.value.path == name
+
     def test_error_carries_location(self):
         bad = MINIMAL.replace("w = 1e7", "w = banana")
         with pytest.raises(ScenarioError) as err:

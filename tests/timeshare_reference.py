@@ -8,8 +8,8 @@ over numpy scalars, which adds left to right on every Python version.
 The drawn power a @ tau is the products of ``a * tau`` added left to
 right, the package's order (a BLAS ``@`` would round by the CPU's kernel).
 Its slot LP is the numpy tableau of ``lp_reference``. The load subproblem,
-the slot matrix and the acceptance test are the package's own, which the
-change to plain floats left alone.
+the slot matrix, the acceptance test and the scaled slot it starts from
+are the package's own, which the change to plain floats left alone.
 """
 
 import numpy as np
@@ -23,6 +23,7 @@ from mrcwpt.timeshare import (
     TimeSharingSchedule,
     _config_coefficients,
     _no_worse,
+    _scaled_slot,
     solve_config_subproblem,
 )
 
@@ -51,15 +52,15 @@ def optimize_schedule(
 ) -> ScheduleResult:
     """Jointly optimize slot durations and per-slot loads.
 
-    Starts from the no-time-sharing optimum in the all-closed slot, then
-    alternates the duration LP with the per-configuration load subproblems
-    until the drawn-power improvement falls to ``dp_stop``, for at most
+    Starts from the package's scaled all-closed slot, then alternates the
+    duration LP with the per-configuration load subproblems until the
+    drawn-power improvement falls to ``dp_stop``, for at most
     ``_MAX_OUTER`` rounds. The objective trace is nonincreasing: an update
     is only accepted when it does not worsen the exact objective, and an
     infeasible subproblem leaves its slot's loads unchanged.
 
-    Raises InfeasibleProblemError when even the no-time-sharing problem has
-    no solution (time sharing can only enlarge the feasible set).
+    Raises InfeasibleProblemError when the no-time-sharing problem has no
+    solution, which does not prove that no schedule exists.
     """
     if not tau_total > 0.0:
         raise ValidationError("tau_total must be > 0")
@@ -72,11 +73,12 @@ def optimize_schedule(
         )
 
     configs = enumerate_configs(sys.n_receivers)
-    x = [base.x] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
+    x0, tau0 = _scaled_slot(sys, base, tau_total)
+    x = [x0] + [tuple(solo_peak_loads(sys))] * (len(configs) - 1)
     # the slot matrix: a[q] is slot q's p_tx and b[n, q] its p_n, at x[q]
     a, b = _config_coefficients(sys, configs, x)
     tau = np.zeros(len(configs))
-    tau[0] = tau_total
+    tau[0] = tau0
     p_req = sys.p_req
 
     trace = []
@@ -123,3 +125,39 @@ def optimize_schedule(
         iterations=len(trace),
         subproblem_failures=failures,
     )
+
+
+def grid_column_lp(sys: SystemConfig, grid_points: int) -> float:
+    """Least average p_tx of any schedule over sampled operating points: an
+    independent upper bound on the time-sharing optimum.
+
+    Every configuration contributes one column per point of a log grid of
+    ``grid_points`` loads per connected receiver, with its p_tx and p_n
+    from the resonant closed form written out here. HiGHS
+    (``scipy.optimize.linprog``) then picks the shares of the horizon that
+    meet every requirement at the least average p_tx. Returns inf when no
+    mix of the columns meets them.
+    """
+    from scipy.optimize import linprog
+
+    n = sys.n_receivers
+    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    b = (sys.w * np.asarray(sys.h, dtype=float)) ** 2
+    r = np.array([coil.resistance for coil in sys.receivers], dtype=float)
+    cost, powers = [], []
+    for sw in enumerate_configs(n):
+        conn = list(sw.connected)
+        axes = [np.geomspace(sys.x_lo[k], sys.x_hi[k], grid_points) for k in conn]
+        x = np.zeros((n, grid_points ** len(conn)))
+        g = np.zeros_like(x)  # 1 / (r + x) where connected, else 0
+        for k, grid in zip(conn, np.meshgrid(*axes, indexing="ij")):
+            x[k] = grid.ravel()
+            g[k] = 1.0 / (r[k] + x[k])
+        d = sys.transmitter.resistance + b @ g
+        cost.append(half_v2 / d)
+        powers.append(half_v2 * b[:, None] * x * g**2 / d**2)
+    a, p = np.concatenate(cost), np.concatenate(powers, axis=1)
+    # shares w >= 0 of the horizon: sum w <= 1 and p w >= p_req
+    sol = linprog(a, A_ub=np.vstack([-p, np.ones_like(a)]),
+                  b_ub=[-v for v in sys.p_req] + [1.0], method="highs")
+    return float(sol.fun) if sol.status == 0 else float("inf")
