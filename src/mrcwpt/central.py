@@ -380,10 +380,11 @@ def _constants(sys: SystemConfig, conn, reqs):
     return half_v2, r, b_coef, g_lo, g_hi, preq, c
 
 
-def _tangent_scale(prob: ChargingProblem) -> float:
-    """The scale s >= 1 of all of ``prob``'s requirements at which
-    p_tx(s p_req) / s is least, or 1.0 when no requirement is positive or
-    one can never be met.
+def _tangent_scale(prob: ChargingProblem):
+    """(s, g): the scale s >= 1 of all of ``prob``'s requirements at which
+    p_tx(s p_req) / s is least, and the conductances of the connected
+    receivers that meet s p_req there; (1.0, None) when that s is 1, no
+    requirement is positive or one can never be met.
 
     p_tx = |v|^2 / (2 D), so the scale maximizes s D. With u = s D^2 the
     requirements hold at g_n >= a_n(u), the lower end ``_max_coupling``
@@ -391,7 +392,8 @@ def _tangent_scale(prob: ChargingProblem) -> float:
     Phi(u) = r_tx + sum B max(g_lo, a(u)), over the u up to the least cap,
     where every interval is still open. Phi is convex, so
     h(u) = Phi(u) - u Phi'(u) decreases from Phi(0) > 0: the best u is its
-    root, or the cap if h is still positive there, and s = u / Phi(u)^2.
+    root, or the cap if h is still positive there, s = u / Phi(u)^2, and
+    g_n = max(g_lo, a_n(u)), the point Phi sums, gives D = Phi(u).
     h is smooth between the kinks where an a_n leaves g_lo and jumps down
     at each, where the best u often lies: the kinks are found in closed
     form, and Brent's method runs only on the piece where h falls to zero.
@@ -401,26 +403,29 @@ def _tangent_scale(prob: ChargingProblem) -> float:
     """
     consts = _constants(prob.sys, prob.switch.connected, prob.requirements)
     if consts is None:
-        return 1.0
+        return 1.0, None
     _, r, b_coef, g_lo, g_hi, _, c = consts
     r_tx = prob.sys.transmitter.resistance
     u_end = _least_cap(list(zip(c, r, g_lo, g_hi)))
     if u_end == math.inf:
-        return 1.0
-    lower = list(zip(b_coef, c, r, g_lo))
+        return 1.0, None
     # a_n leaves g_lo where its lower root reaches it: Phi' jumps up there
     kinks = [lo * (1.0 - rk * lo) / ck if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
-             for _, ck, rk, lo in lower]
+             for ck, rk, lo in zip(c, r, g_lo)]
+
+    def lower(u):  # max(g_lo, a_n(u)) per receiver, and the discriminant's root s_n
+        g, s = [], []
+        for ck, rk, lo in zip(c, r, g_lo):
+            k = ck * u  # the lower root as _max_coupling writes it
+            s.append(math.sqrt(max(1.0 - 4.0 * rk * k, 0.0)))
+            g.append(max(lo, 2.0 * k / (1.0 + s[-1])))
+        return g, s
 
     def h(u, rising):  # Phi(u) - u Phi'(u), a_n' = c_n / s_n where rising[n]
-        total = slope = 0.0
-        for (bk, ck, rk, lo), up in zip(lower, rising):
-            k = ck * u  # the lower root as _max_coupling writes it
-            sk = math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))
-            total += bk * max(lo, 2.0 * k / (1.0 + sk))
-            if up:
-                slope += bk * ck / sk if sk > 0.0 else math.inf
-        return r_tx + total - u * slope
+        g, s = lower(u)
+        slope = left_sum(bk * ck / sk if sk > 0.0 else math.inf
+                         for bk, ck, sk, up in zip(b_coef, c, s, rising) if up)
+        return r_tx + left_dot(b_coef, g) - u * slope
 
     # between kinks h is smooth; the first piece on which it falls to zero
     # holds the best u, at its start if h jumps past zero there
@@ -433,8 +438,10 @@ def _tangent_scale(prob: ChargingProblem) -> float:
         start = end
     else:
         u = u_end
-    phi = h(u, [False] * len(lower))
-    return max(u / (phi * phi), 1.0)
+    g, _ = lower(u)
+    phi = r_tx + left_dot(b_coef, g)
+    s = u / (phi * phi)
+    return (s, g) if s > 1.0 else (1.0, None)
 
 
 def optimize_loads(prob: ChargingProblem) -> CentralSolution:

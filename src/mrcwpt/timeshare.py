@@ -8,9 +8,10 @@ The public entry points are average-power evaluation, the per-slot load
 subproblem, the alternating optimization and the schedule CSV writer. The
 alternation starts from the scaled slot (``_scaled_slot``): all receivers
 connected, at the loads that meet s* p_req, for the shortest time in which
-they meet p_req, where s* >= 1 minimizes p_tx(s p_req) / s. Time sharing
-lowers the drawn power by just this: a slot that delivers more for less of
-the horizon. The alternation evaluates the slot matrix, every slot's
+they meet p_req, where s* >= 1 minimizes p_tx(s p_req) / s. The tangency
+that gives s* also gives those loads, so the slot takes no solve. Time
+sharing lowers the drawn power by just this: a slot that delivers more for
+less of the horizon. The alternation evaluates the slot matrix, every slot's
 instantaneous p_tx and p_n at its loads, once, and solves the linear
 program over slot durations on it (``_slot_lp``) each round; an accepted
 slot solve then overwrites that slot's column with the powers it returns.
@@ -38,8 +39,6 @@ from .lp import solve_lp
 
 # most alternation rounds (slot LP, then every slot's load subproblem) per schedule
 _MAX_OUTER = 50
-# most solves of the scaled slot, each backing its scale off toward 1
-_MAX_SCALED_SOLVES = 4
 
 
 @dataclass(frozen=True)
@@ -149,28 +148,21 @@ def _no_worse(new: float, old: float) -> bool:
 def _scaled_slot(sys: SystemConfig, base: CentralSolution, tau_total: float):
     """Loads and duration of the all-closed slot that starts the alternation.
 
-    The slot meets s* p_req at the loads ``optimize_loads`` gives, s* from
-    ``central._tangent_scale``, and lasts the shortest time in which its own
-    powers meet every requirement, about tau_total / s*. s* can sit where a
-    receiver's interval closes, and a solve there may round to infeasible:
-    then s backs off by 1e-12 of itself, and by a thousand times more on
-    each further try, for at most ``_MAX_SCALED_SOLVES`` solves. When none
-    succeeds, or s* is 1, the slot is ``base``, the concurrent optimum, over
-    the whole horizon.
+    ``central._tangent_scale`` gives s* and the conductances g that meet
+    s* p_req; the slot's loads are 1/g - r, clamped to the box, and it
+    lasts the shortest time in which its own powers meet every
+    requirement, about tau_total / s*. Where s* is 1, or a requirement can
+    never be met, the slot is ``base``, the concurrent optimum, over the
+    whole horizon.
     """
-    p_req = sys.p_req
-    s = _tangent_scale(ChargingProblem(sys=sys))
-    backoff = 1e-12
-    for _ in range(_MAX_SCALED_SOLVES):
-        if s <= 1.0:
-            break
-        sol = optimize_loads(ChargingProblem(sys=sys, p_req_eff=tuple(s * r for r in p_req)))
-        if sol.status is SolveStatus.OPTIMAL:
-            share = max(float(r / p) for r, p in zip(p_req, sol.p) if r > 0.0)
-            return sol.x, min(share, 1.0) * tau_total
-        s *= 1.0 - backoff
-        backoff *= 1e3
-    return base.x, tau_total
+    _, g = _tangent_scale(ChargingProblem(sys=sys))
+    if g is None:
+        return base.x, tau_total
+    x = tuple(min(max(1.0 / gk - coil.resistance, lo), hi)
+              for gk, coil, lo, hi in zip(g, sys.receivers, sys.x_lo, sys.x_hi))
+    _, p, _ = resonant_powers(sys, x, [1] * sys.n_receivers)
+    share = max(float(r / pk) for r, pk in zip(sys.p_req, p))
+    return x, min(share, 1.0) * tau_total
 
 
 @dataclass(frozen=True)
