@@ -26,6 +26,7 @@ in the fast path.
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 import numpy as np
@@ -98,6 +99,16 @@ def _int_digits(v: np.ndarray):
         fast = (v >= 0.0) & (v < 1e8)
     i = np.where(fast, v, 0.0).astype(np.int64)
     return i, 1 + np.searchsorted(_INT_STEPS, i, side="right"), fast
+
+
+@contextlib.contextmanager
+def csv_file(path, kind: str):
+    """``path`` opened for a CSV; an OSError names the kind of CSV and path."""
+    try:
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise OSError(f"cannot write {kind} CSV to {path}: {exc}") from exc
 
 
 class RowFormat:

@@ -128,7 +128,6 @@ class CentralSolution:
     never pays for it. ``repr``, ``==``, hashing, ``dataclasses.replace``,
     copies and pickles read it. A certificate that fails, such as a float
     square that overflows, raises where it is first read, not in the solve.
-    The constructor is unchanged: it takes all six fields as values.
     """
 
     x: tuple[float, ...]
@@ -444,6 +443,14 @@ def _tangent_scale(prob: ChargingProblem):
     return (s, g) if s > 1.0 else (1.0, None)
 
 
+def _loads(sys: SystemConfig, conn, g) -> list[float]:
+    """Loads 1/g - r, clamped to [x_lo, x_hi], of receivers ``conn``; the rest at x_hi."""
+    x = [float(v) for v in sys.x_hi]
+    for gk, k in zip(g, conn):
+        x[k] = min(max(1.0 / gk - sys.receivers[k].resistance, sys.x_lo[k]), sys.x_hi[k])
+    return x
+
+
 def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     """Minimum-transmitter-power load resistances for one configuration.
 
@@ -464,9 +471,7 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
     if g_opt is None:
         return _infeasible()
 
-    x_opt = [float(v) for v in sys.x_hi]
-    for j, k in enumerate(conn):
-        x_opt[k] = min(max(1.0 / g_opt[j] - r[j], sys.x_lo[k]), sys.x_hi[k])
+    x_opt = _loads(sys, conn, g_opt)
 
     # the loads are finite and in the box: only the powers need checking
     p_tx, p, _ = resonant_powers(sys, x_opt, sw.s)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._sums import left_sum
-from .coils import TUNING_RTOL, CoilElectrical, tune_capacitor
+from .coils import CoilElectrical, _resonates, tune_capacitor
 from .errors import NoFiniteMaximizerError, NumericalError, ValidationError
 
 
@@ -87,10 +87,8 @@ class SystemConfig:
         for label, coil in (("transmitter", self.transmitter),
                             *((f"receiver {k + 1}", c) for k, c in enumerate(self.receivers))):
             c = coil.tuning_capacitance
-            if c is not None:
-                natural = 1.0 / math.sqrt(coil.self_inductance * c)
-                if abs(natural - self.w) > TUNING_RTOL * self.w:
-                    raise ValidationError(f"{label}: capacitor not tuned to w")
+            if c is not None and not _resonates(coil.self_inductance, c, self.w):
+                raise ValidationError(f"{label}: capacitor not tuned to w")
 
     @property
     def n_receivers(self) -> int:

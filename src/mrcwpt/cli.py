@@ -121,61 +121,48 @@ def _emit(lines, out_path):
         handle.write("\n".join(lines) + "\n")
 
 
-def _load_sweep(config, x, k, values) -> np.ndarray:
-    """Sweep table rows (x_k, p_tx, p_1..p_N, p_sum, rho) from one
-    ``resonant_powers`` call over every load of receiver k.
-
-    Each row is the per-point ``solve_closed_form`` one bit for bit: the
-    load enters only through +, * and /, which numpy rounds as the float
-    operations do. The first point that is not a finite load > 0 or whose
-    powers overflow is handed to ``solve_closed_form``, which raises the
-    error a point-by-point sweep stops at. So is the first whose rho is not
-    finite (p_tx underflowed to 0).
-    """
-    loads = list(x)
-    loads[k] = values
+def _sweep_table(values, powers, plain, solve) -> np.ndarray:
+    """Sweep table rows (value, p_tx, p_1..p_N, p_sum, rho) from ``powers``, one
+    ``resonant_powers`` result over all ``values``. A point outside ``plain``, the
+    mask where a row is bit for bit the per-point ``solve_closed_form`` one, or
+    whose powers or rho are not finite, is re-solved in order by ``solve(value)``,
+    which raises the error a point-by-point sweep stops at."""
+    p_tx, p, _ = powers
     with np.errstate(all="ignore"):
-        p_tx, p, _ = resonant_powers(config, loads, (1,) * len(x))
         p_sum = sum(p)
         rho = p_sum / p_tx
-        bad = ~((values > 0.0) & np.isfinite(values) & np.isfinite(p_tx) & np.isfinite(p_sum)
-                & np.isfinite(rho))
-    if bad.any():
-        loads[k] = float(values[np.argmax(bad)])
-        solve_closed_form(config, None, loads)
-    return np.column_stack([values, p_tx, *p, p_sum, rho])
+        checked = ~(plain & np.isfinite(p_tx) & np.isfinite(p_sum) & np.isfinite(rho))
+    table = np.column_stack([values, p_tx, *p, p_sum, rho])
+    for i in np.flatnonzero(checked).tolist():
+        state = solve(float(values[i]))
+        table[i] = (values[i], state.p_tx, *state.p, state.p_sum, state.rho)
+    return table
+
+
+def _load_sweep(config, x, k, values) -> np.ndarray:
+    """``_sweep_table`` over every load of receiver k. The load enters only
+    through +, * and /, which numpy rounds as the float operations do, so
+    every finite load > 0 is plain."""
+    with np.errstate(all="ignore"):
+        powers = resonant_powers(config, [*x[:k], values, *x[k + 1:]], (1,) * len(x))
+    return _sweep_table(values, powers, (values > 0.0) & np.isfinite(values),
+                        lambda v: solve_closed_form(config, None, [*x[:k], v, *x[k + 1:]]))
 
 
 def _frequency_sweep(config, x, values) -> np.ndarray:
-    """Sweep table rows (w, p_tx, p_1..p_N, p_sum, rho) from one
-    ``resonant_powers`` call over every frequency.
-
-    Each row is the per-point ``solve_closed_form`` of the re-tuned
-    ``config.with_frequency(w)`` bit for bit: w enters the resonant closed
-    form only through B_k = (w h_k)^2, formed here point by point with the
-    float ``**`` (numpy's power rounds some squares differently), and the
-    rest goes through +, * and /. The loads came from a scenario, so they
-    are valid. A point where the re-tuning or a B_k may fail, or whose
-    powers overflow, goes through ``with_frequency`` and
-    ``solve_closed_form``, which raise the error a point-by-point sweep
-    stops at.
-    """
-    ws = values.tolist()
+    """``_sweep_table`` over every frequency w, of ``config.with_frequency(w)``.
+    w enters only through B_k = (w h_k)^2, formed point by point with the float
+    ``**`` (numpy's power rounds some squares differently). A point is plain where
+    the re-tuning surely succeeds and no B_k overflows (the loads are valid)."""
     with np.errstate(all="ignore"):
         plain = config.retunes_at(values)
         for h in config.h:
             plain &= np.abs(values * h) < 1e150  # so (w h)**2 cannot overflow
         safe = np.where(plain, values, 0.0).tolist()
         b = [np.array([(w * h) ** 2 for w in safe]) for h in config.h]
-        p_tx, p, _ = resonant_powers(config, x, (1,) * len(x), b)
-        p_sum = sum(p)
-        rho = p_sum / p_tx
-        checked = ~(plain & np.isfinite(p_tx) & np.isfinite(p_sum) & np.isfinite(rho))
-    table = np.column_stack([values, p_tx, *p, p_sum, rho])
-    for i in np.flatnonzero(checked).tolist():
-        state = solve_closed_form(config.with_frequency(ws[i]), None, x)
-        table[i] = (ws[i], state.p_tx, *state.p, state.p_sum, state.rho)
-    return table
+        powers = resonant_powers(config, x, (1,) * len(x), b)
+    return _sweep_table(values, powers, plain,
+                        lambda w: solve_closed_form(config.with_frequency(w), None, x))
 
 
 def _cmd_analyze(args) -> int:

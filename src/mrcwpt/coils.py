@@ -148,11 +148,15 @@ def tune_capacitor(self_inductance: float, w: float) -> float:
     if not 0.0 < lw2 < math.inf:
         raise ValidationError("self_inductance * w**2 is outside the float range")
     c = 1.0 / lw2
-    # the check SystemConfig makes of a tuned coil
-    lc = self_inductance * c
-    if not (lc > 0.0 and abs(1.0 / math.sqrt(lc) - w) <= TUNING_RTOL * w):
+    if not _resonates(self_inductance, c, w):
         raise ValidationError("no capacitance tunes self_inductance to w within float precision")
     return c
+
+
+def _resonates(self_inductance: float, capacitance: float, w: float) -> bool:
+    """Whether 1/sqrt(l*c) is w within ``TUNING_RTOL``; False where l*c underflows to 0."""
+    lc = self_inductance * capacitance
+    return lc > 0.0 and abs(1.0 / math.sqrt(lc) - w) <= TUNING_RTOL * w
 
 
 def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:

@@ -505,11 +505,8 @@ def trace_to_csv(run: DistributedRun, path) -> None:
     only in ``itr``, so each of them is formed and formatted once and
     reused.
     """
-    try:
-        with open(path, "w", newline="") as handle:
-            _write_trace_csv(run, handle)
-    except OSError as exc:
-        raise OSError(f"cannot write trace CSV to {path}: {exc}") from exc
+    with _csvfmt.csv_file(path, "trace") as handle:
+        _write_trace_csv(run, handle)
 
 
 def _row_tail(n_receivers: int) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import RowFormat
+from ._csvfmt import RowFormat, csv_file
 from .circuit import SwitchState, SystemConfig, enumerate_configs, grid_slabs
 from .errors import ValidationError
 
@@ -369,11 +369,8 @@ def sample_region_with_ts(
 
 def region_to_csv(sample: PowerRegionSample, path) -> None:
     """Write the region CSV (see :func:`write_region_csv`) to a file."""
-    try:
-        with open(path, "w", newline="") as handle:
-            write_region_csv(sample, handle)
-    except OSError as exc:
-        raise OSError(f"cannot write region CSV to {path}: {exc}") from exc
+    with csv_file(path, "region") as handle:
+        write_region_csv(sample, handle)
 
 
 def write_region_csv(sample: PowerRegionSample, stream) -> None:

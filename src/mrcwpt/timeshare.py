@@ -24,12 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfmt import csv_file
 from ._sums import left_dot, left_sum
 from .central import (
     CentralSolution,
     ChargingProblem,
     SolveStatus,
     _infeasible,
+    _loads,
     _tangent_scale,
     optimize_loads,
 )
@@ -158,8 +160,7 @@ def _scaled_slot(sys: SystemConfig, base: CentralSolution, tau_total: float):
     _, g = _tangent_scale(ChargingProblem(sys=sys))
     if g is None:
         return base.x, tau_total
-    x = tuple(min(max(1.0 / gk - coil.resistance, lo), hi)
-              for gk, coil, lo, hi in zip(g, sys.receivers, sys.x_lo, sys.x_hi))
+    x = tuple(_loads(sys, range(sys.n_receivers), g))
     _, p, _ = resonant_powers(sys, x, [1] * sys.n_receivers)
     share = max(float(r / pk) for r, pk in zip(sys.p_req, p))
     return x, min(share, 1.0) * tau_total
@@ -283,15 +284,12 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
     a, b = _config_coefficients(sys, sched.configs, sched.x)
     # a numpy scalar formats to the same text as a float, twice as slowly
     a, b = a.tolist(), b.T.tolist()
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for q, sw in enumerate(sched.configs):
-                row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
-                row += [f"{v:.11e}" for v in sched.x[q]]
-                row.append(f"{a[q]:.11e}")
-                row += [f"{v:.11e}" for v in b[q]]
-                writer.writerow(row)
-    except OSError as exc:
-        raise OSError(f"cannot write schedule CSV to {path}: {exc}") from exc
+    with csv_file(path, "schedule") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for q, sw in enumerate(sched.configs):
+            row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
+            row += [f"{v:.11e}" for v in sched.x[q]]
+            row.append(f"{a[q]:.11e}")
+            row += [f"{v:.11e}" for v in b[q]]
+            writer.writerow(row)

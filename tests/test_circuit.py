@@ -484,6 +484,16 @@ def test_system_config_validation():
     assert natural == pytest.approx(config.w, rel=1e-12)
 
 
+def test_tuning_check_rejects_an_l_times_c_that_underflows():
+    # l*c = 1e-330 rounds to 0, so 1/sqrt(l*c) has no value
+    with pytest.raises(ValidationError, match="transmitter: capacitor not tuned to w"):
+        SystemConfig(
+            v_tx=1.0, w=1e7, transmitter=CoilElectrical(1.0, 1e-300, 1e-30),
+            receivers=(CoilElectrical(1.0, 1.0),), h=(0.0,), x_lo=(1.0,), x_hi=(2.0,),
+            p_req=(1.0,),
+        )
+
+
 @pytest.mark.parametrize("field, value", [
     ("v_tx", complex(math.inf, 0.0)), ("w", math.nan), ("h", (math.nan,)),
     ("x_hi", (math.inf,)), ("p_req", (math.inf,)),

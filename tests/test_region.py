@@ -454,6 +454,17 @@ class TestCsv:
         with pytest.raises(OSError, match="region.csv"):
             region_to_csv(sample, missing)
 
+    def test_write_to_a_directory_names_the_region_csv(self, bench2, tmp_path):
+        sample = sample_region_without_ts(bench2, 5)
+        with pytest.raises(OSError, match="cannot write region CSV to"):
+            region_to_csv(sample, tmp_path)
+
+    def test_cli_write_to_a_directory_exits_1(self, tmp_path, capsys):
+        assert main(["region", "two_receivers", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write region CSV to {tmp_path}: ")
+
 
 def _region_csv_reference(sample):
     """The bytes of the region CSV as csv.writer wrote them, row by row."""
