@@ -102,13 +102,13 @@ def _int_digits(v: np.ndarray):
 
 
 @contextlib.contextmanager
-def csv_file(path, kind: str):
-    """``path`` opened for a CSV; an OSError names the kind of CSV and path."""
+def csv_file(path, what: str):
+    """``path`` opened for ``what``, the one opener of every ``--out`` file."""
     try:
         with open(path, "w", newline="") as handle:
             yield handle
     except OSError as exc:
-        raise OSError(f"cannot write {kind} CSV to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 class RowFormat:

@@ -274,6 +274,23 @@ def _brentq(f, lo: float, hi: float) -> float:
     raise NumericalError("root finding did not converge in 100 iterations")
 
 
+def _level(g, rk, ck) -> float:
+    """(g - r g^2) / c: the k = c D^2 (or c u) at which g is a root of g - r g^2 = k."""
+    return g * (1.0 - rk * g) / ck
+
+
+def _lower_end(k, rk, lo):
+    """(max(lo, a), s): a = 2k / (1 + s), the lower root of g - r g^2 = k
+    written cancellation-free, with s = sqrt(1 - 4 r k), or 0 past the cap."""
+    s = math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))
+    return max(lo, 2.0 * k / (1.0 + s)), s
+
+
+def _upper_end(s, rk, hi) -> float:
+    """min(hi, b): b = (1 + s) / (2r), the upper root, from ``_lower_end``'s s."""
+    return min(hi, (1.0 + s) / (2.0 * rk))
+
+
 def _least_cap(terms) -> float:
     """The least D^2 at which a receiver's interval closes: where c D^2
     reaches the peak of g - r g^2 over the box. ``terms`` holds
@@ -281,7 +298,7 @@ def _least_cap(terms) -> float:
     caps = []
     for ck, rk, lo, hi in terms:
         g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
-        caps.append(g_peak * (1.0 - rk * g_peak) / ck if ck > 0.0 else math.inf)
+        caps.append(_level(g_peak, rk, ck) if ck > 0.0 else math.inf)
     return min(caps)
 
 
@@ -293,44 +310,29 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
     quadratic, clipped to the box, bound its interval [a_n(D), b_n(D)].
     Every argument but ``r_tx`` is a list of floats, one per receiver.
     """
-    terms = list(zip(c, r, g_lo, g_hi))
-    lower = list(zip(b_coef, c, r, g_lo))
-    upper = list(zip(b_coef, c, r, g_hi))
+    rows = list(zip(b_coef, c, r, g_lo, g_hi))
 
-    def intervals(d):  # [a, b] per receiver, and the discriminant's root s
-        a, b, s = [], [], []
-        for ck, rk, lo, hi in terms:
-            k = ck * d * d  # the lower root is written cancellation-free
-            sk = math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))
-            a.append(max(lo, 2.0 * k / (1.0 + sk)))
-            b.append(min(hi, (1.0 + sk) / (2.0 * rk)))
-            s.append(sk)
-        return a, b, s
-
-    # psi and phi each form only the interval end they sum, as intervals() does
     def psi(d):
         total = 0.0
-        for bk, ck, rk, hi in upper:
-            sk = math.sqrt(max(1.0 - 4.0 * rk * (ck * d * d), 0.0))
-            total += bk * min(hi, (1.0 + sk) / (2.0 * rk))
+        for bk, ck, rk, lo, hi in rows:
+            total += bk * _upper_end(_lower_end(ck * d * d, rk, lo)[1], rk, hi)
         return r_tx + total - d
 
     def phi(d):
         total = 0.0
-        for bk, ck, rk, lo in lower:
-            k = ck * d * d
-            total += bk * max(lo, 2.0 * k / (1.0 + math.sqrt(max(1.0 - 4.0 * rk * k, 0.0))))
+        for bk, ck, rk, lo, _ in rows:
+            total += bk * _lower_end(ck * d * d, rk, lo)[0]
         return r_tx + total - d
 
     def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
-        a, _, s = intervals(d)
         total = 0.0
-        for j in range(len(a)):
-            if a[j] > g_lo[j]:
-                total += b_coef[j] * (2.0 * c[j] * d / s[j] if s[j] > 0.0 else math.inf)
+        for bk, ck, rk, lo, _ in rows:
+            a, s = _lower_end(ck * d * d, rk, lo)
+            if a > lo:
+                total += bk * (2.0 * ck * d / s if s > 0.0 else math.inf)
         return total - 1.0
 
-    cap = _least_cap(terms)
+    cap = _least_cap(zip(c, r, g_lo, g_hi))
     d_lo = r_tx + left_dot(b_coef, g_lo)
     d_top = min(r_tx + left_dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
     # even the smallest D is past a cap: some interval is already empty
@@ -349,7 +351,9 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
         if phi(d_min) > 0.0:
             return None
         d_top = _brentq(phi, d_min, d_top)
-    a, b, _ = intervals(d_top)
+    ends = [_lower_end(ck * d_top * d_top, rk, lo) for _, ck, rk, lo, _ in rows]
+    a = [ak for ak, _ in ends]
+    b = [_upper_end(sk, rk, hi) for (_, sk), rk, hi in zip(ends, r, g_hi)]
     spread = left_dot(b_coef, [bk - ak for ak, bk in zip(a, b)])
     t = (d_top - r_tx - left_dot(b_coef, a)) / spread if spread > 0.0 else 0.0
     t = min(max(t, 0.0), 1.0)
@@ -386,7 +390,7 @@ def _tangent_scale(prob: ChargingProblem):
     requirement is positive or one can never be met.
 
     p_tx = |v|^2 / (2 D), so the scale maximizes s D. With u = s D^2 the
-    requirements hold at g_n >= a_n(u), the lower end ``_max_coupling``
+    requirements hold at g_n >= a_n(u), the lower end ``_lower_end``
     forms at k = c_n u, so the best s D is the largest u / Phi(u) with
     Phi(u) = r_tx + sum B max(g_lo, a(u)), over the u up to the least cap,
     where every interval is still open. Phi is convex, so
@@ -409,16 +413,12 @@ def _tangent_scale(prob: ChargingProblem):
     if u_end == math.inf:
         return 1.0, None
     # a_n leaves g_lo where its lower root reaches it: Phi' jumps up there
-    kinks = [lo * (1.0 - rk * lo) / ck if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
+    kinks = [_level(lo, rk, ck) if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
              for ck, rk, lo in zip(c, r, g_lo)]
 
-    def lower(u):  # max(g_lo, a_n(u)) per receiver, and the discriminant's root s_n
-        g, s = [], []
-        for ck, rk, lo in zip(c, r, g_lo):
-            k = ck * u  # the lower root as _max_coupling writes it
-            s.append(math.sqrt(max(1.0 - 4.0 * rk * k, 0.0)))
-            g.append(max(lo, 2.0 * k / (1.0 + s[-1])))
-        return g, s
+    def lower(u):  # max(g_lo, a_n(u)) and s_n per receiver, from _lower_end at k = c_n u
+        ends = [_lower_end(ck * u, rk, lo) for ck, rk, lo in zip(c, r, g_lo)]
+        return [a for a, _ in ends], [s for _, s in ends]
 
     def h(u, rising):  # Phi(u) - u Phi'(u), a_n' = c_n / s_n where rising[n]
         g, s = lower(u)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._sums import left_sum
-from .coils import CoilElectrical, _resonates, tune_capacitor
+from .coils import CoilElectrical, _coupling_limit, _resonates, tune_capacitor
 from .errors import NoFiniteMaximizerError, NumericalError, ValidationError
 
 
@@ -78,7 +78,7 @@ class SystemConfig:
             raise ValidationError("w must be > 0")
         l_tx = self.transmitter.self_inductance
         for k in range(n):
-            if abs(self.h[k]) > math.sqrt(self.receivers[k].self_inductance * l_tx):
+            if abs(self.h[k]) > _coupling_limit(self.receivers[k].self_inductance, l_tx):
                 raise ValidationError(f"receiver {k + 1}: |h| exceeds sqrt(l_n*l_tx)")
             if not 0.0 < self.x_lo[k] <= self.x_hi[k]:
                 raise ValidationError(f"receiver {k + 1}: bounds must satisfy 0 < x_lo <= x_hi")

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._csvfmt import RowFormat
+from ._csvfmt import RowFormat, csv_file
 from .central import ChargingProblem, SolveStatus, optimize_loads
 from .circuit import (
     SwitchState,
@@ -111,13 +111,13 @@ def _receiver_index(name: str, prefix: str, n: int) -> int:
     return int(tail) - 1
 
 
-def _output(out_path):
-    """The file ``out_path`` opened for writing, or stdout when it is None."""
-    return open(out_path, "w") if out_path else contextlib.nullcontext(_sys.stdout)
+def _output(out_path, what):
+    """The file ``out_path`` opened for writing ``what``, or stdout when it is None."""
+    return csv_file(out_path, what) if out_path else contextlib.nullcontext(_sys.stdout)
 
 
-def _emit(lines, out_path):
-    with _output(out_path) as handle:
+def _emit(lines, out_path, what="report"):
+    with _output(out_path, what) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -179,7 +179,7 @@ def _cmd_analyze(args) -> int:
         else:
             raise ValidationError(f"unknown sweep variable '{name}'")
         header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
-        with _output(args.out) as handle:
+        with _output(args.out, "sweep CSV") as handle:
             handle.write(",".join(header) + "\n")
             RowFormat(",".join(["%.11e"] * (n + 4)) + "\n").write(handle, table)
         return EXIT_OK
@@ -233,7 +233,7 @@ def _cmd_optimize(args) -> int:
             return [fmt(req_val), "optimal", fmt(sol.p_tx)] + [fmt(v) for v in sol.x]
 
         rows = [row(v) for v in values]
-        _emit([",".join(header)] + [",".join(r) for r in rows], args.out)
+        _emit([",".join(header)] + [",".join(r) for r in rows], args.out, "sweep CSV")
         return EXIT_OK
 
     sol = optimize_loads(ChargingProblem(sys=config))

@@ -159,6 +159,11 @@ def _resonates(self_inductance: float, capacitance: float, w: float) -> bool:
     return lc > 0.0 and abs(1.0 / math.sqrt(lc) - w) <= TUNING_RTOL * w
 
 
+def _coupling_limit(l1: float, l2: float) -> float:
+    """sqrt(l1)*sqrt(l2), the largest |h|; unlike sqrt(l1*l2) it never under- or overflows."""
+    return math.sqrt(l1) * math.sqrt(l2)
+
+
 def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:
     """Signed mutual inductance between two coils in the dipole regime.
 
@@ -201,11 +206,11 @@ def mutual_inductance(coil1: CoilGeometry, coil2: CoilGeometry) -> float:
 
     l1 = derive_coil_electrical(coil1).self_inductance
     l2 = derive_coil_electrical(coil2).self_inductance
-    if abs(h) > math.sqrt(l1 * l2):
+    if abs(h) > _coupling_limit(l1, l2):
         # the dipole formula overshoots at close range
         raise ValidationError(
             f"derived coupling |h| = {abs(h):.6g} H exceeds sqrt(l1*l2) = "
-            f"{math.sqrt(l1 * l2):.6g} H: the coils are too close for the dipole formula"
+            f"{_coupling_limit(l1, l2):.6g} H: the coils are too close for the dipole formula"
         )
     return h
 

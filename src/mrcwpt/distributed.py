@@ -505,7 +505,7 @@ def trace_to_csv(run: DistributedRun, path) -> None:
     only in ``itr``, so each of them is formed and formatted once and
     reused.
     """
-    with _csvfmt.csv_file(path, "trace") as handle:
+    with _csvfmt.csv_file(path, "trace CSV") as handle:
         _write_trace_csv(run, handle)
 
 

@@ -369,7 +369,7 @@ def sample_region_with_ts(
 
 def region_to_csv(sample: PowerRegionSample, path) -> None:
     """Write the region CSV (see :func:`write_region_csv`) to a file."""
-    with csv_file(path, "region") as handle:
+    with csv_file(path, "region CSV") as handle:
         write_region_csv(sample, handle)
 
 

@@ -284,7 +284,7 @@ def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None
     a, b = _config_coefficients(sys, sched.configs, sched.x)
     # a numpy scalar formats to the same text as a float, twice as slowly
     a, b = a.tolist(), b.T.tolist()
-    with csv_file(path, "schedule") as handle:
+    with csv_file(path, "schedule CSV") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for q, sw in enumerate(sched.configs):

@@ -6,6 +6,7 @@ import pickle
 import struct
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -811,6 +812,21 @@ class TestPlainFloatSolver:
             assert sol.p == state.p
             solved += 1
         assert solved >= 50
+
+    def test_interval_ends_are_roots_to_two_eps(self):
+        # each end g of g - r g^2 = k, clipped to the box [0, inf), leaves an
+        # exact residual within 2 eps of the largest term
+        rng = np.random.default_rng(33)
+        eps = Fraction(np.finfo(float).eps)
+        for rk, t in zip((10 ** rng.uniform(-3, 2, 20_000)).tolist(),
+                         rng.uniform(0, 1, 20_000).tolist()):
+            k = t / (4.0 * rk)
+            a, s = central._lower_end(k, rk, 0.0)
+            b = central._upper_end(s, rk, math.inf)
+            for g in (a, b):
+                fg, fr, fk = Fraction(g), Fraction(rk), Fraction(k)
+                residual = abs(fg - fr * fg * fg - fk)
+                assert residual <= 2 * eps * max(fk, fg, fr * fg * fg), (rk, k, g)
 
     def test_brentq_failures_are_numerical_errors(self):
         with pytest.raises(NumericalError, match="NaN"):

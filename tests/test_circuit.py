@@ -494,6 +494,26 @@ def test_tuning_check_rejects_an_l_times_c_that_underflows():
         )
 
 
+def test_coupling_bound_holds_where_l_n_times_l_tx_underflows():
+    # l_n*l_tx = 1e-330 rounds to 0, but sqrt(l_n)*sqrt(l_tx) = 1e-165 > |h|
+    config = SystemConfig(
+        v_tx=1.0, w=1e7, transmitter=CoilElectrical(1.0, 1e-300),
+        receivers=(CoilElectrical(1.0, 1e-30),), h=(1e-170,), x_lo=(1.0,), x_hi=(2.0,),
+        p_req=(1.0,),
+    )
+    assert config.h == (1e-170,)
+
+
+def test_coupling_bound_holds_where_l_n_times_l_tx_overflows():
+    # l_n*l_tx = 1e400 rounds to inf, but sqrt(l_n)*sqrt(l_tx) = 1e200 < |h|
+    with pytest.raises(ValidationError, match=r"receiver 1: \|h\| exceeds sqrt\(l_n\*l_tx\)"):
+        SystemConfig(
+            v_tx=1.0, w=1e-100, transmitter=CoilElectrical(1.0, 1e200),
+            receivers=(CoilElectrical(1.0, 1e200),), h=(1e201,), x_lo=(1.0,), x_hi=(2.0,),
+            p_req=(1.0,),
+        )
+
+
 @pytest.mark.parametrize("field, value", [
     ("v_tx", complex(math.inf, 0.0)), ("w", math.nan), ("h", (math.nan,)),
     ("x_hi", (math.inf,)), ("p_req", (math.inf,)),

@@ -866,3 +866,17 @@ class TestUnwritableOutput:
         assert err.startswith("error: ")
         assert str(out) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (("analyze", "three_receivers", "--sweep", "x_1=1:2:0.5"), "sweep CSV"),
+        (("analyze", "three_receivers"), "report"),
+        (("optimize", "three_receivers"), "report"),
+        (("optimize", "three_receivers", "--sweep", "p_req_3=1:3:1"), "sweep CSV"),
+    ], ids=["analyze-sweep", "analyze", "optimize", "optimize-sweep"])
+    def test_directory_out_names_what_it_writes(self, argv, what, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path)) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {what} to {tmp_path}: ")
