@@ -68,26 +68,31 @@ class SystemConfig:
                             ("x_hi", self.x_hi), ("p_req", self.p_req)):
             if len(field) != n:
                 raise ValidationError(f"{name} must have one entry per receiver")
-            if not all(math.isfinite(v) for v in field):
+            if not all(map(math.isfinite, field)):
                 raise ValidationError(f"{name} must be finite")
         if not cmath.isfinite(self.v_tx):
             raise ValidationError("v_tx must be finite")
+        try:
+            abs(self.v_tx) ** 2  # as every power formula forms it
+        except OverflowError:
+            raise ValidationError("v_tx is too large: |v_tx|**2 is not finite") from None
         if not math.isfinite(self.w):
             raise ValidationError("w must be finite")
         if not self.w > 0.0:
             raise ValidationError("w must be > 0")
         l_tx = self.transmitter.self_inductance
-        for k in range(n):
-            if abs(self.h[k]) > _coupling_limit(self.receivers[k].self_inductance, l_tx):
-                raise ValidationError(f"receiver {k + 1}: |h| exceeds sqrt(l_n*l_tx)")
-            if not 0.0 < self.x_lo[k] <= self.x_hi[k]:
-                raise ValidationError(f"receiver {k + 1}: bounds must satisfy 0 < x_lo <= x_hi")
-            if not self.p_req[k] > 0.0:
-                raise ValidationError(f"receiver {k + 1}: p_req must be > 0")
-        for label, coil in (("transmitter", self.transmitter),
-                            *((f"receiver {k + 1}", c) for k, c in enumerate(self.receivers))):
+        for k, (coil, h, lo, hi, req) in enumerate(
+                zip(self.receivers, self.h, self.x_lo, self.x_hi, self.p_req), start=1):
+            if abs(h) > _coupling_limit(coil.self_inductance, l_tx):
+                raise ValidationError(f"receiver {k}: |h| exceeds sqrt(l_n*l_tx)")
+            if not 0.0 < lo <= hi:
+                raise ValidationError(f"receiver {k}: bounds must satisfy 0 < x_lo <= x_hi")
+            if not req > 0.0:
+                raise ValidationError(f"receiver {k}: p_req must be > 0")
+        for k, coil in enumerate((self.transmitter, *self.receivers)):
             c = coil.tuning_capacitance
             if c is not None and not _resonates(coil.self_inductance, c, self.w):
+                label = f"receiver {k}" if k else "transmitter"
                 raise ValidationError(f"{label}: capacitor not tuned to w")
 
     @property
@@ -448,14 +453,13 @@ class PowerDerivatives:
 
 def _coupling_sums(sys: SystemConfig, sw: SwitchState, x, n: int):
     """Reflected resistance of the other receivers, total and delivered parts."""
-    w2 = sys.w**2
     reflected = 0.0
     delivered = 0.0
     for k in sw.connected:
         if k == n:
             continue
         series = sys.receivers[k].resistance + x[k]
-        wh2 = w2 * sys.h[k] ** 2
+        wh2 = (sys.w * sys.h[k]) ** 2
         reflected += wh2 / series
         delivered += wh2 * x[k] / series**2
     return reflected, delivered
@@ -467,11 +471,10 @@ def analytic_derivatives(
     """Closed-form derivatives of p_tx, every p_m, and rho w.r.t. x[n]."""
     sw = _checked_switch(sys, sw, x, n)
 
-    w2 = sys.w**2
     half_v2 = 0.5 * abs(sys.v_tx) ** 2
     r_tx = sys.transmitter.resistance
     r_n = sys.receivers[n].resistance
-    wh2_n = w2 * sys.h[n] ** 2
+    wh2_n = (sys.w * sys.h[n]) ** 2
     series_n = r_n + x[n]
 
     _, _, denom = resonant_powers(sys, x, sw.s)
@@ -483,7 +486,7 @@ def analytic_derivatives(
         if m == n:
             continue
         r_m = sys.receivers[m].resistance
-        wh2_m = w2 * sys.h[m] ** 2
+        wh2_m = (sys.w * sys.h[m]) ** 2
         series_m = r_m + x[m]
         d_p[m] = (
             half_v2 * 2.0 * wh2_m * wh2_n * x[m]
@@ -502,7 +505,7 @@ def analytic_derivatives(
         + x[n] ** 2 * (delivered - reflected - r_tx)
         + r_n**2 * (delivered + reflected + r_tx)
     )
-    d_rho = w2 * sys.h[n] ** 2 / (series_n**4 * denom**2) * bracket
+    d_rho = wh2_n / (series_n**4 * denom**2) * bracket
 
     return PowerDerivatives(d_ptx=d_ptx, d_p=tuple(d_p), d_rho=d_rho)
 

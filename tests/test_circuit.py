@@ -514,6 +514,26 @@ def test_coupling_bound_holds_where_l_n_times_l_tx_overflows():
         )
 
 
+@pytest.mark.parametrize("v_tx, accepted", [
+    (1.3e154, True), (1.4e154, False), (1e200, False),
+    # abs() itself overflows here, though both parts are finite
+    (complex(1.7e308, 1.7e308), False),
+])
+def test_system_config_rejects_a_source_whose_power_overflows(v_tx, accepted):
+    # every power formula starts from |v_tx|**2, which raised a bare
+    # OverflowError past 1.34e154 V
+    fields = dict(
+        v_tx=v_tx, w=1e7, transmitter=CoilElectrical(1.0, 1e-2),
+        receivers=(CoilElectrical(0.1, 1e-5),), h=(1e-7,), x_lo=(1.0,),
+        x_hi=(2.0,), p_req=(1.0,),
+    )
+    if accepted:
+        assert SystemConfig(**fields).v_tx == v_tx
+    else:
+        with pytest.raises(ValidationError, match=r"^v_tx is too large: \|v_tx\|\*\*2 is not finite$"):
+            SystemConfig(**fields)
+
+
 @pytest.mark.parametrize("field, value", [
     ("v_tx", complex(math.inf, 0.0)), ("w", math.nan), ("h", (math.nan,)),
     ("x_hi", (math.inf,)), ("p_req", (math.inf,)),

@@ -710,6 +710,43 @@ class TestExitCodes:
     def test_missing_scenario(self):
         assert run_cli("analyze", "/no/such/file.scn") == EXIT_INVALID
 
+    def test_scenario_that_is_not_utf8(self, tmp_path, capsys):
+        # a Latin-1 byte in a comment ended in a UnicodeDecodeError traceback
+        from mrcwpt.scenario import bundled_scenario_path
+
+        data = bundled_scenario_path("three_receivers").read_bytes() + b"# caf\xe9\n"
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(data)
+        assert run_cli("optimize", str(path)) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text: byte 0xe9 at offset {len(data) - 2}\n"
+        )
+
+    def test_byte_order_mark(self, tmp_path, capsys):
+        from mrcwpt.scenario import bundled_scenario_path
+
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled_scenario_path("three_receivers").read_bytes())
+        assert run_cli("optimize", "three_receivers") == EXIT_OK
+        plain = capsys.readouterr()
+        assert run_cli("optimize", str(path)) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    def test_source_whose_power_overflows(self, tmp_path, capsys):
+        # |v_tx|**2 overflowed in the power formulas: exit 3 with an errno tuple
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "loud.scn"
+        path.write_text(serialize_scenario(replace(config, v_tx=1e154 + 0j), options)
+                        .replace("v_tx = 1e+154", "v_tx = 1e200"))
+        assert run_cli("optimize", str(path)) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: v_tx is too large: |v_tx|**2 is not finite\n"
+
     def test_module_entry_point(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.argv", ["mrcwpt", "--help"])
         with pytest.raises(SystemExit) as exc:

@@ -1,20 +1,27 @@
 """Scenario parsing, validation diagnostics, serialization round trips."""
 
+import cmath
 import math
+import random
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrcwpt import (
+    CoilElectrical,
     ScenarioError,
     ScenarioOptions,
+    SystemConfig,
     parse_scenario,
     parse_scenario_text,
     serialize_scenario,
 )
-from mrcwpt.scenario import bundled_scenario_path
+from mrcwpt.scenario import _path_text, bundled_scenario_path
+
+import scenario_reference
 
 MINIMAL = """
 version = 1
@@ -76,6 +83,12 @@ class TestParsing:
         config, _ = parse_scenario("two_receivers")
         assert config.n_receivers == 2
         assert config.p_req == (5.0, 5.0)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # str.strip keeps U+FEFF, so a BOM made line 1 "expected 'key = value'"
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + bundled_scenario_path("three_receivers").read_bytes())
+        assert parse_scenario(path) == parse_scenario("three_receivers")
 
     def test_minimal_text(self):
         config, options = parse_scenario_text(MINIMAL)
@@ -246,6 +259,18 @@ class TestErrors:
         assert str(err.value).startswith(f"{tmp_path}: cannot read scenario: ")
         assert (err.value.path, err.value.line, err.value.column) == (tmp_path, None, None)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_text_that_is_not_utf8(self, bom, tmp_path):
+        # a Latin-1 e-acute in a comment raised a bare UnicodeDecodeError
+        data = bom + MINIMAL.replace("[source]", "[source]  # caf\u00e9").encode("latin-1")
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(path)
+        offset = data.index(b"\xe9")
+        assert str(err.value) == f"{path}: not UTF-8 text: byte 0xe9 at offset {offset}"
+        assert (err.value.path, err.value.line, err.value.column) == (path, None, None)
+
     def test_missing_file(self, tmp_path, monkeypatch):
         with pytest.raises(ScenarioError, match="not found"):
             parse_scenario(tmp_path / "absent.scn")
@@ -290,6 +315,16 @@ class TestRoundTrip:
         path.write_text(serialize_scenario(config1, options1))
         config2, _ = parse_scenario(path)
         assert config1 == config2
+
+
+def test_path_text_is_the_path_of_a_path():
+    # the parser names a file as str(Path(path)) without always building it
+    rng = random.Random(7)
+    parts = ("a", "/", ".", "..", "b.scn", " ", "\\", "~")
+    for _ in range(20_000):
+        path = "".join(rng.choice(parts) for _ in range(rng.randint(0, 8)))
+        assert _path_text(path) == str(Path(path)), path
+    assert _path_text(Path("a//b/./c/")) == "a/b/c"
 
 
 def test_bundled_path_resolution(tmp_path, monkeypatch):
@@ -361,3 +396,167 @@ class TestParserProperty:
             except ScenarioError:
                 return
         assert len(options.x_nominal) == config.n_receivers
+
+
+def _random_system(rng):
+    """A valid system of 1 to 5 electrical receivers, in plain floats."""
+    n = rng.randint(1, 5)
+    l_tx = 10 ** rng.uniform(-3, -1)
+    receivers, h, x_lo, x_hi, p_req = [], [], [], [], []
+    for _ in range(n):
+        l_k = 10 ** rng.uniform(-5, -3)
+        receivers.append(CoilElectrical(10 ** rng.uniform(-1.5, -0.5), l_k))
+        h.append(rng.choice((-1, 1)) * 10 ** rng.uniform(-3, -0.1) * math.sqrt(l_k * l_tx))
+        lo = 10 ** rng.uniform(-0.5, 0.5)
+        x_lo.append(lo)
+        x_hi.append(lo * 10 ** rng.uniform(0, 2))
+        p_req.append(10 ** rng.uniform(-3, 1))
+    config = SystemConfig(
+        v_tx=cmath.rect(10 ** rng.uniform(0.5, 2), rng.choice((0.0, rng.uniform(-3, 3)))),
+        w=10 ** rng.uniform(6, 7.8),
+        transmitter=CoilElectrical(10 ** rng.uniform(-0.5, 0.7), l_tx),
+        receivers=tuple(receivers),
+        h=tuple(h),
+        x_lo=tuple(x_lo),
+        x_hi=tuple(x_hi),
+        p_req=tuple(p_req),
+    )
+    x_nominal = tuple(math.sqrt(lo * hi) for lo, hi in zip(x_lo, x_hi))
+    grid = rng.choice((None, rng.randint(2, 300)))
+    return config, ScenarioOptions(x_nominal=x_nominal, grid_points=grid)
+
+
+def _geometry(rng, center):
+    """Geometry keys of a thin coil; with ``center`` it sits about 2 m from
+    the transmitter, sometimes tilted by a ``normal``."""
+    inner = 10 ** rng.uniform(-2, -0.5)
+    lines = [f"inner_radius = {inner!r}", f"outer_radius = {inner * 1.01!r}",
+             f"turns = {rng.randint(1, 300)}", f"resistivity = {1.68e-8 * rng.uniform(1, 2)!r}"]
+    if center:
+        lines.append("center = " + " ".join(repr(rng.uniform(-1, 1) + (2.0 if i == 2 else 0.0))
+                                            for i in range(3)))
+        if rng.random() < 0.5:
+            v = [rng.uniform(-1, 1) for _ in range(3)]
+            norm = math.sqrt(sum(c * c for c in v))
+            lines.append("normal = " + " ".join(repr(c / norm) for c in v))
+    return lines
+
+
+def _logical_lines(rng):
+    """``serialize_scenario`` of a random system, as lines whose sections
+    and keys may be reordered and whose coils may be given geometrically
+    (a receiver then derives h from a geometric transmitter)."""
+    blocks = [[]]
+    for line in serialize_scenario(*_random_system(rng)).splitlines():
+        if line.startswith("["):
+            blocks.append([line])
+        elif line:
+            blocks[-1].append(line)
+    tx_geometry = rng.random() < 0.3
+    for block in blocks[1:]:
+        name = block[0]
+        if name == "[transmitter]" and tx_geometry:
+            block[1:] = _geometry(rng, center=False)
+        elif name.startswith("[receiver") and rng.random() < 0.3:
+            rest = [line for line in block[1:] if line.split(" =")[0] not in ("r", "l")]
+            if tx_geometry:
+                rest = [line for line in rest if not line.startswith("h =")] + ["h = derive"]
+            block[1:] = _geometry(rng, center=True) + rest
+        if rng.random() < 0.5:
+            entries = block[1:]
+            rng.shuffle(entries)
+            block[1:] = entries
+    sections = blocks[1:]
+    if rng.random() < 0.3:
+        rng.shuffle(sections)
+    return blocks[0] + [line for block in sections for line in block]
+
+
+_COMMENTS = ("# note", "#", "# x = 1", "# [receiver 9]", "#= [", "##")
+_BAD_NUMBERS = ("banana", "nan", "inf", "-inf", "1e999", "1,5", "0x10", "1 2 3", "derive",
+                "-1", "0", "1e-320", "٣", "1_0")
+
+
+def _edit(rng, lines):
+    """One edit that may make the text invalid: a dropped '=', a duplicate
+    key or section, a bad number, an unknown key, a receiver gap, a
+    dropped or malformed line."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    assignments = [k for k, line in enumerate(lines) if "=" in line]
+    headers = [k for k, line in enumerate(lines) if line.startswith("[")]
+    a = rng.choice(assignments)
+    op = rng.randrange(9)
+    if op == 0:
+        lines[a] = lines[a].replace("=", "", 1)
+    elif op == 1:
+        lines.insert(a + 1, lines[a])
+    elif op == 2:
+        lines.insert(rng.randint(headers[0], len(lines)), lines[rng.choice(headers)])
+    elif op == 3:
+        lines[a] = lines[a].split("=")[0] + "= " + rng.choice(_BAD_NUMBERS)
+    elif op == 4:
+        lines.insert(i, rng.choice(("bogus = 1", "x = 2.0", "version = 1", "h = derive")))
+    elif op == 5:
+        receivers = [k for k in headers if lines[k].startswith("[receiver")]
+        lines[rng.choice(receivers)] = f"[receiver {rng.choice((0, 7, 12))}]"
+    elif op == 6:
+        del lines[i]
+    elif op == 7:
+        lines[a] = lines[a].split("=")[0] + "="
+    else:
+        lines.insert(i, rng.choice(("= 5", "[receiver 1", "[]", "[ ]", "[receiver one]",
+                                    "]", "key value", "[receiver 1] = 2")))
+    return lines
+
+
+def _render(rng, lines):
+    """The lines written with blank and comment lines, indentation, spaces
+    and tabs around '=', trailing comments and LF, CRLF or CR line ends."""
+    blank = (" ", "\t", "  \t ", " ")
+    out = []
+    for line in lines:
+        if rng.random() < 0.15:
+            out.append(rng.choice(("",) + blank + _COMMENTS))
+        lead = rng.choice(("",) * 4 + blank)
+        if "=" in line and rng.random() < 0.5:
+            key, value = (part.strip() for part in line.split("=", 1))
+            line = f"{key}{rng.choice(blank)}={rng.choice(blank)}{value}"
+        if rng.random() < 0.2:
+            line += rng.choice(("", " ", "\t")) + rng.choice(_COMMENTS)
+        out.append(lead + line + rng.choice(("",) * 4 + blank))
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(out) + rng.choice(("", end))
+
+
+def _outcome(parse, text):
+    """(config, options), or the error's text and position."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # close-range and thick-wire notes
+        try:
+            return parse(text, "case.scn")
+        except ScenarioError as exc:
+            return str(exc), exc.path, exc.line, exc.column
+
+
+class TestAgainstReference:
+    """The parser returns what the line-by-line reference parser returns,
+    config, options or the identical error, on valid and edited texts."""
+
+    def test_random_texts_and_single_edits(self):
+        rng = random.Random(34)
+        parsed = 0
+        for _ in range(400):
+            lines = _logical_lines(rng)
+            for edited in (lines, _edit(rng, lines), _edit(rng, lines)):
+                text = _render(rng, edited)
+                expected = _outcome(scenario_reference.parse_scenario_text, text)
+                assert _outcome(parse_scenario_text, text) == expected, text
+                parsed += isinstance(expected[0], SystemConfig)
+        assert parsed >= 300  # most unedited texts are valid systems
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(scenario_texts())
+    def test_any_text(self, text):
+        expected = _outcome(scenario_reference.parse_scenario_text, text)
+        assert _outcome(parse_scenario_text, text) == expected
