@@ -1,4 +1,5 @@
-"""Exact vectorized rendering of CSV rows through a ``%d``/``%.11e`` template.
+"""Exact vectorized rendering of CSV rows through a ``%d``/``%.11e`` template;
+owner of the 12-digit ``fmt`` (``_FLOAT``) and the ``_columns`` x_k, p_k, fb_k.
 
 ``RowFormat(template)(rows)`` returns the text that
 ``(template * len(rows)) % tuple(rows.ravel().tolist())`` gives, without
@@ -53,10 +54,21 @@ _SCALE_DIV = np.array([10 ** max(e - 11, 0) for e in range(-11, 34)], dtype=floa
 _EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-11, 35)), dtype=np.uint32)
 # an integer of d digits is >= exactly d - 1 of these
 _INT_STEPS = 10 ** np.arange(1, 8)
-_FLOAT_WIDTH = len("0.00000000000e+00")
+_FLOAT = "%.11e"  # the CLI's number format: 12 significant digits
+_FLOAT_WIDTH = len(_FLOAT % 0.0)
 # values RowFormat.write encodes per call: the scratch memory is about six
 # times a block's float bytes, under 1 MiB here
 _BLOCK_VALUES = 13_312
+
+
+def fmt(value: float) -> str:
+    """Fixed scientific notation, 12 significant digits."""
+    return _FLOAT % value
+
+
+def _columns(name: str, n: int) -> list[str]:
+    """The column names ``name_1`` .. ``name_n``, one per receiver."""
+    return [f"{name}_{k + 1}" for k in range(n)]
 
 
 def _float_words(v: np.ndarray):
@@ -116,7 +128,7 @@ class RowFormat:
     text, rendered a block of rows at a time (see the module docstring)."""
 
     def __init__(self, template: str):
-        parts = re.split(r"(%d|%\.11e)", template)
+        parts = re.split(f"(%d|{re.escape(_FLOAT)})", template)
         if any("%" in text for text in parts[0::2]):
             raise ValueError(f"unsupported conversion in row template {template!r}")
         self.template = template

@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from ._sums import left_dot, left_sum
-from .circuit import SwitchState, SystemConfig, grid_slabs, resonant_powers
+from .circuit import SwitchState, SystemConfig, _b, _finite_sum, _half_v2, grid_slabs, resonant_powers
 from .errors import NumericalError, ValidationError
 
 _EPS = float(np.finfo(float).eps)
@@ -366,11 +366,11 @@ def _constants(sys: SystemConfig, conn, reqs):
     the requirements ``reqs``, each but half_v2 a list of floats, or None
     when a requirement sits on a receiver with zero coupling (or no
     source), which can never be met."""
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    half_v2 = _half_v2(sys.v_tx)
     r, b_coef, g_lo, g_hi, preq, c = [], [], [], [], [], []
     for k in conn:
         rk = float(sys.receivers[k].resistance)
-        bk = float((sys.w * sys.h[k]) ** 2)
+        bk = float(_b(sys.w, sys.h[k]))
         pk = float(max(reqs[k], 0.0))
         if pk > 0.0 and half_v2 * bk == 0.0:
             return None
@@ -475,8 +475,7 @@ def optimize_loads(prob: ChargingProblem) -> CentralSolution:
 
     # the loads are finite and in the box: only the powers need checking
     p_tx, p, _ = resonant_powers(sys, x_opt, sw.s)
-    if not (math.isfinite(p_tx) and math.isfinite(left_sum(p))):
-        raise NumericalError("the steady-state powers overflow at these loads")
+    _finite_sum(p_tx, p)
     for k in conn:
         if reqs[k] > 0.0 and p[k] < reqs[k] - 1e-6 * max(reqs[k], 1.0):
             raise NumericalError(

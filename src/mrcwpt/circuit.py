@@ -26,6 +26,20 @@ probes of every simulated turn; ``distributed._rebuild_rows`` evaluates
 that copy's expressions over arrays to form a traced run's rows from its
 turn log, one block of whole rounds at a time, and the p_tx range of a
 repeating run's cycle from one period replayed with a turn log.
+
+The formula's inputs have one owner each: :func:`_b` forms B = (w h)^2
+and :func:`_half_v2` forms |v_tx|^2 / 2 for every function here, the
+centralized solver's constants, ``distributed._Loads`` and the CLI's
+frequency sweep, which passes each swept w to :func:`_b`; and
+:func:`_finite_sum` gives the one verdict that the powers overflow. Both
+owners square with the float ``**``, which CPython computes with the C
+library's ``pow``: on glibc 2.36 it misses the correctly rounded square
+``x * x`` (Goldberg 1991, ACM Computing Surveys 23:5-48) for 1,688 of
+2,000,000 values drawn uniformly from [1, 200], and the pinned results hold
+the ``**`` bits. Squaring by multiplication instead is an edit to the two
+owners and to ``distributed._Loads``, whose per-turn loop squares its
+series inline (a call per probe doubled its iteration time), and to
+``distributed._rebuild_rows``, which repeats the turn's expressions.
 """
 
 from __future__ import annotations
@@ -73,9 +87,11 @@ class SystemConfig:
         if not cmath.isfinite(self.v_tx):
             raise ValidationError("v_tx must be finite")
         try:
-            abs(self.v_tx) ** 2  # as every power formula forms it
-        except OverflowError:
-            raise ValidationError("v_tx is too large: |v_tx|**2 is not finite") from None
+            finite = math.isfinite(_half_v2(self.v_tx))
+        except OverflowError:  # the float ** raises past the float range
+            finite = False
+        if not finite:
+            raise ValidationError("v_tx is too large: |v_tx|**2 is not finite")
         if not math.isfinite(self.w):
             raise ValidationError("w must be finite")
         if not self.w > 0.0:
@@ -113,30 +129,9 @@ class SystemConfig:
         Capacitors that were set are re-tuned, mirroring hardware where the
         compensators track the operating frequency.
         """
-        tx = self.transmitter
-        rx = self.receivers
-        if tx.tuning_capacitance is not None:
-            tx = tx.tuned(w)
-        rx = tuple(c.tuned(w) if c.tuning_capacitance is not None else c for c in rx)
-        return replace(self, w=w, transmitter=tx, receivers=rx)
-
-    def retunes_at(self, w: np.ndarray) -> np.ndarray:
-        """Mask of the frequencies ``w`` at which :meth:`with_frequency`
-        surely succeeds (it may also succeed elsewhere).
-
-        There w and, for every coil with a capacitor, l w^2 lie far inside
-        the normal float range (and then so does l w, as l is a float), so
-        each re-tuned capacitor is finite and > 0 and resonates its coil at
-        w to a few ulps, well inside the 1e-12 that validation allows.
-        Nothing else the validation reads depends on w.
-        """
-        ok = (w > 1e-100) & (w < 1e100)
-        with np.errstate(over="ignore", under="ignore"):
-            for coil in (self.transmitter, *self.receivers):
-                if coil.tuning_capacitance is not None:
-                    lw2 = coil.self_inductance * w * w
-                    ok &= (lw2 > 1e-250) & (lw2 < 1e250)
-        return ok
+        tx, *rx = (c.tuned(w) if c.tuning_capacitance is not None else c
+                   for c in (self.transmitter, *self.receivers))
+        return replace(self, w=w, transmitter=tx, receivers=tuple(rx))
 
 
 @dataclass(frozen=True)
@@ -228,6 +223,25 @@ def _checked_switch(sys: SystemConfig, sw: SwitchState | None, x, n=None) -> Swi
     return sw
 
 
+def _b(w, h):
+    """B = (w h)^2, a receiver's coupling factor at frequency w."""
+    return (w * h) ** 2
+
+
+def _half_v2(v_tx):
+    """|v_tx|^2 / 2, the source factor of every power."""
+    return 0.5 * abs(v_tx) ** 2
+
+
+def _finite_sum(p_tx, p) -> float:
+    """The left-to-right sum of the powers ``p`` (each >= 0, so a finite sum
+    means each is finite); NumericalError where it or ``p_tx`` is not."""
+    p_sum = left_sum(p)
+    if not (math.isfinite(p_tx) and math.isfinite(p_sum)):
+        raise NumericalError("the steady-state powers overflow at these loads")
+    return p_sum
+
+
 def resonant_powers(sys: SystemConfig, x, s, b=None):
     """Returns (p_tx, [p_1, ..., p_N], D) at resonance; inputs are not validated.
 
@@ -242,9 +256,9 @@ def resonant_powers(sys: SystemConfig, x, s, b=None):
     passes arrays of them, one per frequency, since the resonant closed form
     reads no capacitance and takes w only through B_k.
     """
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+    half_v2 = _half_v2(sys.v_tx)
     if b is None:
-        b = [(sys.w * h) ** 2 for h in sys.h]
+        b = [_b(sys.w, h) for h in sys.h]
     series = [coil.resistance + xk for coil, xk in zip(sys.receivers, x)]
     denom = sys.transmitter.resistance
     for k in range(sys.n_receivers):
@@ -306,7 +320,7 @@ def solo_peak_loads(sys: SystemConfig) -> list[float]:
     bounds: the maximizer of p_n with every other receiver disconnected."""
     r_tx = sys.transmitter.resistance
     return [
-        min(max((coil.resistance * r_tx + (sys.w * h) ** 2) / r_tx, lo), hi)
+        min(max((coil.resistance * r_tx + _b(sys.w, h)) / r_tx, lo), hi)
         for coil, h, lo, hi in zip(sys.receivers, sys.h, sys.x_lo, sys.x_hi)
     ]
 
@@ -328,10 +342,7 @@ def solve_closed_form(sys: SystemConfig, sw: SwitchState | None, x) -> SteadySta
         if sw.s[k] else 0j
         for k in range(sys.n_receivers)
     )
-    p_sum = left_sum(powers)
-    # every power is >= 0, so a finite sum means every power is finite
-    if not (math.isfinite(p_tx) and math.isfinite(p_sum)):
-        raise NumericalError("the steady-state powers overflow at these loads")
+    p_sum = _finite_sum(p_tx, powers)
     if p_tx == 0.0:
         raise NumericalError("the transmitter power underflows to 0 at these loads")
     return SteadyState(
@@ -459,7 +470,7 @@ def _coupling_sums(sys: SystemConfig, sw: SwitchState, x, n: int):
         if k == n:
             continue
         series = sys.receivers[k].resistance + x[k]
-        wh2 = (sys.w * sys.h[k]) ** 2
+        wh2 = _b(sys.w, sys.h[k])
         reflected += wh2 / series
         delivered += wh2 * x[k] / series**2
     return reflected, delivered
@@ -470,11 +481,17 @@ def analytic_derivatives(
 ) -> PowerDerivatives:
     """Closed-form derivatives of p_tx, every p_m, and rho w.r.t. x[n]."""
     sw = _checked_switch(sys, sw, x, n)
+    try:
+        return _derivatives(sys, sw, x, n)
+    except OverflowError:  # a float ** past the float range, as (r_n + x_n)**4 at x_n = 1e80
+        raise NumericalError("the power derivatives overflow at these loads") from None
 
-    half_v2 = 0.5 * abs(sys.v_tx) ** 2
+
+def _derivatives(sys: SystemConfig, sw: SwitchState, x, n: int) -> PowerDerivatives:
+    half_v2 = _half_v2(sys.v_tx)
     r_tx = sys.transmitter.resistance
     r_n = sys.receivers[n].resistance
-    wh2_n = (sys.w * sys.h[n]) ** 2
+    wh2_n = _b(sys.w, sys.h[n])
     series_n = r_n + x[n]
 
     _, _, denom = resonant_powers(sys, x, sw.s)
@@ -486,7 +503,7 @@ def analytic_derivatives(
         if m == n:
             continue
         r_m = sys.receivers[m].resistance
-        wh2_m = (sys.w * sys.h[m]) ** 2
+        wh2_m = _b(sys.w, sys.h[m])
         series_m = r_m + x[m]
         d_p[m] = (
             half_v2 * 2.0 * wh2_m * wh2_n * x[m]
@@ -537,7 +554,7 @@ def thresholds(sys: SystemConfig, sw: SwitchState | None, x, n: int) -> Threshol
 
     r_tx = sys.transmitter.resistance
     r_n = sys.receivers[n].resistance
-    wh2_n = (sys.w * sys.h[n]) ** 2
+    wh2_n = _b(sys.w, sys.h[n])
     reflected, delivered = _coupling_sums(sys, sw, x, n)
 
     base = r_tx + reflected

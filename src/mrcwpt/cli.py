@@ -23,17 +23,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._csvfmt import RowFormat, csv_file
+from ._csvfmt import _FLOAT, RowFormat, _columns, csv_file, fmt
 from .central import ChargingProblem, SolveStatus, optimize_loads
 from .circuit import (
     SwitchState,
+    _b,
     analytic_derivatives,
     optimal_frequency,
     resonant_powers,
     solve_closed_form,
     thresholds,
 )
-from .coils import estimate_mutual_inductance
+from .coils import estimate_mutual_inductance, tune_capacitor
 from .distributed import run_distributed, trace_to_csv
 from .errors import (
     InconsistentMeasurementError,
@@ -55,11 +56,6 @@ EXIT_NUMERICAL = 3
 
 # most points one sweep may ask for; the largest sweep in the README has 1,991
 _SWEEP_MAX_POINTS = 10**7
-
-
-def fmt(value: float) -> str:
-    """Fixed scientific notation, 12 significant digits."""
-    return f"{value:.11e}"
 
 
 class _UsageError(Exception):
@@ -151,15 +147,24 @@ def _load_sweep(config, x, k, values) -> np.ndarray:
 
 def _frequency_sweep(config, x, values) -> np.ndarray:
     """``_sweep_table`` over every frequency w, of ``config.with_frequency(w)``.
-    w enters only through B_k = (w h_k)^2, formed point by point with the float
-    ``**`` (numpy's power rounds some squares differently). A point is plain where
-    the re-tuning surely succeeds and no B_k overflows (the loads are valid)."""
+    w enters only through B_k, formed point by point by ``circuit._b`` (numpy's
+    power rounds some squares differently). A point is plain where the re-tuning
+    succeeds, that is w is finite and > 0 and ``tune_capacitor`` sizes every coil
+    that has a capacitor, and no B_k overflows (the loads are valid)."""
+
+    def plain_at(w):  # with_frequency's checks, without building the system
+        try:
+            for coil in (config.transmitter, *config.receivers):
+                if coil.tuning_capacitance is not None:
+                    tune_capacitor(coil.self_inductance, w)
+        except ValidationError:
+            return False
+        return 0.0 < w < np.inf and all(abs(w * h) < 1e150 for h in config.h)  # (w h)**2 finite
+
+    plain = np.array([plain_at(w) for w in values.tolist()], dtype=bool)
+    safe = np.where(plain, values, 0.0).tolist()
+    b = [np.array([_b(w, h) for w in safe]) for h in config.h]
     with np.errstate(all="ignore"):
-        plain = config.retunes_at(values)
-        for h in config.h:
-            plain &= np.abs(values * h) < 1e150  # so (w h)**2 cannot overflow
-        safe = np.where(plain, values, 0.0).tolist()
-        b = [np.array([(w * h) ** 2 for w in safe]) for h in config.h]
         powers = resonant_powers(config, x, (1,) * len(x), b)
     return _sweep_table(values, powers, plain,
                         lambda w: solve_closed_form(config.with_frequency(w), None, x))
@@ -178,10 +183,10 @@ def _cmd_analyze(args) -> int:
             table = _load_sweep(config, x, _receiver_index(name, "x_", n), values)
         else:
             raise ValidationError(f"unknown sweep variable '{name}'")
-        header = [name, "p_tx"] + [f"p_{k + 1}" for k in range(n)] + ["p_sum", "rho"]
+        header = [name, "p_tx"] + _columns("p", n) + ["p_sum", "rho"]
         with _output(args.out, "sweep CSV") as handle:
             handle.write(",".join(header) + "\n")
-            RowFormat(",".join(["%.11e"] * (n + 4)) + "\n").write(handle, table)
+            RowFormat(",".join([_FLOAT] * (n + 4)) + "\n").write(handle, table)
         return EXIT_OK
 
     state = solve_closed_form(config, None, x)
@@ -222,7 +227,7 @@ def _cmd_optimize(args) -> int:
         if not name.startswith("p_req_"):
             raise ValidationError("optimize sweeps run over p_req_<k>")
         k = _receiver_index(name, "p_req_", n)
-        header = [name, "status", "p_tx"] + [f"x_{j + 1}" for j in range(n)]
+        header = [name, "status", "p_tx"] + _columns("x", n)
 
         def row(req_val):
             reqs = list(config.p_req)

@@ -68,8 +68,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _csvfmt
-from ._csvfmt import RowFormat, _put_int
-from .circuit import SystemConfig, resonant_powers, solo_peak_loads
+from ._csvfmt import _FLOAT, RowFormat, _columns, _put_int
+from .circuit import SystemConfig, _b, _finite_sum, _half_v2, resonant_powers, solo_peak_loads
 from .errors import ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
@@ -179,9 +179,9 @@ class _Loads:
             if not 0.0 < xk < math.inf:
                 raise ValidationError(f"receiver {k + 1}: load resistance must be finite and > 0")
         self.r_tx = sys.transmitter.resistance
-        self.half_v2 = 0.5 * abs(sys.v_tx) ** 2
+        self.half_v2 = _half_v2(sys.v_tx)
         self.r = [c.resistance for c in sys.receivers]
-        self.wh2 = [(sys.w * h) ** 2 for h in sys.h]
+        self.wh2 = [_b(sys.w, h) for h in sys.h]
         # the numerator factor of each load's power, half_v2 * wh2_k
         self.coef = [self.half_v2 * wh2 for wh2 in self.wh2]
         self.x_lo, self.x_hi, self.p_req = sys.x_lo, sys.x_hi, sys.p_req
@@ -434,6 +434,22 @@ def _rebuild_rows(log: _TurnLog, a: int, b: int) -> np.ndarray:
     return rows[a - start :]
 
 
+def _check_step(sys: SystemConfig, dx: float) -> None:
+    """Reject a dx past the float range of the probes. A probe of load n
+    forms (r_n + x_n + dx)**2 with x_n <= x_hi, which raises where it
+    overflows, and divides by it times D^2, with D > r_tx: where
+    (r_n + x_hi + dx)**2 r_tx^2 is not finite, the probe at x_hi + dx
+    has no power."""
+    r_tx = sys.transmitter.resistance
+    for coil, hi in zip(sys.receivers, sys.x_hi):
+        try:
+            finite = (coil.resistance + (hi + dx)) ** 2 * r_tx * r_tx < math.inf
+        except OverflowError:  # the float ** raises past the float range
+            finite = False
+        if not finite:
+            raise ValidationError("dx is too large: (r_n + x_hi + dx)**2 * r_tx**2 is not finite")
+
+
 def run_distributed(
     sys: SystemConfig,
     dx: float = 1e-3,
@@ -451,9 +467,11 @@ def run_distributed(
         raise ValidationError("dx must be > 0 and finite")
     if itr_max < 1:
         raise ValidationError("itr_max must be >= 1")
+    _check_step(sys, dx)
     x0 = solo_peak_loads(sys)
     loads = _Loads(sys, list(x0))
     x, n_rx = loads.x, loads.n
+    _finite_sum(loads.half_v2 / loads.denom, loads.powers(loads.denom))
 
     # a traced turn keeps its case and the load it set, packed: the turn log
     cases, moved = bytearray(), array("d")
@@ -483,6 +501,7 @@ def run_distributed(
         loads.turns(0, (itr_max - taken) % period, dx)
 
     p_tx, p = loads.half_v2 / loads.denom, loads.powers(loads.denom)
+    _finite_sum(p_tx, p)
     slack = _power_resolution(sys, x, p, dx)
     feasible = all(p[k] >= sys.p_req[k] - slack[k] for k in range(n_rx))
     return DistributedRun(
@@ -513,7 +532,7 @@ def _row_tail(n_receivers: int) -> str:
     """The template of a trace row after its itr: the text csv.writer
     makes of these rows, since nothing needs quoting."""
     return ",".join(
-        ["%d", "%d"] + ["%.11e"] * (2 * n_receivers + 1) + ["%d"] * n_receivers
+        ["%d", "%d"] + [_FLOAT] * (2 * n_receivers + 1) + ["%d"] * n_receivers
     ) + "\r\n"
 
 
@@ -532,13 +551,8 @@ def _write_blocks(handle, n_receivers: int, blocks, cycle: np.ndarray | None, to
     """Write a trace CSV: the header, then the rows of each of ``blocks``
     in turn; when ``cycle`` is given, the rows after the blocks' up to
     row ``total`` repeat it, from its first row on."""
-    header = (
-        ["itr", "receiver", "case"]
-        + [f"x_{k + 1}" for k in range(n_receivers)]
-        + [f"p_{k + 1}" for k in range(n_receivers)]
-        + ["p_tx"]
-        + [f"fb_{k + 1}" for k in range(n_receivers)]
-    )
+    header = ["itr", "receiver", "case"] + _columns("x", n_receivers) + _columns("p", n_receivers)
+    header += ["p_tx"] + _columns("fb", n_receivers)
     encode = RowFormat("%d," + _row_tail(n_receivers))
     handle.write(",".join(header) + "\r\n")
     first = 0

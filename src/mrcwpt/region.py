@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import RowFormat, csv_file
+from ._csvfmt import _FLOAT, RowFormat, _columns, csv_file
 from .circuit import SwitchState, SystemConfig, enumerate_configs, grid_slabs
 from .errors import ValidationError
 
@@ -376,10 +376,10 @@ def region_to_csv(sample: PowerRegionSample, path) -> None:
 def write_region_csv(sample: PowerRegionSample, stream) -> None:
     """Write points then boundary as CSV sections, deterministically ordered."""
     n = sample.points.shape[1]
-    stream.write(",".join([f"p_{k + 1}" for k in range(n)] + ["section"]) + "\r\n")
+    stream.write(",".join(_columns("p", n) + ["section"]) + "\r\n")
     for section, rows in (("points", sample.points), ("boundary", sample.boundary)):
         # the text csv.writer makes of these rows: nothing needs quoting
-        RowFormat(",".join(["%.11e"] * n) + f",{section}\r\n").write(stream, rows)
+        RowFormat(",".join([_FLOAT] * n) + f",{section}\r\n").write(stream, rows)
 
 
 def read_region_csv(path):

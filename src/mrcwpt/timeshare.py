@@ -19,12 +19,11 @@ slot solve then overwrites that slot's column with the powers it returns.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._csvfmt import csv_file
+from ._csvfmt import _columns, csv_file, fmt
 from ._sums import left_dot, left_sum
 from .central import (
     CentralSolution,
@@ -275,21 +274,12 @@ def optimize_schedule(
 def schedule_to_csv(sys: SystemConfig, sched: TimeSharingSchedule, path) -> None:
     """Write one row per configuration: duration, loads, instantaneous powers."""
     n = sys.n_receivers
-    header = (
-        ["q", "mask", "tau"]
-        + [f"x_{k + 1}" for k in range(n)]
-        + ["p_tx"]
-        + [f"p_{k + 1}" for k in range(n)]
-    )
+    lines = [["q", "mask", "tau"] + _columns("x", n) + ["p_tx"] + _columns("p", n)]
     a, b = _config_coefficients(sys, sched.configs, sched.x)
     # a numpy scalar formats to the same text as a float, twice as slowly
     a, b = a.tolist(), b.T.tolist()
+    lines += ([str(q + 1), sw.mask(), *map(fmt, [sched.tau[q], *sched.x[q], a[q], *b[q]])]
+              for q, sw in enumerate(sched.configs))
+    # the text csv.writer makes of these rows: nothing needs quoting
     with csv_file(path, "schedule CSV") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for q, sw in enumerate(sched.configs):
-            row = [q + 1, sw.mask(), f"{sched.tau[q]:.11e}"]
-            row += [f"{v:.11e}" for v in sched.x[q]]
-            row.append(f"{a[q]:.11e}")
-            row += [f"{v:.11e}" for v in b[q]]
-            writer.writerow(row)
+        handle.write("".join(",".join(row) + "\r\n" for row in lines))

@@ -201,35 +201,6 @@ class TestResonantPowers:
                     assert abs(b[k, q] - state.p[k]) <= 1e-14 * state.p[k]
 
 
-class TestRetunesAt:
-    def test_marked_frequencies_retune(self):
-        # coils from subnormal to huge inductances, most tuned where their
-        # capacitor is valid; every frequency the mask marks must re-tune
-        rng = np.random.default_rng(2020)
-        marked = 0
-        for _ in range(300):
-            w0 = 10 ** rng.uniform(-5, 20)
-            coils = []
-            for _ in range(3):
-                coil = CoilElectrical(1.0, 10 ** rng.uniform(-323, 100))
-                try:
-                    coils.append(coil.tuned(w0) if rng.random() < 0.8 else coil)
-                except ValidationError:
-                    coils.append(coil)
-            # every capacitor tune_capacitor returns passes SystemConfig's check
-            config = SystemConfig(
-                v_tx=1.0, w=w0, transmitter=coils[0], receivers=tuple(coils[1:]),
-                h=(0.0, 0.0), x_lo=(1.0, 1.0), x_hi=(2.0, 2.0), p_req=(1.0, 1.0),
-            )
-            w = np.concatenate([10 ** rng.uniform(-320, 308, 40), -w0 * rng.random(2),
-                                [0.0, np.inf, 1e-100, 1e100]])
-            for wi, ok in zip(w.tolist(), config.retunes_at(w).tolist()):
-                if ok:
-                    assert config.with_frequency(wi).w == wi
-                    marked += 1
-        assert marked > 1000
-
-
 class TestOptimalFrequency:
     def test_benchmark_value(self, bench3):
         w_peak = optimal_frequency(bench3, None, [2.5] * 3)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, sweeps, exit codes, formatting."""
 
+import math
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -197,6 +199,45 @@ class TestSweepOutput:
                           receivers=(CoilElectrical(1.0, 1e-5),) * 3)
         with pytest.raises(OverflowError):
             _frequency_sweep(untuned, options.x_nominal, np.array([1e7, 1e300, -1.0]))
+
+    def test_frequency_sweep_point_is_the_retuned_solve_at_any_w(self):
+        # coils from subnormal to huge inductances, most tuned; at every w
+        # a one-point sweep gives the row of solve_closed_form on
+        # with_frequency(w), or raises what that raises
+        from mrcwpt import CoilElectrical, SystemConfig, ValidationError, solve_closed_form
+        from mrcwpt.cli import _frequency_sweep
+
+        rng = np.random.default_rng(2020)
+        rows = 0
+        for _ in range(150):
+            w0 = 10 ** rng.uniform(-5, 20)
+            coils = []
+            for _ in range(3):
+                coil = CoilElectrical(1.0, 10 ** rng.uniform(-323, 100))
+                try:
+                    coils.append(coil.tuned(w0) if rng.random() < 0.8 else coil)
+                except ValidationError:
+                    coils.append(coil)
+            l_tx = coils[0].self_inductance
+            h = tuple(0.5 * math.sqrt(c.self_inductance) * math.sqrt(l_tx) for c in coils[1:])
+            config = SystemConfig(
+                v_tx=1.0, w=w0, transmitter=coils[0], receivers=tuple(coils[1:]),
+                h=h, x_lo=(1.0, 1.0), x_hi=(2.0, 2.0), p_req=(1.0, 1.0),
+            )
+            x = [1.5, 1.5]
+            w = np.concatenate([10 ** rng.uniform(-320, 308, 20), -w0 * rng.random(2),
+                                [0.0, w0, 1e-100, 1e100]])
+            for wi in w.tolist():
+                try:
+                    state = solve_closed_form(config.with_frequency(wi), None, x)
+                except Exception as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        _frequency_sweep(config, x, np.array([wi]))
+                else:
+                    row = _frequency_sweep(config, x, np.array([wi]))[0].tolist()
+                    assert row == [wi, state.p_tx, *state.p, state.p_sum, state.rho]
+                    rows += 1
+        assert rows > 1000
 
     def test_load_sweep_rows_are_the_closed_form_bits(self):
         # the CSV shows 12 digits; the table under it must be exact
@@ -396,6 +437,30 @@ class TestDistributed:
         code = run_cli("distributed", str(path), "--out", str(trace))
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
         assert len(trace.read_text().splitlines()) == 2001
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dx, code, out, err", [
+        # the turn's (r + x + dx)**2 raised a bare OverflowError: exit 3 with an errno tuple
+        (2e154, EXIT_INVALID, "",
+         "error: dx is too large: (r_n + x_hi + dx)**2 * r_tx**2 is not finite\n"),
+        # every probe's power divided by inf, and the final-state slack warned
+        # "overflow encountered in multiply" before exiting 0
+        (1e154, EXIT_INVALID, "",
+         "error: dx is too large: (r_n + x_hi + dx)**2 * r_tx**2 is not finite\n"),
+        # the largest step that ran before keeps its bytes
+        (1e153, EXIT_OK, "iterations = 300000\nfeasible = yes\np_tx = 8.06589514030e+01\n"
+         "x_1 = 1.15207255741e+01  p_1 = 2.14808789661e+01\n"
+         "x_2 = 2.24928686786e+00  p_2 = 1.99940889144e+01\n"
+         "x_3 = 1.00000000000e+00  p_3 = 1.55562489949e+01\n", ""),
+    ], ids=["2e154", "1e154", "1e153"])
+    def test_step_near_the_float_range(self, tmp_path, capsys, dx, code, out, err):
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "step.scn"
+        path.write_text(serialize_scenario(config, replace(options, dx=dx)))
+        assert run_cli("distributed", str(path)) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestTimeshare:
@@ -813,6 +878,31 @@ class TestNumericalFailure:
         path = tmp_path / "faint.scn"
         path.write_text(serialize_scenario(replace(config, v_tx=1e-300 + 0j), options))
         self.check_failure(run_cli("analyze", str(path), *sweep), capsys)
+
+    def test_derivatives_past_the_float_range(self, tmp_path, capsys):
+        # (r_1 + x_1)**4 at x_1 = 1e80 raised a bare OverflowError, printed
+        # as "numerical failure: (34, 'Numerical result out of range')"
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "far.scn"
+        path.write_text(serialize_scenario(
+            replace(config, x_hi=(1e80, *config.x_hi[1:])),
+            replace(options, x_nominal=(1e80, *options.x_nominal[1:]))))
+        assert run_cli("analyze", str(path)) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", "numerical failure: the power derivatives overflow at these loads\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_distributed_source_power_overflow(self, tmp_path, capsys):
+        # |v_tx|**2 is finite, but |v_tx|**2 B_1 / 2 is not: the run went on
+        # with p_1 = inf, warned and exited 2
+        from mrcwpt import parse_scenario, serialize_scenario
+
+        config, options = parse_scenario("three_receivers")
+        path = tmp_path / "loud.scn"
+        path.write_text(serialize_scenario(replace(config, v_tx=1.3e154 + 0j), options))
+        assert run_cli("distributed", str(path)) == EXIT_NUMERICAL
+        assert capsys.readouterr() == ("", "numerical failure: the steady-state powers overflow at these loads\n")
 
 
 def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):
