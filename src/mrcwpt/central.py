@@ -6,10 +6,13 @@ power is |v|^2 / (2 D) with D = r_tx + sum B g, so the optimum maximizes the
 scalar D. At a fixed D each requirement holds on one conductance interval
 [a_n(D), b_n(D)], which closes at a closed-form cap. The optimal D is the
 least cap, or the root of the decreasing psi(D) = r_tx + sum B b(D) - D, or
-else the largest root of the convex phi(D) = r_tx + sum B a(D) - D: each a
-1-D bracketed root (quasi-convex bisection, Boyd & Vandenberghe, sec. 4.2.5),
-found by Brent's method (Brent 1973, Algorithms for Minimization without
-Derivatives, ch. 4) in ``_brentq``.
+else the largest root of the convex phi(D) = r_tx + sum B a(D) - D. The
+requirements are feasible exactly when s_max >= 1, the largest scale of
+them that some D meets: the largest u / Phi(u)^2, with u = D^2 and
+Phi(u) = phi(D) + D, which ``_kinked_max`` finds by the scaled slot's
+search (quasi-convex 1-D reductions, Boyd & Vandenberghe, sec. 4.2.5).
+Each root is found by Brent's method (Brent 1973, Algorithms for
+Minimization without Derivatives, ch. 4) in ``_brentq``.
 Where the optimum is a face, every receiver takes the same fraction t of its
 interval, g = a + t (b - a), a choice independent of the receiver order.
 The KKT multipliers of the returned point follow in closed form from the
@@ -291,15 +294,50 @@ def _upper_end(s, rk, hi) -> float:
     return min(hi, (1.0 + s) / (2.0 * rk))
 
 
-def _least_cap(terms) -> float:
-    """The least D^2 at which a receiver's interval closes: where c D^2
-    reaches the peak of g - r g^2 over the box. ``terms`` holds
-    (c, r, g_lo, g_hi) per receiver; inf when no c is positive."""
-    caps = []
+def _least_cap(terms):
+    """(cap, peaks): the least D^2 at which a receiver's interval closes,
+    where c D^2 reaches the peak of g - r g^2 over the box, inf when no c
+    is positive; and per receiver that peak g where its interval closes at
+    the cap, else None. ``terms`` holds (c, r, g_lo, g_hi) per receiver."""
+    caps, peaks = [], []
     for ck, rk, lo, hi in terms:
-        g_peak = min(max(1.0 / (2.0 * rk), lo), hi)
-        caps.append(_level(g_peak, rk, ck) if ck > 0.0 else math.inf)
-    return min(caps)
+        peaks.append(min(max(1.0 / (2.0 * rk), lo), hi))
+        caps.append(_level(peaks[-1], rk, ck) if ck > 0.0 else math.inf)
+    cap = min(caps)
+    return cap, [pk if ck == cap else None for ck, pk in zip(caps, peaks)]
+
+
+def _kinked_max(b_coef, r, g_lo, c, r_tx, u_end, power):
+    """The u in [0, u_end] that maximizes u / Phi(u)^power, power >= 1, with
+    Phi(u) = r_tx + sum B max(g_lo, a(c u)), a being ``_lower_end``'s lower
+    end. Phi is convex, so h(u) = Phi(u) - power u Phi'(u) decreases from
+    Phi(0) > 0: the best u is its root, or u_end if h is still positive
+    there. h is smooth between the kinks where an a_n leaves g_lo and jumps
+    down at each, where the best u often lies: the kinks are found in closed
+    form, and Brent's method runs only on the piece where h falls to zero."""
+    # a_n leaves g_lo where its lower root reaches it: Phi' jumps up there
+    kinks = [_level(lo, rk, ck) if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
+             for ck, rk, lo in zip(c, r, g_lo)]
+    rising = []
+
+    def stationarity(u):  # h(u), a_n' = c_n / s_n where rising[n]
+        total = slope = 0.0
+        for bk, ck, rk, lo, up in zip(b_coef, c, r, g_lo, rising):
+            a, sk = _lower_end(ck * u, rk, lo)
+            total += bk * a
+            if up:
+                slope += bk * ck / sk if sk > 0.0 else math.inf
+        return r_tx + total - power * u * slope
+
+    # the first piece on which h falls to zero holds the best u, at its
+    # start if h jumps past zero there
+    start = 0.0
+    for end in sorted({k for k in kinks if k < u_end} | {u_end}):
+        rising = [k <= start for k in kinks]
+        if stationarity(end) < 0.0:
+            return start if stationarity(start) <= 0.0 else _brentq(stationarity, start, end)
+        start = end
+    return u_end
 
 
 def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
@@ -324,36 +362,28 @@ def _max_coupling(b_coef, r, g_lo, g_hi, c, r_tx):
             total += bk * _lower_end(ck * d * d, rk, lo)[0]
         return r_tx + total - d
 
-    def phi_slope(d):  # da/dD = 2 c D / s where a is the lower root, else 0
-        total = 0.0
-        for bk, ck, rk, lo, _ in rows:
-            a, s = _lower_end(ck * d * d, rk, lo)
-            if a > lo:
-                total += bk * (2.0 * ck * d / s if s > 0.0 else math.inf)
-        return total - 1.0
-
-    cap = _least_cap(zip(c, r, g_lo, g_hi))
+    cap, peaks = _least_cap(zip(c, r, g_lo, g_hi))
     d_lo = r_tx + left_dot(b_coef, g_lo)
-    d_top = min(r_tx + left_dot(b_coef, g_hi), math.sqrt(cap) if cap >= 0.0 else math.nan)
+    d_cap = math.sqrt(cap) if cap >= 0.0 else math.nan
+    d_top = min(r_tx + left_dot(b_coef, g_hi), d_cap)
     # even the smallest D is past a cap: some interval is already empty
     if d_top < d_lo or psi(d_lo) < 0.0:
         return None
     if psi(d_top) < 0.0:
         d_top = _brentq(psi, d_lo, d_top)
     if phi(d_top) > 0.0:
-        # phi is convex: its largest root lies between its minimizer and d_top
-        if phi_slope(d_lo) >= 0.0:
-            d_min = d_lo
-        elif phi_slope(d_top) <= 0.0:
+        # s_max >= 1 exactly where phi <= 0 at the D of its maximizer, which
+        # then brackets phi's largest root
+        d_m = min(math.sqrt(_kinked_max(b_coef, r, g_lo, c, r_tx, cap, 2)), d_top)
+        if phi(d_m) > 0.0:
             return None
-        else:
-            d_min = _brentq(phi_slope, d_lo, d_top)
-        if phi(d_min) > 0.0:
-            return None
-        d_top = _brentq(phi, d_min, d_top)
+        d_top = _brentq(phi, d_m, d_top)
     ends = [_lower_end(ck * d_top * d_top, rk, lo) for _, ck, rk, lo, _ in rows]
     a = [ak for ak, _ in ends]
     b = [_upper_end(sk, rk, hi) for (_, sk), rk, hi in zip(ends, r, g_hi)]
+    if d_top == d_cap:  # a closing interval is its peak, not two ends that
+        # the rounding of 1 - 4 r c D^2 leaves sqrt(eps) apart
+        a, b = ([e if pk is None else pk for e, pk in zip(side, peaks)] for side in (a, b))
     spread = left_dot(b_coef, [bk - ak for ak, bk in zip(a, b)])
     t = (d_top - r_tx - left_dot(b_coef, a)) / spread if spread > 0.0 else 0.0
     t = min(max(t, 0.0), 1.0)
@@ -391,15 +421,9 @@ def _tangent_scale(prob: ChargingProblem):
 
     p_tx = |v|^2 / (2 D), so the scale maximizes s D. With u = s D^2 the
     requirements hold at g_n >= a_n(u), the lower end ``_lower_end``
-    forms at k = c_n u, so the best s D is the largest u / Phi(u) with
-    Phi(u) = r_tx + sum B max(g_lo, a(u)), over the u up to the least cap,
-    where every interval is still open. Phi is convex, so
-    h(u) = Phi(u) - u Phi'(u) decreases from Phi(0) > 0: the best u is its
-    root, or the cap if h is still positive there, s = u / Phi(u)^2, and
-    g_n = max(g_lo, a_n(u)), the point Phi sums, gives D = Phi(u).
-    h is smooth between the kinks where an a_n leaves g_lo and jumps down
-    at each, where the best u often lies: the kinks are found in closed
-    form, and Brent's method runs only on the piece where h falls to zero.
+    forms at k = c_n u, so the best s D is the largest u / Phi(u), which
+    ``_kinked_max`` finds: s = u / Phi(u)^2, and g_n = max(g_lo, a_n(u)),
+    the point Phi sums, gives D = Phi(u).
     A best s below 1 leaves s = 1, the concurrent optimum: the pairs
     (u, D) that some s >= 1 admits form a convex set, and u / D is
     monotone along every segment of it.
@@ -409,35 +433,11 @@ def _tangent_scale(prob: ChargingProblem):
         return 1.0, None
     _, r, b_coef, g_lo, g_hi, _, c = consts
     r_tx = prob.sys.transmitter.resistance
-    u_end = _least_cap(list(zip(c, r, g_lo, g_hi)))
+    u_end, _ = _least_cap(zip(c, r, g_lo, g_hi))
     if u_end == math.inf:
         return 1.0, None
-    # a_n leaves g_lo where its lower root reaches it: Phi' jumps up there
-    kinks = [_level(lo, rk, ck) if ck > 0.0 and 2.0 * rk * lo < 1.0 else math.inf
-             for ck, rk, lo in zip(c, r, g_lo)]
-
-    def lower(u):  # max(g_lo, a_n(u)) and s_n per receiver, from _lower_end at k = c_n u
-        ends = [_lower_end(ck * u, rk, lo) for ck, rk, lo in zip(c, r, g_lo)]
-        return [a for a, _ in ends], [s for _, s in ends]
-
-    def h(u, rising):  # Phi(u) - u Phi'(u), a_n' = c_n / s_n where rising[n]
-        g, s = lower(u)
-        slope = left_sum(bk * ck / sk if sk > 0.0 else math.inf
-                         for bk, ck, sk, up in zip(b_coef, c, s, rising) if up)
-        return r_tx + left_dot(b_coef, g) - u * slope
-
-    # between kinks h is smooth; the first piece on which it falls to zero
-    # holds the best u, at its start if h jumps past zero there
-    start = 0.0
-    for end in sorted({k for k in kinks if k < u_end} | {u_end}):
-        rising = [k <= start for k in kinks]
-        if h(end, rising) < 0.0:
-            u = start if h(start, rising) <= 0.0 else _brentq(lambda v: h(v, rising), start, end)
-            break
-        start = end
-    else:
-        u = u_end
-    g, _ = lower(u)
+    u = _kinked_max(b_coef, r, g_lo, c, r_tx, u_end, 1)
+    g = [_lower_end(ck * u, rk, lo)[0] for ck, rk, lo in zip(c, r, g_lo)]
     phi = r_tx + left_dot(b_coef, g)
     s = u / (phi * phi)
     return (s, g) if s > 1.0 else (1.0, None)

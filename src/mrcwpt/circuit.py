@@ -573,7 +573,10 @@ def thresholds(sys: SystemConfig, sw: SwitchState | None, x, n: int) -> Threshol
         x_eff_peak = None
     else:
         gamma = eff_leading * (r_n**2 * (r_tx + delivered + reflected) + r_n * wh2_n)
-        root = math.sqrt((r_n * delivered) ** 2 - gamma)
+        try:
+            root = math.sqrt((r_n * delivered) ** 2 - gamma)
+        except OverflowError:  # a float ** past the float range, as at w = 1e150
+            raise NumericalError("the turnover points overflow at these loads") from None
         x_eff_peak = (-r_n * delivered - root) / eff_leading
 
     return Thresholds(

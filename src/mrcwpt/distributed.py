@@ -69,13 +69,15 @@ import numpy as np
 
 from . import _csvfmt
 from ._csvfmt import _FLOAT, RowFormat, _columns, _put_int
+from ._sums import left_dot
 from .circuit import SystemConfig, _b, _finite_sum, _half_v2, resonant_powers, solo_peak_loads
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # equality band for "requirement satisfied" comparisons (relative)
 _REQ_TOL = 1e-9
 # absolute band for probe power comparisons, suppresses float flicker (W)
 _PROBE_TOL = 1e-12
+_PROBE_OVERFLOW = "the powers overflow at a probe: (r_n + x_n + dx)**2 * D**2 is not finite"
 
 
 class _TurnLog(NamedTuple):
@@ -250,7 +252,7 @@ class _Loads:
         x, term, num, sq = self.x, self.term, self.num, self.sq
         r, wh2, coef, p_req = self.r, self.wh2, self.coef, self.p_req
         x_lo, x_hi, req_lo, req_hi = self.x_lo, self.x_hi, self.req_lo, self.req_hi
-        r_tx, n_rx, peers, pack = self.r_tx, self.n, range(self.n), self.pack
+        r_tx, n_rx, peers, pack, inf = self.r_tx, self.n, range(self.n), self.pack, math.inf
         denom = self.denom
         prefix = r_tx
         for t in term[:n]:
@@ -277,7 +279,10 @@ class _Loads:
                 for t in suffix:
                     d_up += t
                 sq_up = (r_n + x_up) ** 2
-                up = coef_n * x_up / (sq_up * d_up * d_up)
+                den_up = sq_up * d_up * d_up
+                if den_up == inf:
+                    raise NumericalError(_PROBE_OVERFLOW)
+                up = coef_n * x_up / den_up
                 below = up > rise
                 if not below:
                     x_dn = xn - dx
@@ -354,7 +359,11 @@ def _power_resolution(
     moved = np.tile(xs, (2 * n, 1))
     moved[k, k] = xs + dx
     moved[n + k, k] = np.maximum(xs - dx, 0.5 * xs)
-    _, powers, _ = resonant_powers(sys, moved.T, (1,) * n)
+    with np.errstate(over="raise"):
+        try:
+            _, powers, _ = resonant_powers(sys, moved.T, (1,) * n)
+        except FloatingPointError:
+            raise NumericalError(_PROBE_OVERFLOW) from None
     # change[m, j]: how far load j's power moves with move m
     change = np.abs(np.stack(powers, axis=-1) - np.array(p))
     own = np.maximum(change[k, k], change[n + k, k])
@@ -439,7 +448,8 @@ def _check_step(sys: SystemConfig, dx: float) -> None:
     forms (r_n + x_n + dx)**2 with x_n <= x_hi, which raises where it
     overflows, and divides by it times D^2, with D > r_tx: where
     (r_n + x_hi + dx)**2 r_tx^2 is not finite, the probe at x_hi + dx
-    has no power."""
+    has no power. A smaller dx can still overflow at the D of the loads
+    the run reaches: the probe raises NumericalError there."""
     r_tx = sys.transmitter.resistance
     for coil, hi in zip(sys.receivers, sys.x_hi):
         try:
@@ -471,6 +481,11 @@ def run_distributed(
     x0 = solo_peak_loads(sys)
     loads = _Loads(sys, list(x0))
     x, n_rx = loads.x, loads.n
+    # every load is > 0, so D < r_tx + sum B_k / r_k, and every power but an
+    # upward probe's divides by at most (r_n + x_hi)**2 D**2
+    d_max = loads.r_tx + left_dot(loads.wh2, [1.0 / rk for rk in loads.r])
+    if not max((rk + hi) ** 2 for rk, hi in zip(loads.r, sys.x_hi)) * d_max * d_max < math.inf:
+        raise NumericalError("the powers overflow: (r_n + x_hi)**2 * D**2 is not finite")
     _finite_sum(loads.half_v2 / loads.denom, loads.powers(loads.denom))
 
     # a traced turn keeps its case and the load it set, packed: the turn log

@@ -25,8 +25,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._sums import left_dot
 from .errors import ValidationError
 
@@ -79,6 +77,15 @@ def _simplex(rows, basis, n_cols):
         _pivot(rows, basis, leaving, entering)
 
 
+def _floats(values, message) -> list[float]:
+    """``values`` as a list of floats; ValidationError(message) where they
+    are not a sequence of numbers."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError):
+        raise ValidationError(message) from None
+
+
 def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
     """Minimize ``c @ x`` over ``x >= 0`` with ``sum(x) <= budget`` and
     ``a_ge @ x >= b_ge``; every input must be finite, ``budget`` and
@@ -89,23 +96,19 @@ def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
     columns are x, one slack per row (+1 on the horizon, -1 on each
     requirement), then one artificial per requirement row.
     """
-    c = np.asarray(c, dtype=float)
     budget = float(budget)
-    b_ge = np.asarray(b_ge, dtype=float).reshape(-1).tolist()
+    b_ge = _floats(b_ge, "budget and requirements must be finite and >= 0")
     if not (0.0 <= budget < math.inf and all(0.0 <= v < math.inf for v in b_ge)):
         raise ValidationError("budget and requirements must be finite and >= 0")
-    cost_x = c.tolist()
-    if c.ndim != 1 or not all(map(math.isfinite, cost_x)):
+    cost_x = _floats(c, "objective coefficients must be a finite vector")
+    if not all(map(math.isfinite, cost_x)):
         raise ValidationError("objective coefficients must be a finite vector")
-    n = len(c)
+    n = len(cost_x)
     k = len(b_ge)
-    try:
-        a_ge = np.asarray(a_ge, dtype=float)
-    except ValueError:
-        raise ValidationError(f"requirement matrix must be {k} x {n}") from None
-    if a_ge.shape != (k, n):
-        raise ValidationError(f"requirement matrix must be {k} x {n}, not {a_ge.shape}")
-    a_ge = a_ge.tolist()
+    shape = f"requirement matrix must be {k} x {n}"
+    a_ge = [_floats(row, shape) for row in a_ge]
+    if len(a_ge) != k or any(len(row) != n for row in a_ge):
+        raise ValidationError(shape)
     if not all(map(math.isfinite, itertools.chain.from_iterable(a_ge))):
         raise ValidationError("requirement matrix must be finite")
     m = k + 1

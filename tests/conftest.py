@@ -1,9 +1,19 @@
 """Shared fixtures: the desk-scale benchmark systems and random generators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mrcwpt import CoilElectrical, SwitchState, SystemConfig
+from mrcwpt import (
+    ChargingProblem,
+    CoilElectrical,
+    SolveStatus,
+    SwitchState,
+    SystemConfig,
+    optimize_loads,
+    solve_closed_form,
+)
 
 V_BENCH = 20.0 * np.sqrt(2.0)
 W_BENCH = 42.6e6
@@ -85,3 +95,18 @@ def random_switch(rng, n):
         s = tuple(int(v) for v in rng.integers(0, 2, n))
         if any(s):
             return SwitchState(s=s)
+
+
+def _feasible_random_system(seed, n):
+    """A seeded random system whose requirements are 70% of what its
+    mid-box loads deliver, redrawn until the concurrent problem is feasible."""
+    rng = np.random.default_rng(seed)
+    while True:
+        config = random_system(rng, n=n, spread=2.0)
+        x_mid = [float(np.sqrt(config.x_lo[k] * config.x_hi[k])) for k in range(n)]
+        reqs = tuple(0.7 * p for p in solve_closed_form(config, None, x_mid).p)
+        if any(r <= 0 for r in reqs):
+            continue
+        config = replace(config, p_req=reqs)
+        if optimize_loads(ChargingProblem(sys=config)).status is SolveStatus.OPTIMAL:
+            return config

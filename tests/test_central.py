@@ -27,13 +27,18 @@ from mrcwpt import (
 )
 
 from mrcwpt import central
+from mrcwpt._sums import left_dot
 from mrcwpt.errors import NumericalError
 
 import central_eager_reference
 import central_reference
 import grid_reference
-from conftest import bench_system, random_loads, random_switch, random_system
+from conftest import (
+    _feasible_random_system, bench_system, random_loads, random_switch, random_system,
+)
 from nnls_reference import reference_residual
+
+EPS = float(np.finfo(float).eps)
 
 
 def feasible_n2_problem(rng):
@@ -639,6 +644,19 @@ class TestSolvedConfigCopies:
         assert pickle.loads(pickle.dumps(bench3)) == bench_system()
 
 
+def peak_in_box_problem(rng):
+    """A drawn problem, N = 1..3, whose load boxes reach below the receiver
+    resistance (x_lo = 0.05 r_n, x_hi = 20 r_n), so g - r g^2 peaks inside
+    the box, with requirements 0.7 times the powers at random loads."""
+    n = int(rng.integers(1, 4))
+    config = random_system(rng, n=n)
+    r = np.array([c.resistance for c in config.receivers])
+    config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
+    x = np.exp(rng.uniform(np.log(0.05 * r), np.log(20.0 * r)))
+    p = solve_closed_form(config, SwitchState.all_closed(n), tuple(x)).p
+    return ChargingProblem(sys=replace(config, p_req=tuple(0.7 * np.array(p))))
+
+
 class TestBruteForceOracle:
     def test_sandwiches_solver_on_random_problems(self):
         rng = np.random.default_rng(42)
@@ -683,17 +701,11 @@ class TestBruteForceOracle:
         rng = np.random.default_rng(0)
         psi_roots = 0
         for _ in range(200):
-            n = int(rng.integers(1, 4))
-            config = random_system(rng, n=n)
-            r = np.array([c.resistance for c in config.receivers])
-            config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
-            x = np.exp(rng.uniform(np.log(0.05 * r), np.log(20.0 * r)))
-            p = solve_closed_form(config, SwitchState.all_closed(n), tuple(x)).p
-            prob = ChargingProblem(sys=replace(config, p_req=tuple(0.7 * np.array(p))))
+            prob = peak_in_box_problem(rng)
             rooted.clear()
             sol = optimize_loads(prob)
             assert sol.status is SolveStatus.OPTIMAL
-            oracle = brute_force_oracle(prob, 300 if n <= 2 else 60)
+            oracle = brute_force_oracle(prob, 300 if prob.sys.n_receivers <= 2 else 60)
             assert oracle.feasible
             assert sol.p_tx <= oracle.p_tx * (1.0 + 1e-9)
             assert sol.kkt_residual <= 1e-6
@@ -701,6 +713,27 @@ class TestBruteForceOracle:
                 psi_roots += 1
                 assert sol.kkt_residual <= 1e-10
         assert psi_roots >= 50
+
+    def test_cap_branch_certified_to_1e_12(self, monkeypatch):
+        # where D ends on the least cap, the receiver whose interval closes
+        # there sits at its peak g exactly; from the two interval ends, which
+        # meet there only to sqrt(eps), its certificate read 1e-9 to 3.4e-8
+        on_cap = []
+        solve = central._max_coupling
+
+        def spy(b_coef, r, g_lo, g_hi, c, r_tx):
+            g = solve(b_coef, r, g_lo, g_hi, c, r_tx)
+            d_cap = math.sqrt(central._least_cap(zip(c, r, g_lo, g_hi))[0])
+            on_cap.append(abs(r_tx + left_dot(b_coef, g) - d_cap) <= 4 * EPS * d_cap)
+            return g
+
+        monkeypatch.setattr(central, "_max_coupling", spy)
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            sol = optimize_loads(peak_in_box_problem(rng))
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.kkt_residual <= 1e-12
+        assert sum(on_cap) >= 50
 
     def test_slab_argmin_is_the_whole_grid_argmin(self, bench3):
         # the cases above, and a tie: receiver 1 is uncoupled, so p_tx does
@@ -712,14 +745,8 @@ class TestBruteForceOracle:
                   for p3 in (5.0, 15.0, 25.0, 35.0, 60.0)]
         rng = np.random.default_rng(0)
         for _ in range(30):
-            n = int(rng.integers(1, 4))
-            config = random_system(rng, n=n)
-            r = np.array([c.resistance for c in config.receivers])
-            config = replace(config, x_lo=tuple(0.05 * r), x_hi=tuple(20.0 * r))
-            x = np.exp(rng.uniform(np.log(0.05 * r), np.log(20.0 * r)))
-            p = solve_closed_form(config, SwitchState.all_closed(n), tuple(x)).p
-            prob = ChargingProblem(sys=replace(config, p_req=tuple(0.7 * np.array(p))))
-            cases.append((prob, 300 if n <= 2 else 60))
+            prob = peak_in_box_problem(rng)
+            cases.append((prob, 300 if prob.sys.n_receivers <= 2 else 60))
         tie = replace(bench_system(p_req=(5.0, 5.0), n=2), h=(0.0, bench3.h[1]))
         cases.append((ChargingProblem(sys=tie, p_req_eff=(0.0, 5.0)), 300))
         for prob, g in cases:
@@ -766,18 +793,47 @@ def drawn_reductions(rng, count):
 class TestPlainFloatSolver:
     """The plain-float reduction returns the bits of the array reference."""
 
-    def test_conductances_match_the_array_reference(self):
-        infeasible = 0
+    def test_conductances_match_the_array_reference(self, monkeypatch):
+        # every verdict is the reference's, and off two branches every bit.
+        # On phi's branch the largest root is bracketed from the maximizer
+        # of s_max, not from phi's minimizer, so D and the conductances
+        # agree to 1e-12. Where D ends on the least cap, the receivers whose
+        # interval closes there sit at their peak, where the reference takes
+        # two interval ends sqrt(eps) apart: D agrees to a few eps, and the
+        # other conductances, whose share of the spread that moves, to 1e-7.
+        rooted = []
+        root = central._brentq
+        monkeypatch.setattr(central, "_brentq",
+                            lambda f, lo, hi: rooted.append(f) or root(f, lo, hi))
+        infeasible = phi_roots = capped = 0
         for arrays in drawn_reductions(np.random.default_rng(18), 2000):
+            rooted.clear()
             expected = central_reference.max_coupling(*arrays)
-            got = central._max_coupling(*(v.tolist() for v in arrays[:5]), arrays[5])
+            b_coef, r, g_lo, g_hi, c = (v.tolist() for v in arrays[:5])
+            r_tx = arrays[5]
+            got = central._max_coupling(b_coef, r, g_lo, g_hi, c, r_tx)
             if expected is None:
                 assert got is None
                 infeasible += 1
+                continue
+            expected = expected.tolist()
+            d = r_tx + left_dot(b_coef, got)
+            cap, peaks = central._least_cap(zip(c, r, g_lo, g_hi))
+            if any(f.__name__ == "phi" for f in rooted):
+                phi_roots += 1
+                assert d == pytest.approx(r_tx + left_dot(b_coef, expected), rel=1e-12, abs=0)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0)
+            elif not rooted and math.sqrt(cap) <= r_tx + left_dot(b_coef, g_hi):
+                capped += 1
+                assert d == pytest.approx(math.sqrt(cap), rel=4 * EPS, abs=0)
+                assert d == pytest.approx(r_tx + left_dot(b_coef, expected), rel=4 * EPS, abs=0)
+                for gk, ek, pk in zip(got, expected, peaks):
+                    assert gk == pk if pk is not None else gk == pytest.approx(ek, rel=1e-7, abs=0)
             else:
-                assert got == expected.tolist()
-        # both outcomes are drawn often
+                assert got == expected
+        # every outcome is drawn often
         assert 50 <= infeasible <= 1950
+        assert phi_roots >= 50 and capped >= 50
 
     def test_brentq_matches_scipy(self, monkeypatch):
         from scipy.optimize import brentq
@@ -793,7 +849,7 @@ class TestPlainFloatSolver:
         for arrays in drawn_reductions(np.random.default_rng(19), 600):
             central._max_coupling(*(v.tolist() for v in arrays[:5]), arrays[5])
         names = [f.__name__ for f, _, _ in brackets]
-        for name in ("psi", "phi", "phi_slope"):
+        for name in ("psi", "phi", "stationarity"):
             assert names.count(name) >= 20
         for f, lo, hi in brackets:
             expected = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
@@ -836,6 +892,63 @@ class TestPlainFloatSolver:
         # a step at 1e-250 in [-1e300, 1e300] takes more than 100 bisections
         with pytest.raises(NumericalError, match="converge"):
             central._brentq(lambda d: 1.0 if d > 1e-250 else -1.0, -1e300, 1e300)
+
+
+def feasible_scale(prob):
+    """s_max, the largest s at which some load vector meets s times
+    ``prob``'s requirements: the largest u / Phi(u)^2 up to the least cap,
+    from the kinked search the solver's verdict and the scaled slot share."""
+    _, r, b_coef, g_lo, g_hi, _, c = central._constants(
+        prob.sys, prob.switch.connected, prob.requirements)
+    r_tx = prob.sys.transmitter.resistance
+    cap, _ = central._least_cap(zip(c, r, g_lo, g_hi))
+    u = central._kinked_max(b_coef, r, g_lo, c, r_tx, cap, 2)
+    phi = r_tx + left_dot(b_coef, [central._lower_end(ck * u, rk, lo)[0]
+                                   for ck, rk, lo in zip(c, r, g_lo)])
+    return u / (phi * phi)
+
+
+def scaled_feasible(prob, s):
+    """``optimize_loads``' verdict on s times ``prob``'s requirements."""
+    reqs = tuple(s * p for p in prob.requirements)
+    return optimize_loads(replace(prob, p_req_eff=reqs)).status is SolveStatus.OPTIMAL
+
+
+class TestFeasibleScale:
+    """s_max against the solver's verdict, on the bench system at 55 W and
+    at (17.5, 17.5, 60) W, both infeasible, and 40 seeded feasible systems."""
+
+    PROBLEMS = [
+        lambda: ChargingProblem(sys=bench_system(p_req=(17.5, 17.5, 55.0))),
+        lambda: ChargingProblem(sys=bench_system(p_req=(17.5, 17.5, 60.0))),
+        *(lambda i=i: ChargingProblem(sys=_feasible_random_system(5000 + i, 1 + i % 4))
+          for i in range(40)),
+    ]
+
+    def test_bench_scales(self):
+        assert feasible_scale(self.PROBLEMS[0]()) == pytest.approx(0.800003415155076, rel=1e-15)
+        assert feasible_scale(self.PROBLEMS[1]()) == pytest.approx(0.7564179561088494, rel=1e-15)
+
+    def test_matches_a_bisection_of_the_verdict(self):
+        for make in self.PROBLEMS:
+            prob = make()
+            lo, hi = 0.0, 1.0
+            while scaled_feasible(prob, hi):
+                lo, hi = hi, 2.0 * hi
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (mid, hi) if scaled_feasible(prob, mid) else (lo, mid)
+            assert feasible_scale(prob) == pytest.approx(lo, rel=1e-12, abs=0)
+
+    def test_verdict_flips_only_next_to_s_max(self):
+        # the verdict is not exactly monotone in the last bits of the
+        # scale, but it changes only within 4 steps of 2^-52 of s_max
+        for make in self.PROBLEMS:
+            prob = make()
+            s_max = feasible_scale(prob)
+            verdicts = [scaled_feasible(prob, s_max * (1.0 + i * 2.0**-52)) for i in range(-64, 65)]
+            assert verdicts[0] and not verdicts[-1]
+            for i, (before, after) in enumerate(zip(verdicts, verdicts[1:]), start=-64):
+                assert before == after or -4 <= i and i + 1 <= 4, i
 
 
 def test_degenerate_bounds_rejected():

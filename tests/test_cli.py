@@ -381,23 +381,24 @@ class TestOptimize:
         del config_text
 
     def test_infeasible_report_replaces_the_out_file(self, tmp_path, capsys):
-        # 40 W is past receiver 3's reach; an earlier optimal report at the
-        # --out path must not survive beside exit 2
+        # 38, 39 and 40 W are past receiver 3's reach; an earlier optimal
+        # report at the --out path must not survive beside exit 2
         from mrcwpt import parse_scenario, serialize_scenario
 
         config, options = parse_scenario("three_receivers")
-        path = tmp_path / "hard.scn"
-        path.write_text(serialize_scenario(replace(config, p_req=(17.5, 17.5, 40.0)), options))
         out = tmp_path / "report.txt"
-        assert run_cli("optimize", "three_receivers", "--out", str(out)) == EXIT_OK
-        assert out.read_text().startswith("status = optimal\n")
-        capsys.readouterr()
-        assert run_cli("optimize", str(path), "--out", str(out)) == EXIT_INFEASIBLE
-        assert out.read_text() == "status = infeasible\n"
-        assert capsys.readouterr().out == ""
-        # without --out the report goes to stdout, as before
-        assert run_cli("optimize", str(path)) == EXIT_INFEASIBLE
-        assert capsys.readouterr().out == "status = infeasible\n"
+        for p3 in (38.0, 39.0, 40.0):
+            path = tmp_path / "hard.scn"
+            path.write_text(serialize_scenario(replace(config, p_req=(17.5, 17.5, p3)), options))
+            assert run_cli("optimize", "three_receivers", "--out", str(out)) == EXIT_OK
+            assert out.read_text().startswith("status = optimal\n")
+            capsys.readouterr()
+            assert run_cli("optimize", str(path), "--out", str(out)) == EXIT_INFEASIBLE
+            assert out.read_text() == "status = infeasible\n"
+            assert capsys.readouterr() == ("", "")
+            # without --out the report goes to stdout, as before
+            assert run_cli("optimize", str(path)) == EXIT_INFEASIBLE
+            assert capsys.readouterr() == ("status = infeasible\n", "")
 
     @pytest.mark.parametrize("argv, certificates", [
         (["optimize", "three_receivers"], 1),
@@ -447,12 +448,17 @@ class TestDistributed:
         # "overflow encountered in multiply" before exiting 0
         (1e154, EXIT_INVALID, "",
          "error: dx is too large: (r_n + x_hi + dx)**2 * r_tx**2 is not finite\n"),
+        # the probes at D = 5 overflowed, read a power of 0, and the
+        # final-state slack warned "overflow encountered in multiply" before
+        # exiting 0 with the report of 1e153
+        (8e153, EXIT_NUMERICAL, "", "numerical failure: the powers overflow at a probe: "
+         "(r_n + x_n + dx)**2 * D**2 is not finite\n"),
         # the largest step that ran before keeps its bytes
         (1e153, EXIT_OK, "iterations = 300000\nfeasible = yes\np_tx = 8.06589514030e+01\n"
          "x_1 = 1.15207255741e+01  p_1 = 2.14808789661e+01\n"
          "x_2 = 2.24928686786e+00  p_2 = 1.99940889144e+01\n"
          "x_3 = 1.00000000000e+00  p_3 = 1.55562489949e+01\n", ""),
-    ], ids=["2e154", "1e154", "1e153"])
+    ], ids=["2e154", "1e154", "8e153", "1e153"])
     def test_step_near_the_float_range(self, tmp_path, capsys, dx, code, out, err):
         from mrcwpt import parse_scenario, serialize_scenario
 
@@ -880,29 +886,43 @@ class TestNumericalFailure:
         self.check_failure(run_cli("analyze", str(path), *sweep), capsys)
 
     def test_derivatives_past_the_float_range(self, tmp_path, capsys):
-        # (r_1 + x_1)**4 at x_1 = 1e80 raised a bare OverflowError, printed
-        # as "numerical failure: (34, 'Numerical result out of range')"
         from mrcwpt import parse_scenario, serialize_scenario
 
         config, options = parse_scenario("three_receivers")
-        path = tmp_path / "far.scn"
-        path.write_text(serialize_scenario(
-            replace(config, x_hi=(1e80, *config.x_hi[1:])),
-            replace(options, x_nominal=(1e80, *options.x_nominal[1:]))))
-        assert run_cli("analyze", str(path)) == EXIT_NUMERICAL
-        assert capsys.readouterr() == ("", "numerical failure: the power derivatives overflow at these loads\n")
+        cases = [
+            # (r_1 + x_1)**4 at x_1 = 1e80 raised a bare OverflowError, printed
+            # as "numerical failure: (34, 'Numerical result out of range')"
+            (replace(config, x_hi=(1e80, *config.x_hi[1:])),
+             replace(options, x_nominal=(1e80, *options.x_nominal[1:])),
+             "the power derivatives overflow at these loads"),
+            # so did (r_n * delivered)**2 at w = 1e150, finding the turnover points
+            (config.with_frequency(1e150), options, "the turnover points overflow at these loads"),
+        ]
+        for config, options, message in cases:
+            path = tmp_path / "far.scn"
+            path.write_text(serialize_scenario(config, options))
+            assert run_cli("analyze", str(path)) == EXIT_NUMERICAL
+            assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
     @pytest.mark.filterwarnings("error")
     def test_distributed_source_power_overflow(self, tmp_path, capsys):
-        # |v_tx|**2 is finite, but |v_tx|**2 B_1 / 2 is not: the run went on
-        # with p_1 = inf, warned and exited 2
         from mrcwpt import parse_scenario, serialize_scenario
 
         config, options = parse_scenario("three_receivers")
-        path = tmp_path / "loud.scn"
-        path.write_text(serialize_scenario(replace(config, v_tx=1.3e154 + 0j), options))
-        assert run_cli("distributed", str(path)) == EXIT_NUMERICAL
-        assert capsys.readouterr() == ("", "numerical failure: the steady-state powers overflow at these loads\n")
+        cases = [
+            # |v_tx|**2 is finite, but |v_tx|**2 B_1 / 2 is not: the run went
+            # on with p_1 = inf, warned and exited 2
+            (replace(config, v_tx=1.3e154 + 0j), "the steady-state powers overflow at these loads"),
+            # B_n is finite at w = 1e150, but D**2 is not: every power read 0,
+            # the final-state slack warned twice and the run exited 2
+            (config.with_frequency(1e150),
+             "the powers overflow: (r_n + x_hi)**2 * D**2 is not finite"),
+        ]
+        for config, message in cases:
+            path = tmp_path / "loud.scn"
+            path.write_text(serialize_scenario(config, options))
+            assert run_cli("distributed", str(path)) == EXIT_NUMERICAL
+            assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
 
 def test_derived_coupling_at_close_range_exits_1(tmp_path, capsys):
