@@ -77,11 +77,11 @@ def _simplex(rows, basis, n_cols):
         _pivot(rows, basis, leaving, entering)
 
 
-def _floats(values, message) -> list[float]:
-    """``values`` as a list of floats; ValidationError(message) where they
-    are not a sequence of numbers."""
+def _floats(values, message, item=float) -> list:
+    """``item`` of each of ``values``, floats by default, as a list;
+    ValidationError(message) where they are not a sequence of numbers."""
     try:
-        return [float(v) for v in values]
+        return [item(v) for v in values]
     except (TypeError, ValueError):
         raise ValidationError(message) from None
 
@@ -106,7 +106,7 @@ def solve_lp(c, budget, a_ge, b_ge) -> LpSolution:
     n = len(cost_x)
     k = len(b_ge)
     shape = f"requirement matrix must be {k} x {n}"
-    a_ge = [_floats(row, shape) for row in a_ge]
+    a_ge = _floats(a_ge, shape, lambda row: _floats(row, shape))
     if len(a_ge) != k or any(len(row) != n for row in a_ge):
         raise ValidationError(shape)
     if not all(map(math.isfinite, itertools.chain.from_iterable(a_ge))):

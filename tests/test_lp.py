@@ -142,8 +142,9 @@ def test_non_finite_input_rejected(c, budget, a_ge, b_ge):
 
 @pytest.mark.parametrize(
     "a_ge",
-    [[[1.0, 1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [[1.0, 1.0], [1.0]], np.zeros((0, 2))],
-    ids=["extra-column", "extra-row", "flat", "ragged", "no-rows"],
+    [[[1.0, 1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0], [[1.0, 1.0], [1.0]], np.zeros((0, 2)),
+     1.0],
+    ids=["extra-column", "extra-row", "flat", "ragged", "no-rows", "scalar"],
 )
 def test_requirement_matrix_of_the_wrong_shape_rejected(a_ge):
     with pytest.raises(ValidationError, match="1 x 2"):
